@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 from .cat import bar, nerve
 from .delta import (
@@ -69,28 +72,51 @@ class Comparison:
         return self.pullback.size()
 
 
+_NO_LEFT, _NO_RIGHT = object(), object()
+
+
 def _compare(kind, indices, domain, table, pullback) -> Comparison:
-    pair_set = set(pullback.pairs)
+    """Decide whether ``table`` (domain cell -> pair) is a bijection.
+
+    A bijection is proved by counting: every image satisfies the
+    pullback equation, the images are distinct, and there are as many
+    as the pullback has pairs.  Only when that fails does the ordered
+    scan run, to raise for the first image outside the pullback or to
+    find the first collision or else the first uncovered pair.
+    """
+    images = list(map(table.__getitem__, domain))
+    left = map(pullback.f.get, map(itemgetter(0), images), repeat(_NO_LEFT))
+    right = map(pullback.g.get, map(itemgetter(1), images),
+                repeat(_NO_RIGHT))
+    if list(left) == list(right) and \
+            len(set(images)) == len(images) == pullback.size():
+        witness = None
+    else:
+        witness = _scan(kind, indices, domain, table, pullback)
+    verdict = "pass" if witness is None else "fail"
+    return Comparison(kind, tuple(indices), tuple(domain), table,
+                      pullback, verdict, witness)
+
+
+def _scan(kind, indices, domain, table, pullback):
+    """The first failure of ``table`` in domain order, then pullback order."""
     seen = {}
     collision = None
     for x in domain:
         p = table[x]
-        if p not in pair_set:
+        if p not in pullback:
             raise InputError(
                 f"{kind} comparison at {indices} leaves the pullback "
                 f"at cell {x!r}; input tables are not simplicial")
         if p in seen and collision is None:
             collision = ("collision", (seen[p], x))
         seen.setdefault(p, x)
-    witness = collision
-    if witness is None:
-        for p in pullback.pairs:
-            if p not in seen:
-                witness = ("uncovered", p)
-                break
-    verdict = "pass" if witness is None else "fail"
-    return Comparison(kind, tuple(indices), tuple(domain), table,
-                      pullback, verdict, witness)
+    if collision is not None:
+        return collision
+    for p in pullback:
+        if p not in seen:
+            return ("uncovered", p)
+    return None
 
 
 def witness_re_verifies(comp: Comparison) -> bool:
@@ -102,7 +128,7 @@ def witness_re_verifies(comp: Comparison) -> bool:
         x, y = payload
         return x != y and comp.table[x] == comp.table[y]
     if tag == "uncovered":
-        return payload in set(comp.pullback.pairs) and \
+        return payload in comp.pullback and \
             payload not in set(comp.table.values())
     return False
 
@@ -174,11 +200,19 @@ class CheckReport:
     entries: tuple
     summary: dict
 
-    def entry(self, kind, indices):
+    @cached_property
+    def _index(self):
+        index = {}
         for e in self.entries:
-            if e.kind == kind and e.indices == tuple(indices):
-                return e
-        raise KeyError((kind, indices))
+            index.setdefault((e.kind, e.indices), e)
+        return index
+
+    def entry(self, kind, indices):
+        """The first entry with this kind and these indices."""
+        try:
+            return self._index[(kind, tuple(indices))]
+        except KeyError:
+            raise KeyError((kind, indices)) from None
 
     @property
     def overall(self):
@@ -189,11 +223,19 @@ def _overall(entries):
     return "pass" if all(e.verdict == "pass" for e in entries) else "fail"
 
 
+def _segal_indices(truncation):
+    for m in range(1, truncation + 1):
+        for j in range(1, m + 1):
+            yield m, j
+
+
 def segal_check(X: TruncatedSSet) -> CheckReport:
     """All level-m comparisons for 1 <= j <= m <= truncation."""
-    entries = [_entry(segal_map(X, m, j))
-               for m in range(1, X.truncation + 1)
-               for j in range(1, m + 1)]
+    return _segal_report(X, [_entry(segal_map(X, m, j))
+                             for m, j in _segal_indices(X.truncation)])
+
+
+def _segal_report(X, entries) -> CheckReport:
     levels = [1, X.truncation] if X.truncation >= 1 else []
     summary = {
         "check": "segal",
@@ -222,8 +264,12 @@ def two_segal_check(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     """
     if mode not in ("full", "reduced"):
         raise InputError(f"unknown mode {mode!r}")
-    entries = [_entry(two_segal_map(X, n, i, j))
-               for n, i, j in _two_segal_indices(X.truncation, mode)]
+    return _two_segal_report(
+        X, mode, [_entry(two_segal_map(X, n, i, j))
+                  for n, i, j in _two_segal_indices(X.truncation, mode)])
+
+
+def _two_segal_report(X, mode, entries) -> CheckReport:
     levels = [3, X.truncation] if X.truncation >= 3 else []
     summary = {
         "check": "two_segal",
@@ -261,9 +307,32 @@ def beta_gamma_equality(X: TruncatedSSet, m: int, j: int) -> BetaGammaResult:
         raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
     if 2 * m + 1 > X.truncation:
         return BetaGammaResult(m, j, "out_of_truncation")
-    E = edgewise(X)
-    beta = segal_map(E, m, j)
+    beta = segal_map(edgewise(X), m, j)
     gamma = two_segal_map(X, 2 * m + 1, m - j, m + j + 1)
+    return _beta_gamma_match(m, j, beta, gamma)
+
+
+def _same_pairs(P: Pullback, Q: Pullback, swap: bool = False) -> bool:
+    """Whether P holds the pairs of Q (each reversed, with ``swap``).
+
+    Equal legs give equal pairs, so the pairs are enumerated only when
+    the legs differ.
+    """
+    f, g = (Q.g, Q.f) if swap else (Q.f, Q.g)
+    if P.f == f and P.g == g:
+        return True
+    theirs = {(b, a) for a, b in Q} if swap else set(Q)
+    return set(P) == theirs
+
+
+def _beta_gamma_match(m, j, beta: Comparison,
+                      gamma: Comparison) -> BetaGammaResult:
+    """Match the subdivision's (m, j) comparison against its polygon one.
+
+    The vertex legs of beta are the tables of E = edgewise(X) at the
+    vertices j of [j] and 0 of [m-j]; those of gamma are X's tables at
+    the edge {m-j, m+j+1} of the inner and outer polygon.
+    """
     mismatch = None
     tables_equal = True
     for x in beta.domain:
@@ -272,11 +341,9 @@ def beta_gamma_equality(X: TruncatedSSet, m: int, j: int) -> BetaGammaResult:
             tables_equal = False
             mismatch = (x, beta.table[x], gamma.table[x])
             break
-    pullbacks_equal = set(beta.pullback.pairs) == \
-        {(b, a) for a, b in gamma.pullback.pairs}
-    inc = two_segal_inclusions(2 * m + 1, m - j, m + j + 1)
-    legs_equal = act(_vertex(j, j), E) == act(inc.edge_in_inner, X) and \
-        act(_vertex(0, m - j), E) == act(inc.edge_in_outer, X)
+    pullbacks_equal = _same_pairs(beta.pullback, gamma.pullback, swap=True)
+    legs_equal = beta.pullback.f == gamma.pullback.g and \
+        beta.pullback.g == gamma.pullback.f
     verdicts_equal = beta.verdict == gamma.verdict
     ok = tables_equal and pullbacks_equal and legs_equal and verdicts_equal
     return BetaGammaResult(m, j, "pass" if ok else "fail", tables_equal,
@@ -382,7 +449,7 @@ def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     direct = two_segal_map(X, n, k, n)
     transported = two_segal_map(rev, n, 0, n - k)
     transport_ok = direct.table == transported.table and \
-        set(direct.pullback.pairs) == set(transported.pullback.pairs) and \
+        _same_pairs(direct.pullback, transported.pullback) and \
         direct.verdict == transported.verdict
     inner = retract_verify(rev, n, n - k)
     ok = transport_ok and inner.verdict == "pass"
@@ -399,7 +466,11 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
 
     Runs both checkers, matches their verdicts index-by-index through
     the factor-swap identification, and verifies the retract argument
-    in both the plain and the reversed family.  Level-n polygon
+    in both the plain and the reversed family.  The subdivision is
+    built once, and each matched pair of comparisons is computed once
+    and serves both the verdict match and the beta-gamma check; the
+    entries are those of ``segal_check`` on the subdivision followed by
+    those of ``two_segal_check``.  Level-n polygon
     verdicts count as certified by subdivision data only when
     2n-1 <= truncation, and the summary says so.
     """
@@ -407,25 +478,35 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
         raise InputError("theorem checking needs truncation >= 3")
     E = edgewise(X)
     M = E.truncation
-    esd_report = segal_check(E)
-    ts_report = two_segal_check(X, "full")
-    ts_verdict = {e.indices: e.verdict for e in ts_report.entries}
+    esd_entries = []
+    matched = {}        # polygon indices -> entry of the matched gamma
 
     matched_agree = True
     matched_witness = None
     bg_failures = 0
     bg_witness = None
-    for m in range(1, M + 1):
-        for j in range(1, m + 1):
-            esd_entry = esd_report.entry("segal", (m, j))
-            gamma_v = ts_verdict[(2 * m + 1, m - j, m + j + 1)]
-            if esd_entry.verdict != gamma_v:
+    try:
+        for m, j in _segal_indices(M):
+            beta = segal_map(E, m, j)
+            gamma = two_segal_map(X, 2 * m + 1, m - j, m + j + 1)
+            esd_entries.append(_entry(beta))
+            matched[gamma.indices] = _entry(gamma)
+            if beta.verdict != gamma.verdict:
                 matched_agree = False
                 matched_witness = matched_witness or [m, j]
-            res = beta_gamma_equality(X, m, j)
-            if res.verdict != "pass":
+            if _beta_gamma_match(m, j, beta, gamma).verdict != "pass":
                 bg_failures += 1
                 bg_witness = bg_witness or [m, j]
+            del beta, gamma     # one matched pair alive at a time
+        ts_entries = [matched.get(idx) or _entry(two_segal_map(X, *idx))
+                      for idx in _two_segal_indices(X.truncation, "full")]
+    except InputError:
+        # raise the error that the two sweeps, run in turn, meet first
+        segal_check(E)
+        two_segal_check(X, "full")
+        raise
+    esd_report = _segal_report(E, esd_entries)
+    ts_report = _two_segal_report(X, "full", ts_entries)
 
     retract_failures = 0
     retract_witness = None

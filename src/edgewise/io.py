@@ -105,6 +105,9 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
     if not isinstance(data["levels"], list) or \
             not all(isinstance(lv, list) for lv in data["levels"]):
         raise InputError("levels must be an array of arrays")
+    for key in ("face", "degeneracy"):
+        if not isinstance(data[key], dict):
+            raise InputError(f"{key} must be an object")
     face = {_parse_index(k, "face"): _string_table(v, f"face {k}")
             for k, v in data["face"].items()}
     degeneracy = {

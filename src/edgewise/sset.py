@@ -12,7 +12,9 @@ report on.  Constructors only enforce basic shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 from .delta import (
     SimplexMap,
@@ -286,41 +288,115 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     """The table of X applied to a monotone map, contravariantly.
 
     For alpha: [n] -> [m] the result maps level-m cells to level-n
-    cells, by composing face and degeneracy tables along the epi-mono
-    factorization of alpha.
+    cells, keyed in level order, by composing face and degeneracy
+    tables along the epi-mono factorization of alpha.  The composite is
+    built from the last generator back: each pass maps the whole level
+    that its generator reads through the table composed so far, so the
+    cost is about the sum of those level sizes rather than the number
+    of generators times the size of level m.  When a table lacks an
+    entry that such a pass reads, the generators are applied in turn to
+    the cells reached from level m instead, which raises ``InputError``
+    for the first missing entry or gives the table those cells allow.
     """
     n, m = alpha.dom_dim, alpha.cod_dim
     if m > X.truncation or n > X.truncation:
         raise InputError(
             f"act needs levels {n} and {m} within truncation {X.truncation}")
     cofaces, codegens = epi_mono_factorize(alpha)
-    table = {c: c for c in X.level(m)}
-    level = m
+    if not cofaces and not codegens:
+        return {c: c for c in X.level(m)}
     try:
-        for i in reversed(cofaces):
-            step = X.face_map(level, i)
+        steps = list(_generator_tables(X, m, cofaces, codegens))
+        table = None
+        for step, k in reversed(steps):
+            cells = X.level(k)
+            images = map(step.__getitem__, cells)
+            if table is not None:
+                images = map(table.__getitem__, images)
+            table = dict(zip(cells, images))
+        return table
+    except (InputError, KeyError):
+        pass
+    table = {c: c for c in X.level(m)}
+    try:
+        for step, _ in _generator_tables(X, m, cofaces, codegens):
             table = {c: step[v] for c, v in table.items()}
-            level -= 1
-        for j in codegens:
-            step = X.degeneracy_map(level, j)
-            table = {c: step[v] for c, v in table.items()}
-            level += 1
     except KeyError as exc:
         raise InputError(
             f"structure table of {X.name or 'sset'} lacks entry {exc}") from None
     return table
 
 
-@dataclass
+def _generator_tables(X, m, cofaces, codegens):
+    """(table, level it reads) per generator, in the order they apply.
+
+    A generator's table is looked up when the iteration reaches it.
+    """
+    level = m
+    for i in reversed(cofaces):
+        yield X.face_map(level, i), level
+        level -= 1
+    for j in codegens:
+        yield X.degeneracy_map(level, j), level
+        level += 1
+
+
 class Pullback:
-    """A strict pullback of two tables with a common codomain."""
+    """A strict pullback of two tables f and g with a common codomain.
 
-    pairs: tuple
-    left: dict = field(repr=False)
-    right: dict = field(repr=False)
+    Its elements are the pairs (a, b) with f[a] == g[b], in the
+    insertion order of f and then g.  Nothing is enumerated up front:
+    iterating runs a hash join over g bucketed by value, and ``pairs``
+    (with the projections ``left`` and ``right`` built from it) keeps
+    that enumeration on first use.  ``size()`` multiplies value counts
+    and ``in`` compares the two legs, so neither enumerates a pair.
+    Two pullbacks are equal when their ``pairs`` are.
+    """
 
-    def size(self):
-        return len(self.pairs)
+    def __init__(self, f: dict, g: dict):
+        self.f = f
+        self.g = g
+
+    def __iter__(self):
+        fibers = {}
+        for b, v in self.g.items():
+            fibers.setdefault(v, []).append(b)
+        for a, v in self.f.items():
+            for b in fibers.get(v, ()):
+                yield a, b
+
+    @cached_property
+    def pairs(self) -> tuple:
+        return tuple(self)
+
+    @cached_property
+    def left(self) -> dict:
+        return {p: p[0] for p in self.pairs}
+
+    @cached_property
+    def right(self) -> dict:
+        return {p: p[1] for p in self.pairs}
+
+    def size(self) -> int:
+        counts = Counter(self.g.values())
+        return sum(k * counts[v] for v, k in Counter(self.f.values()).items())
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        a, b = pair
+        f, g = self.f, self.g
+        return a in f and b in g and f[a] == g[b]
+
+    def __eq__(self, other):
+        if not isinstance(other, Pullback):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Pullback(pairs={self.pairs!r})"
 
 
 def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
@@ -335,10 +411,7 @@ def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
                 if v not in cod:
                     raise InputError(
                         f"{side} table value {v!r} outside the codomain")
-    pairs = tuple((a, b) for a in f for b in g if f[a] == g[b])
-    left = {p: p[0] for p in pairs}
-    right = {p: p[1] for p in pairs}
-    return Pullback(pairs, left, right)
+    return Pullback(f, g)
 
 
 def edgewise(X: TruncatedSSet) -> TruncatedSSet:

@@ -100,6 +100,17 @@ def test_validate_exit_codes(tmp_path, tri_file, capsys):
     assert "error:" in err
 
 
+def test_sset_tables_of_the_wrong_type_exit_two(tmp_path, capsys):
+    for key, value in (("face", None), ("degeneracy", []),
+                       ("levels", None)):
+        doc = json.loads(io.save_sset(standard_simplex(1, 2)))
+        doc[key] = value
+        bad = tmp_path / f"bad-{key}.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["check", "segal", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_validate_machine_output(tri_file, capsys):
     assert cli.main(["validate", tri_file, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
