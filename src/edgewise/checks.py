@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
+from typing import Callable
 
 from .cat import bar, nerve
 from .delta import (
@@ -27,6 +28,8 @@ from .errors import GenerationError, InputError
 from .sset import Pullback, TruncatedSSet, act, edgewise, op_reverse, strict_pullback
 
 __all__ = [
+    "Semantics",
+    "SET",
     "Comparison",
     "CheckEntry",
     "CheckReport",
@@ -137,41 +140,110 @@ def _vertex(i: int, n: int) -> SimplexMap:
     return SimplexMap((i,), n + 1)
 
 
-def segal_map(X: TruncatedSSet, m: int, j: int) -> Comparison:
-    """The level-m comparison into X_j fibered with X_{m-j} over X_0.
+@dataclass(frozen=True)
+class Semantics:
+    """The Segal and 2-Segal comparisons, for one meaning of equivalence.
 
-    The first factor is the front j-face, the second the back
-    (m-j)-face; the legs evaluate at the shared vertex j.
+    Indices and inclusions are the same in every tier; ``compare(kind,
+    indices, X, first, second, leg_first, leg_second, shared)`` is not.
+    It gets the inclusions of the two factors into [n], of the shared
+    face into each factor, and of that face into [n]; it acts X on the
+    ones it needs, forms the pullback of the legs and decides the
+    level-n comparison into it.  ``name`` labels the tier's reports.
     """
-    if not 1 <= j <= m:
-        raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
-    if m > X.truncation:
-        raise InputError(f"level {m} beyond truncation {X.truncation}")
-    front, back = segal_inclusions(m, j)
-    first = act(front, X)
-    second = act(back, X)
-    P = strict_pullback(act(_vertex(j, j), X), act(_vertex(0, m - j), X),
-                        codomain=X.level(0))
-    table = {x: (first[x], second[x]) for x in X.level(m)}
-    return _compare("segal", (m, j), X.level(m), table, P)
+
+    name: str
+    compare: Callable
+
+    def segal_map(self, X, m: int, j: int):
+        """The level-m comparison into X_j fibered with X_{m-j} over X_0.
+
+        The first factor is the front j-face, the second the back
+        (m-j)-face; the legs evaluate at the shared vertex j.
+        """
+        if not 1 <= j <= m:
+            raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
+        if m > X.truncation:
+            raise InputError(f"level {m} beyond truncation {X.truncation}")
+        front, back = segal_inclusions(m, j)
+        return self.compare("segal", (m, j), X, front, back, _vertex(j, j),
+                            _vertex(0, m - j), _vertex(j, m))
+
+    def two_segal_map(self, X, n: int, i: int, j: int):
+        """The comparison into the outer-polygon and inner-polygon fibers.
+
+        Factors restrict a level-n cell to the vertex subsets
+        {0..i, j..n} and {i..j}; the legs restrict both to the edge
+        {i, j}.
+        """
+        if n > X.truncation:
+            raise InputError(f"level {n} beyond truncation {X.truncation}")
+        data = two_segal_inclusions(n, i, j)
+        return self.compare("two_segal", (n, i, j), X, data.outer,
+                            data.inner, data.edge_in_outer,
+                            data.edge_in_inner, data.edge)
+
+    def segal_check(self, X, segal_map) -> CheckReport:
+        """All level-m comparisons for 1 <= j <= m <= truncation.
+
+        The sweep calls ``segal_map``, the tier's public binding of
+        ``self.segal_map``, so a wrapper on that name sees each call.
+        """
+        entries = [_entry(segal_map(X, m, j))
+                   for m, j in _segal_indices(X.truncation)]
+        return _report(self.name, X, entries, "segal", 1)
+
+    def two_segal_check(self, X, mode, two_segal_map) -> CheckReport:
+        """All polygon-subdivision comparisons for 3 <= n <= truncation.
+
+        Full mode sweeps every 0 <= i < j <= n, adjacent and long-edge
+        pairs included (those are reported as trivially bijective rather
+        than skipped); reduced mode keeps only i = 0 or j = n.
+        """
+        if mode not in ("full", "reduced"):
+            raise InputError(f"unknown mode {mode!r}")
+        entries = [_entry(two_segal_map(X, n, i, j))
+                   for n, i, j in _two_segal_indices(X.truncation, mode)]
+        return _report(self.name, X, entries, "two_segal", 3, mode=mode)
+
+    def beta_gamma(self, X, m: int, j: int, subdivide):
+        """The subdivision's (m, j) comparison and the matched polygon one.
+
+        ``subdivide`` is the tier's edgewise subdivision.  The polygon
+        comparison sits at level 2m+1 with indices (m-j, m+j+1); None
+        when that level lies beyond the truncation.
+        """
+        if not 1 <= j <= m:
+            raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
+        if 2 * m + 1 > X.truncation:
+            return None
+        return (self.segal_map(subdivide(X), m, j),
+                self.two_segal_map(X, 2 * m + 1, m - j, m + j + 1))
+
+
+def _bijection(kind, indices, X, first, second, leg_first, leg_second,
+               shared) -> Comparison:
+    """Set semantics: the table into the strict pullback of the legs."""
+    outer = act(first, X)
+    inner = act(second, X)
+    P = strict_pullback(act(leg_first, X), act(leg_second, X),
+                        codomain=X.level(leg_first.dom_dim))
+    cells = X.level(first.cod_dim)
+    table = {x: (outer[x], inner[x]) for x in cells}
+    return _compare(kind, indices, cells, table, P)
+
+
+SET = Semantics("set", _bijection)
+
+
+def segal_map(X: TruncatedSSet, m: int, j: int) -> Comparison:
+    """The level-m comparison into X_j fibered with X_{m-j} over X_0."""
+    return SET.segal_map(X, m, j)
 
 
 def two_segal_map(X: TruncatedSSet, n: int, i: int, j: int) -> Comparison:
-    """The comparison into the outer-polygon and inner-polygon fibers.
-
-    Factors restrict a level-n cell to the vertex subsets
-    {0..i, j..n} and {i..j}; the legs restrict both to the edge {i, j}.
-    """
-    if n > X.truncation:
-        raise InputError(f"level {n} beyond truncation {X.truncation}")
-    data = two_segal_inclusions(n, i, j)
-    outer = act(data.outer, X)
-    inner = act(data.inner, X)
-    P = strict_pullback(act(data.edge_in_outer, X),
-                        act(data.edge_in_inner, X),
-                        codomain=X.level(1))
-    table = {x: (outer[x], inner[x]) for x in X.level(n)}
-    return _compare("two_segal", (n, i, j), X.level(n), table, P)
+    """The comparison into the outer-polygon and inner-polygon fibers."""
+    return SET.two_segal_map(X, n, i, j)
 
 
 @dataclass(frozen=True)
@@ -186,7 +258,7 @@ class CheckEntry:
     witness: tuple | None = None
 
 
-def _entry(comp: Comparison) -> CheckEntry:
+def _entry(comp) -> CheckEntry:
     return CheckEntry(comp.kind, comp.indices, comp.domain_size,
                       comp.codomain_size, comp.verdict, comp.witness)
 
@@ -219,10 +291,6 @@ class CheckReport:
         return self.summary["overall"]
 
 
-def _overall(entries):
-    return "pass" if all(e.verdict == "pass" for e in entries) else "fail"
-
-
 def _segal_indices(truncation):
     for m in range(1, truncation + 1):
         for j in range(1, m + 1):
@@ -231,19 +299,7 @@ def _segal_indices(truncation):
 
 def segal_check(X: TruncatedSSet) -> CheckReport:
     """All level-m comparisons for 1 <= j <= m <= truncation."""
-    return _segal_report(X, [_entry(segal_map(X, m, j))
-                             for m, j in _segal_indices(X.truncation)])
-
-
-def _segal_report(X, entries) -> CheckReport:
-    levels = [1, X.truncation] if X.truncation >= 1 else []
-    summary = {
-        "check": "segal",
-        "overall": _overall(entries),
-        "failures": sum(e.verdict != "pass" for e in entries),
-        "certified_levels": levels,
-    }
-    return CheckReport(X.name or "anonymous", "set", tuple(entries), summary)
+    return SET.segal_check(X, segal_map)
 
 
 def _two_segal_indices(truncation, mode):
@@ -256,29 +312,23 @@ def _two_segal_indices(truncation, mode):
 
 
 def two_segal_check(X: TruncatedSSet, mode: str = "full") -> CheckReport:
-    """All polygon-subdivision comparisons for 3 <= n <= truncation.
-
-    Full mode sweeps every 0 <= i < j <= n, adjacent and long-edge
-    pairs included (those are reported as trivially bijective rather
-    than skipped); reduced mode keeps only i = 0 or j = n.
-    """
-    if mode not in ("full", "reduced"):
-        raise InputError(f"unknown mode {mode!r}")
-    return _two_segal_report(
-        X, mode, [_entry(two_segal_map(X, n, i, j))
-                  for n, i, j in _two_segal_indices(X.truncation, mode)])
+    """All polygon-subdivision comparisons, in full or reduced mode."""
+    return SET.two_segal_check(X, mode, two_segal_map)
 
 
-def _two_segal_report(X, mode, entries) -> CheckReport:
-    levels = [3, X.truncation] if X.truncation >= 3 else []
+def _report(semantics, X, entries, check, lowest, **mode) -> CheckReport:
+    """The report of a sweep; levels lowest..truncation are certified."""
+    levels = [lowest, X.truncation] if X.truncation >= lowest else []
+    failures = sum(e.verdict != "pass" for e in entries)
     summary = {
-        "check": "two_segal",
-        "mode": mode,
-        "overall": _overall(entries),
-        "failures": sum(e.verdict != "pass" for e in entries),
+        "check": check,
+        **mode,
+        "overall": "fail" if failures else "pass",
+        "failures": failures,
         "certified_levels": levels,
     }
-    return CheckReport(X.name or "anonymous", "set", tuple(entries), summary)
+    return CheckReport(X.name or "anonymous", semantics, tuple(entries),
+                       summary)
 
 
 @dataclass(frozen=True)
@@ -303,13 +353,10 @@ class BetaGammaResult:
 
 def beta_gamma_equality(X: TruncatedSSet, m: int, j: int) -> BetaGammaResult:
     """Compare the subdivision's level-m map with the matched polygon map."""
-    if not 1 <= j <= m:
-        raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
-    if 2 * m + 1 > X.truncation:
+    pair = SET.beta_gamma(X, m, j, edgewise)
+    if pair is None:
         return BetaGammaResult(m, j, "out_of_truncation")
-    beta = segal_map(edgewise(X), m, j)
-    gamma = two_segal_map(X, 2 * m + 1, m - j, m + j + 1)
-    return _beta_gamma_match(m, j, beta, gamma)
+    return _beta_gamma_match(m, j, *pair)
 
 
 def _same_pairs(P: Pullback, Q: Pullback, swap: bool = False) -> bool:
@@ -505,8 +552,8 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
         segal_check(E)
         two_segal_check(X, "full")
         raise
-    esd_report = _segal_report(E, esd_entries)
-    ts_report = _two_segal_report(X, "full", ts_entries)
+    esd_report = _report(SET.name, E, esd_entries, "segal", 1)
+    ts_report = _report(SET.name, X, ts_entries, "two_segal", 3, mode="full")
 
     retract_failures = 0
     retract_witness = None

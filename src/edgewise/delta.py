@@ -42,7 +42,6 @@ __all__ = [
     "two_segal_inclusions",
     "retract_section",
     "retract_retraction",
-    "reversal",
     "induced_subset_map",
 ]
 
@@ -281,17 +280,6 @@ def retract_retraction(n: int, k: int) -> SimplexMap:
         raise InputError(f"retract_retraction({n}, {k}) out of range")
     vals = tuple(0 for _ in range(n)) + tuple(i - n + 1 for i in range(n, 2 * n))
     return SimplexMap(vals, n + 1)
-
-
-def reversal(n: int) -> tuple[int, ...]:
-    """The order-reversing involution of [n], as a value tuple.
-
-    Not monotone, so not a SimplexMap; used for reindexing structure
-    tables when forming the reversed simplicial set.
-    """
-    if n < 0:
-        raise InputError("negative dimension")
-    return tuple(n - i for i in range(n + 1))
 
 
 def induced_subset_map(vert: SimplexMap, source_subset: SimplexMap,

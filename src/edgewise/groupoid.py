@@ -2,8 +2,8 @@
 
 Weak equivalence means equivalence of groupoids here, and the homotopy
 pullback is the iso-comma groupoid; both are decided exactly, with
-witnesses.  The same Segal and 2-Segal comparisons as in the set
-semantics are run one tier up, with comparison functors replacing
+witnesses.  ``GROUPOID`` runs the Segal and 2-Segal comparisons of
+``checks.Semantics`` one tier up, with comparison functors replacing
 comparison tables.  The levelwise construction on triangular arrays of
 pointed sets supplies the worked example.
 """
@@ -14,17 +14,10 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
 from .cat import FinCategory, LawViolation, validate_category
-from .delta import (
-    SimplexMap,
-    coface,
-    codegeneracy,
-    edgewise_on_map,
-    epi_mono_factorize,
-    segal_inclusions,
-    two_segal_inclusions,
-)
+from .checks import Semantics
+from .delta import SimplexMap, epi_mono_factorize
 from .errors import InputError
-from .sset import TruncatedSSet, Violation
+from .sset import SimplicialTables, TruncatedSSet, Violation, subdivide
 
 __all__ = [
     "FinGroupoid",
@@ -44,6 +37,7 @@ __all__ = [
     "esd_gpd",
     "discrete_sgpd",
     "SgpdComparison",
+    "GROUPOID",
     "sgpd_segal_map",
     "sgpd_two_segal_map",
     "sgpd_segal_check",
@@ -225,8 +219,13 @@ class IsoComma:
     left: Functor
     right: Functor
 
-    def obj_id(self, a, b, gamma):
+    @staticmethod
+    def obj_id(a, b, gamma):
         return f"{a}&{b}&{gamma}"
+
+    @staticmethod
+    def mor_id(p, q, gamma):
+        return f"{p}&{q}&{gamma}"
 
 
 def iso_comma(F: Functor, G: Functor) -> IsoComma:
@@ -257,7 +256,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
         for b in G.source.objects:
             key = (F.on_objects[a], G.on_objects[b])
             for gamma in hom_index.get(key, ()):
-                oid = f"{a}&{b}&{gamma}"
+                oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
                 obj_data[oid] = (a, b, gamma)
                 obj_by_pair.setdefault((a, b), []).append(oid)
@@ -274,11 +273,12 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
             for oid in obj_by_pair.get(pair, ()):
                 a, b, gamma = obj_data[oid]
                 gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
-                mid = f"{p}&{q}&{gamma}"
+                mid = IsoComma.mor_id(p, q, gamma)
                 morphisms.append(mid)
                 mor_data[mid] = (p, q, gamma)
                 src[mid] = oid
-                tgt[mid] = f"{F.source.tgt[p]}&{G.source.tgt[q]}&{gamma2}"
+                tgt[mid] = IsoComma.obj_id(F.source.tgt[p], G.source.tgt[q],
+                                           gamma2)
                 by_signature[(p, q, oid)] = mid
     identity = {}
     for oid, (a, b, gamma) in obj_data.items():
@@ -311,7 +311,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
 
 
 @dataclass
-class TruncatedSGpd:
+class TruncatedSGpd(SimplicialTables):
     """A truncated simplicial object in finite groupoids.
 
     Structure maps are functors and the simplicial identities are
@@ -323,17 +323,6 @@ class TruncatedSGpd:
     face: dict
     degeneracy: dict
     name: str = ""
-
-    def level(self, n) -> FinGroupoid:
-        if not 0 <= n <= self.truncation:
-            raise InputError(f"level {n} outside truncation")
-        return self.levels[n]
-
-    def face_functor(self, n, i) -> Functor:
-        return self.face[(n, i)]
-
-    def degeneracy_functor(self, n, i) -> Functor:
-        return self.degeneracy[(n, i)]
 
 
 def _functor_diff(F: Functor, G: Functor):
@@ -423,28 +412,14 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
             f"act needs levels {n} and {m} within truncation {Y.truncation}")
     cofaces, codegens = epi_mono_factorize(alpha)
     out = identity_functor(Y.levels[m])
-    level = m
-    for i in reversed(cofaces):
-        out = compose_functors(Y.face[(level, i)], out)
-        level -= 1
-    for j in codegens:
-        out = compose_functors(Y.degeneracy[(level, j)], out)
-        level += 1
+    for F, _ in Y.generator_maps(m, cofaces, codegens):
+        out = compose_functors(F, out)
     return out
 
 
 def esd_gpd(Y: TruncatedSGpd) -> TruncatedSGpd:
     """Subdivision one tier up: level n is Y's level 2n+1."""
-    if Y.truncation < 1:
-        raise InputError("subdivision needs truncation >= 1")
-    M = (Y.truncation - 1) // 2
-    levels = tuple(Y.levels[2 * n + 1] for n in range(M + 1))
-    face = {(n, i): act_gpd(edgewise_on_map(coface(i, n)), Y)
-            for n in range(1, M + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): act_gpd(edgewise_on_map(codegeneracy(i, n)), Y)
-                  for n in range(M) for i in range(n + 1)}
-    return TruncatedSGpd(M, levels, face, degeneracy,
-                         name=f"esd({Y.name})" if Y.name else "esd")
+    return subdivide(Y, act_gpd)
 
 
 def _discrete_groupoid(cells, name):
@@ -497,32 +472,35 @@ class SgpdComparison:
         return len(self.comma.groupoid.objects)
 
 
-def _comparison(kind, indices, Y, level_n, first, second, leg_first,
-                leg_second, shared_leg):
-    """Assemble the functor level_n -> iso_comma(leg_first, leg_second).
+def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
+                 shared) -> SgpdComparison:
+    """Groupoid semantics: the functor into the iso-comma of the legs.
 
-    ``first``/``second`` land in the legs' sources; ``shared_leg`` is
-    the direct functor level_n -> common codomain, which must equal
-    both composites strictly (the chosen iso is then an identity).
+    The functor at ``shared`` must equal both composites of a factor
+    with its leg strictly, so every chosen iso is an identity.
     """
-    A = Y.level(level_n)
+    n = first.cod_dim
+    first, second, leg_first, leg_second, shared = (
+        act_gpd(alpha, Y)
+        for alpha in (first, second, leg_first, leg_second, shared))
+    A = Y.level(n)
     IC = iso_comma(leg_first, leg_second)
     C = leg_first.target
     on_objects = {}
     for x in A.objects:
         a, b = first.on_objects[x], second.on_objects[x]
-        if leg_first.on_objects[a] != shared_leg.on_objects[x] or \
-                leg_second.on_objects[b] != shared_leg.on_objects[x]:
+        if leg_first.on_objects[a] != shared.on_objects[x] or \
+                leg_second.on_objects[b] != shared.on_objects[x]:
             raise InputError(
                 f"legs disagree at object {x!r}; input is not strictly "
                 "simplicial")
-        gamma = C.identity[shared_leg.on_objects[x]]
+        gamma = C.identity[shared.on_objects[x]]
         on_objects[x] = IC.obj_id(a, b, gamma)
     on_morphisms = {}
     for f in A.morphisms:
         p, q = first.on_morphisms[f], second.on_morphisms[f]
-        gamma = C.identity[shared_leg.on_objects[A.src[f]]]
-        on_morphisms[f] = f"{p}&{q}&{gamma}"
+        gamma = C.identity[shared.on_objects[A.src[f]]]
+        on_morphisms[f] = IC.mor_id(p, q, gamma)
     H = Functor(A, IC.groupoid, on_objects, on_morphisms,
                 name=f"{kind}{indices}")
     bad = functor_violations(H)
@@ -532,77 +510,28 @@ def _comparison(kind, indices, Y, level_n, first, second, leg_first,
     return SgpdComparison(kind, tuple(indices), H, IC, verdict, witness)
 
 
-def _vertex(i, n):
-    return SimplexMap((i,), n + 1)
+GROUPOID = Semantics("groupoid", _equivalence)
 
 
 def sgpd_segal_map(Y: TruncatedSGpd, m: int, j: int) -> SgpdComparison:
     """Level-m comparison functor into the iso-comma of the two faces."""
-    if not 1 <= j <= m:
-        raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
-    if m > Y.truncation:
-        raise InputError(f"level {m} beyond truncation {Y.truncation}")
-    front, back = segal_inclusions(m, j)
-    return _comparison(
-        "segal", (m, j), Y, m,
-        act_gpd(front, Y), act_gpd(back, Y),
-        act_gpd(_vertex(j, j), Y), act_gpd(_vertex(0, m - j), Y),
-        act_gpd(_vertex(j, m), Y))
+    return GROUPOID.segal_map(Y, m, j)
 
 
 def sgpd_two_segal_map(Y: TruncatedSGpd, n: int, i: int,
                        j: int) -> SgpdComparison:
     """Polygon-subdivision comparison functor at the edge {i, j}."""
-    if n > Y.truncation:
-        raise InputError(f"level {n} beyond truncation {Y.truncation}")
-    data = two_segal_inclusions(n, i, j)
-    return _comparison(
-        "two_segal", (n, i, j), Y, n,
-        act_gpd(data.outer, Y), act_gpd(data.inner, Y),
-        act_gpd(data.edge_in_outer, Y), act_gpd(data.edge_in_inner, Y),
-        act_gpd(data.edge, Y))
-
-
-def _sgpd_report(Y, entries, summary):
-    from .checks import CheckEntry, CheckReport
-    rows = tuple(CheckEntry(c.kind, c.indices, c.domain_size,
-                            c.codomain_size, c.verdict, c.witness)
-                 for c in entries)
-    summary["overall"] = \
-        "pass" if all(e.verdict == "pass" for e in rows) else "fail"
-    summary["failures"] = sum(e.verdict != "pass" for e in rows)
-    return CheckReport(Y.name or "anonymous", "groupoid", rows, summary)
+    return GROUPOID.two_segal_map(Y, n, i, j)
 
 
 def sgpd_segal_check(Y: TruncatedSGpd):
     """Equivalence verdicts for every level-splitting comparison functor."""
-    entries = [sgpd_segal_map(Y, m, j)
-               for m in range(1, Y.truncation + 1)
-               for j in range(1, m + 1)]
-    levels = [1, Y.truncation] if Y.truncation >= 1 else []
-    return _sgpd_report(Y, entries, {
-        "check": "segal",
-        "overall": "",
-        "failures": 0,
-        "certified_levels": levels,
-    })
+    return GROUPOID.segal_check(Y, sgpd_segal_map)
 
 
 def sgpd_two_segal_check(Y: TruncatedSGpd, mode: str = "full"):
     """Equivalence verdicts for the polygon comparisons, both sweep modes."""
-    from .checks import _two_segal_indices
-    if mode not in ("full", "reduced"):
-        raise InputError(f"unknown mode {mode!r}")
-    entries = [sgpd_two_segal_map(Y, n, i, j)
-               for n, i, j in _two_segal_indices(Y.truncation, mode)]
-    levels = [3, Y.truncation] if Y.truncation >= 3 else []
-    return _sgpd_report(Y, entries, {
-        "check": "two_segal",
-        "mode": mode,
-        "overall": "",
-        "failures": 0,
-        "certified_levels": levels,
-    })
+    return GROUPOID.two_segal_check(Y, mode, sgpd_two_segal_map)
 
 
 @dataclass(frozen=True)
@@ -621,12 +550,10 @@ class SgpdBetaGamma:
 def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
                              j: int) -> SgpdBetaGamma:
     """The subdivision comparison equals the polygon one, factors swapped."""
-    if not 1 <= j <= m:
-        raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
-    if 2 * m + 1 > Y.truncation:
+    pair = GROUPOID.beta_gamma(Y, m, j, esd_gpd)
+    if pair is None:
         return SgpdBetaGamma(m, j, "out_of_truncation")
-    beta = sgpd_segal_map(esd_gpd(Y), m, j)
-    gamma = sgpd_two_segal_map(Y, 2 * m + 1, m - j, m + j + 1)
+    beta, gamma = pair
     objects_equal = True
     morphisms_equal = True
     mismatch = None

@@ -63,6 +63,13 @@ def _require_keys(data: dict, keys, what: str):
             f"{what} file is missing fields {sorted(want - got)}")
 
 
+def _require_type(data: dict, keys, kind: type):
+    for key in keys:
+        if not isinstance(data[key], kind):
+            article = "an object" if kind is dict else "an array"
+            raise InputError(f"{key} must be {article}")
+
+
 def _index_key(n: int, i: int) -> str:
     return f"{n},{i}"
 
@@ -105,9 +112,7 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
     if not isinstance(data["levels"], list) or \
             not all(isinstance(lv, list) for lv in data["levels"]):
         raise InputError("levels must be an array of arrays")
-    for key in ("face", "degeneracy"):
-        if not isinstance(data[key], dict):
-            raise InputError(f"{key} must be an object")
+    _require_type(data, ("face", "degeneracy"), dict)
     face = {_parse_index(k, "face"): _string_table(v, f"face {k}")
             for k, v in data["face"].items()}
     degeneracy = {
@@ -131,8 +136,7 @@ def _category_doc(A: FinCategory) -> dict:
 
 
 def _category_parts(data: dict):
-    if not isinstance(data["morphisms"], list):
-        raise InputError("morphisms must be an array")
+    _require_type(data, ("objects", "morphisms"), list)
     morphisms, src, tgt = [], {}, {}
     for row in data["morphisms"]:
         if not isinstance(row, dict) or set(row) != {"id", "src", "tgt"}:
@@ -242,6 +246,7 @@ def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
         inverse = _string_table(block["inverse"], "inverse")
         levels.append(FinGroupoid(*_category_parts(block),
                                   name=f"level{n}", inverse=inverse))
+    _require_type(data, ("face", "degeneracy"), dict)
 
     def functor(key, doc, delta, what):
         n, i = _parse_index(key, what)
@@ -300,6 +305,8 @@ def load_report(text: str) -> CheckReport:
             raise InputError("report payload must be an object")
     _require_keys(data, ("subject", "semantics", "entries", "summary"),
                   "report")
+    _require_type(data, ("entries",), list)
+    _require_type(data, ("summary",), dict)
     entries = []
     for e in data["entries"]:
         if not isinstance(e, dict) or set(e) != {

@@ -28,12 +28,14 @@ from .errors import InputError
 
 __all__ = [
     "Violation",
+    "SimplicialTables",
     "TruncatedSSet",
     "validate",
     "standard_simplex",
     "act",
     "Pullback",
     "strict_pullback",
+    "subdivide",
     "edgewise",
     "op_reverse",
     "nondegenerate_cells",
@@ -67,7 +69,50 @@ class Violation:
             else f"[{self.identity}] {where}"
 
 
-class TruncatedSSet:
+class SimplicialTables:
+    """Range-checked levels and structure maps, for sets and groupoids.
+
+    Subclasses hold ``truncation``, ``levels``, and ``face`` and
+    ``degeneracy`` keyed by (n, i), as tables or as functors.
+    """
+
+    def level(self, n):
+        if not 0 <= n <= self.truncation:
+            raise InputError(f"level {n} beyond truncation {self.truncation}")
+        return self.levels[n]
+
+    def face_map(self, n, i):
+        if not (1 <= n <= self.truncation and 0 <= i <= n):
+            raise InputError(f"face index ({n}, {i}) out of range")
+        try:
+            return self.face[(n, i)]
+        except KeyError:
+            raise InputError(f"face table ({n}, {i}) missing") from None
+
+    def degeneracy_map(self, n, i):
+        if not (0 <= n < self.truncation and 0 <= i <= n):
+            raise InputError(f"degeneracy index ({n}, {i}) out of range")
+        try:
+            return self.degeneracy[(n, i)]
+        except KeyError:
+            raise InputError(f"degeneracy table ({n}, {i}) missing") from None
+
+    def generator_maps(self, m, cofaces, codegens):
+        """(map, level it reads) per generator, in the order they apply.
+
+        The generators are an epi-mono factorization of a map into [m];
+        a generator's map is looked up when the iteration reaches it.
+        """
+        level = m
+        for i in reversed(cofaces):
+            yield self.face_map(level, i), level
+            level -= 1
+        for j in codegens:
+            yield self.degeneracy_map(level, j), level
+            level += 1
+
+
+class TruncatedSSet(SimplicialTables):
     """Finite simplicial data up to a truncation level.
 
     ``levels[n]`` is the ordered tuple of cell ids at level n.  ``face``
@@ -98,30 +143,9 @@ class TruncatedSSet:
         self.name = name
         self._level_sets = tuple(frozenset(lv) for lv in levels)
 
-    def level(self, n):
-        if not 0 <= n <= self.truncation:
-            raise InputError(f"level {n} beyond truncation {self.truncation}")
-        return self.levels[n]
-
     def level_set(self, n):
         self.level(n)
         return self._level_sets[n]
-
-    def face_map(self, n, i):
-        if not (1 <= n <= self.truncation and 0 <= i <= n):
-            raise InputError(f"face index ({n}, {i}) out of range")
-        try:
-            return self.face[(n, i)]
-        except KeyError:
-            raise InputError(f"face table ({n}, {i}) missing") from None
-
-    def degeneracy_map(self, n, i):
-        if not (0 <= n < self.truncation and 0 <= i <= n):
-            raise InputError(f"degeneracy index ({n}, {i}) out of range")
-        try:
-            return self.degeneracy[(n, i)]
-        except KeyError:
-            raise InputError(f"degeneracy table ({n}, {i}) missing") from None
 
     def level_sizes(self):
         return tuple(len(lv) for lv in self.levels)
@@ -306,7 +330,7 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     if not cofaces and not codegens:
         return {c: c for c in X.level(m)}
     try:
-        steps = list(_generator_tables(X, m, cofaces, codegens))
+        steps = list(X.generator_maps(m, cofaces, codegens))
         table = None
         for step, k in reversed(steps):
             cells = X.level(k)
@@ -319,26 +343,12 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
         pass
     table = {c: c for c in X.level(m)}
     try:
-        for step, _ in _generator_tables(X, m, cofaces, codegens):
+        for step, _ in X.generator_maps(m, cofaces, codegens):
             table = {c: step[v] for c, v in table.items()}
     except KeyError as exc:
         raise InputError(
             f"structure table of {X.name or 'sset'} lacks entry {exc}") from None
     return table
-
-
-def _generator_tables(X, m, cofaces, codegens):
-    """(table, level it reads) per generator, in the order they apply.
-
-    A generator's table is looked up when the iteration reaches it.
-    """
-    level = m
-    for i in reversed(cofaces):
-        yield X.face_map(level, i), level
-        level -= 1
-    for j in codegens:
-        yield X.degeneracy_map(level, j), level
-        level += 1
 
 
 class Pullback:
@@ -414,26 +424,30 @@ def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
     return Pullback(f, g)
 
 
+def subdivide(X, act):
+    """``edgewise`` for a simplicial set or groupoid X, acted by ``act``.
+
+    The result has the type of X.
+    """
+    if X.truncation < 1:
+        raise InputError("edgewise needs truncation >= 1")
+    M = (X.truncation - 1) // 2
+    levels = tuple(X.level(2 * n + 1) for n in range(M + 1))
+    face = {(n, i): act(edgewise_on_map(coface(i, n)), X)
+            for n in range(1, M + 1) for i in range(n + 1)}
+    degeneracy = {(n, i): act(edgewise_on_map(codegeneracy(i, n)), X)
+                  for n in range(M) for i in range(n + 1)}
+    return type(X)(M, levels, face, degeneracy,
+                   name=f"esd({X.name})" if X.name else "esd")
+
+
 def edgewise(X: TruncatedSSet) -> TruncatedSSet:
     """The edgewise subdivision: level n is X's level 2n+1.
 
     The result is truncated at floor((truncation - 1) / 2); structure
     tables are X acted by the subdivided generators.
     """
-    if X.truncation < 1:
-        raise InputError("edgewise needs truncation >= 1")
-    M = (X.truncation - 1) // 2
-    levels = [X.level(2 * n + 1) for n in range(M + 1)]
-    face = {}
-    degeneracy = {}
-    for n in range(1, M + 1):
-        for i in range(n + 1):
-            face[(n, i)] = act(edgewise_on_map(coface(i, n)), X)
-    for n in range(M):
-        for i in range(n + 1):
-            degeneracy[(n, i)] = act(edgewise_on_map(codegeneracy(i, n)), X)
-    return TruncatedSSet(M, levels, face, degeneracy,
-                         name=f"esd({X.name})" if X.name else "esd")
+    return subdivide(X, act)
 
 
 def op_reverse(X: TruncatedSSet) -> TruncatedSSet:

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from edgewise import cli, io
-from edgewise.cat import bar, chain_poset, truncated_free_monoid
-from edgewise.checks import theorem_verify
+from edgewise.cat import bar, chain_poset, nerve, truncated_free_monoid
+from edgewise.checks import segal_check, theorem_verify
+from edgewise.groupoid import discrete_sgpd
 from edgewise.sset import edgewise, standard_simplex
 
 
@@ -109,6 +110,41 @@ def test_sset_tables_of_the_wrong_type_exit_two(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert cli.main(["check", "segal", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _sgpd_doc():
+    return json.loads(io.save_sgpd(discrete_sgpd(nerve(chain_poset(2), 3))))
+
+
+def _category_doc():
+    return json.loads(io.save_category(chain_poset(2)))
+
+
+def _groupoid_doc():
+    return _sgpd_doc()["levels"][0]
+
+
+def _report_doc():
+    return json.loads(io.save_report(segal_check(standard_simplex(1, 2))))
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (_sgpd_doc, "face", None),
+    (_sgpd_doc, "degeneracy", []),
+    (_category_doc, "objects", None),
+    (_groupoid_doc, "objects", None),
+    (_report_doc, "entries", None),
+    (_report_doc, "summary", None),
+    (_report_doc, "summary", "x"),
+])
+def test_loaded_containers_of_the_wrong_type_exit_two(tmp_path, capsys, make,
+                                                      key, value):
+    doc = make()
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_validate_machine_output(tri_file, capsys):

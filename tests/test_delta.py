@@ -15,7 +15,6 @@ from edgewise.delta import (
     recompose,
     retract_retraction,
     retract_section,
-    reversal,
     segal_inclusions,
     subset_inclusion,
     two_segal_inclusions,
@@ -212,13 +211,6 @@ def test_induced_subset_map_rejects_escaping_images():
     tgt = subset_inclusion((0, 1), 3)
     with pytest.raises(InputError):
         induced_subset_map(vert, src, tgt)
-
-
-def test_reversal_is_an_involution():
-    for n in range(5):
-        rev = reversal(n)
-        assert tuple(rev[rev[i]] for i in range(n + 1)) == \
-            tuple(range(n + 1))
 
 
 @given(monotone_maps(3), monotone_maps(3), monotone_maps(3))

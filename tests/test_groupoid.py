@@ -1,8 +1,11 @@
 """Groupoid semantics: equivalences, iso-comma squares, and the
 simplicial groupoid of triangular arrays."""
 
+import json
+
 import pytest
 
+from edgewise import io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph
@@ -224,6 +227,15 @@ def test_validator_catches_a_tampered_face_functor():
                  if o != F.on_objects[cell])
     F.on_objects[cell] = other
     assert validate_sgpd(D) != []
+
+
+def test_missing_structure_functors_raise_input_error():
+    doc = json.loads(io.save_sgpd(discrete_sgpd(nerve(chain_poset(2), 3))))
+    doc["face"] = {}
+    Y = io.load_sgpd(json.dumps(doc))
+    for run in (sgpd_segal_check, sgpd_two_segal_check, esd_gpd):
+        with pytest.raises(InputError, match=r"face table \(\d, \d\) missing"):
+            run(Y)
 
 
 def test_subdivision_levels_reindex_and_validate():

@@ -1,0 +1,53 @@
+"""Names used from outside the package: benchmark hooks and demos.
+
+``perfbench/layertrace.py`` wraps the functions it names wherever they
+are bound, and the demos import from the public modules; both break
+silently when a name moves.
+"""
+
+import glob
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _layertrace():
+    path = os.path.join(ROOT, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    for mod_name, attr, _ in _layertrace().LAYERS:
+        owner = importlib.import_module(f"edgewise.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{mod_name}.{attr}"
+
+
+def test_rebound_names_are_the_originals():
+    from edgewise import checks, delta, groupoid, sset
+    assert checks.act is sset.act
+    assert checks.strict_pullback is sset.strict_pullback
+    assert checks.edgewise is sset.edgewise
+    assert groupoid.epi_mono_factorize is delta.epi_mono_factorize
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))),
+    ids=os.path.basename)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, demo], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
