@@ -17,6 +17,7 @@ tables total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .sset import SimplicialMap, TruncatedSSet, edgewise
@@ -71,7 +72,8 @@ class FinCategory:
 
     ``compose`` is keyed by (g, f) pairs of morphism ids and must be
     defined exactly on composable pairs; ``validate_category`` reports
-    where that or any law fails.
+    where that or any law fails.  The tables are immutable after
+    construction: ``hom`` reads an index of them built on first use.
     """
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
@@ -97,9 +99,16 @@ class FinCategory:
             if self.identity.get(x) not in morset:
                 raise InputError(f"object {x!r} lacks an identity morphism")
 
+    @cached_property
+    def _hom_index(self):
+        index = {}
+        for f in self.morphisms:
+            index.setdefault((self.src[f], self.tgt[f]), []).append(f)
+        return {key: tuple(fs) for key, fs in index.items()}
+
     def hom(self, a, b):
-        return tuple(f for f in self.morphisms
-                     if self.src[f] == a and self.tgt[f] == b)
+        """Morphisms a -> b, in morphism order."""
+        return self._hom_index.get((a, b), ())
 
     def composable(self, g, f):
         return self.src[g] == self.tgt[f]
@@ -118,6 +127,7 @@ def validate_category(A: FinCategory):
         if A.src[i] != x or A.tgt[i] != x:
             out.append(LawViolation("identity-endpoints", (x,),
                                     f"identity {i!r} not an endomorphism"))
+    morset = set(A.morphisms)
     for g in A.morphisms:
         for f in A.morphisms:
             defined = (g, f) in A.compose
@@ -129,7 +139,7 @@ def validate_category(A: FinCategory):
             if not defined:
                 continue
             h = A.compose[(g, f)]
-            if h not in set(A.morphisms):
+            if h not in morset:
                 out.append(LawViolation("composability", (g, f),
                                         f"composite {h!r} unknown"))
             elif A.src[h] != A.src[f] or A.tgt[h] != A.tgt[g]:
@@ -141,14 +151,13 @@ def validate_category(A: FinCategory):
             out.append(LawViolation("unit", (f,), f"right unit gave {left!r}"))
         if right != f:
             out.append(LawViolation("unit", (f,), f"left unit gave {right!r}"))
+    into = {x: [] for x in A.objects}
+    for f in A.morphisms:
+        into[A.tgt[f]].append(f)
     for h in A.morphisms:
-        for g in A.morphisms:
-            if not A.composable(h, g):
-                continue
+        for g in into[A.src[h]]:
             hg = A.compose.get((h, g))
-            for f in A.morphisms:
-                if not A.composable(g, f):
-                    continue
+            for f in into[A.src[g]]:
                 gf = A.compose.get((g, f))
                 lhs = A.compose.get((h, gf)) if gf is not None else None
                 rhs = A.compose.get((hg, f)) if hg is not None else None

@@ -61,13 +61,14 @@ class FinGroupoid(FinCategory):
 def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
     """Category laws plus two-sided invertibility of every morphism."""
     out = validate_category(G)
+    morset = set(G.morphisms)
     for f in G.morphisms:
         g = G.inverse.get(f)
         if g is None:
             out.append(LawViolation("inverse-totality", (f,),
                                     "no inverse recorded"))
             continue
-        if g not in G.morphisms:
+        if g not in morset:
             out.append(LawViolation("inverse-totality", (f, g),
                                     "inverse is not a morphism"))
             continue
@@ -104,13 +105,14 @@ class Functor:
 def functor_violations(F: Functor) -> list[LawViolation]:
     """Totality, endpoint preservation, identities, and composition."""
     out = []
+    objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
         b = F.on_objects.get(a)
-        if b is None or b not in F.target.objects:
+        if b is None or b not in objset:
             out.append(LawViolation("object-totality", (a,), f"image {b!r}"))
     for f in F.source.morphisms:
         g = F.on_morphisms.get(f)
-        if g is None or g not in F.target.morphisms:
+        if g is None or g not in morset:
             out.append(LawViolation("morphism-totality", (f,),
                                     f"image {g!r}"))
     if out:
@@ -124,10 +126,11 @@ def functor_violations(F: Functor) -> list[LawViolation]:
         if F.on_morphisms[F.source.identity[a]] != \
                 F.target.identity[F.on_objects[a]]:
             out.append(LawViolation("identity-preservation", (a,), ""))
+    # .get: an invalid source may compose or name non-morphisms
+    image, composite = F.on_morphisms.get, F.target.compose.get
     for (g, f), h in F.source.compose.items():
-        expected = F.target.compose.get(
-            (F.on_morphisms[g], F.on_morphisms[f]))
-        if expected != F.on_morphisms[h]:
+        expected = composite((image(g), image(f)))
+        if expected != image(h):
             out.append(LawViolation("composition-preservation", (g, f),
                                     f"{expected!r} != image of {h!r}"))
     return out
@@ -246,20 +249,21 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
         for nm in names:
             if "&" in str(nm):
                 raise InputError(f"name {nm!r} contains the reserved '&'")
-    hom_index = {}
-    for f in C.morphisms:
-        hom_index.setdefault((C.src[f], C.tgt[f]), []).append(f)
     objects = []
     obj_data = {}
     obj_by_pair = {}
     for a in F.source.objects:
         for b in G.source.objects:
-            key = (F.on_objects[a], G.on_objects[b])
-            for gamma in hom_index.get(key, ()):
+            for gamma in C.hom(F.on_objects[a], G.on_objects[b]):
                 oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
                 obj_data[oid] = (a, b, gamma)
                 obj_by_pair.setdefault((a, b), []).append(oid)
+    # for each source object a, the q (in morphism order) whose source
+    # is matched with a by some object of the iso-comma
+    partners = {a: [q for q in G.source.morphisms
+                    if (a, G.source.src[q]) in obj_by_pair]
+                for a in F.source.objects}
     morphisms = []
     mor_data = {}
     src = {}
@@ -267,11 +271,11 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     by_signature = {}
     for p in F.source.morphisms:
         Fp_inv = C.inverse[F.on_morphisms[p]]
-        for q in G.source.morphisms:
+        a = F.source.src[p]
+        for q in partners[a]:
             Gq = G.on_morphisms[q]
-            pair = (F.source.src[p], G.source.src[q])
-            for oid in obj_by_pair.get(pair, ()):
-                a, b, gamma = obj_data[oid]
+            for oid in obj_by_pair[(a, G.source.src[q])]:
+                gamma = obj_data[oid][2]
                 gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
                 mid = IsoComma.mor_id(p, q, gamma)
                 morphisms.append(mid)
@@ -288,13 +292,14 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     for mid in morphisms:
         by_src_obj.setdefault(src[mid], []).append(mid)
     compose = {}
+    F_compose, G_compose = F.source.compose, G.source.compose
     for m1 in morphisms:
         p1, q1, _ = mor_data[m1]
+        o1 = src[m1]
         for m2 in by_src_obj.get(tgt[m1], ()):
             p2, q2, _ = mor_data[m2]
-            compose[(m2, m1)] = by_signature[(
-                F.source.compose[(p2, p1)], G.source.compose[(q2, q1)],
-                src[m1])]
+            compose[(m2, m1)] = by_signature[
+                (F_compose[(p2, p1)], G_compose[(q2, q1)], o1)]
     inverse = {}
     for mid in morphisms:
         p, q, _ = mor_data[mid]
@@ -589,7 +594,8 @@ def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
 
 
 def _pcompose(g, f):
-    return tuple(-1 if v == -1 else g[v] for v in f)
+    # index -1 of g extended by the basepoint is the basepoint
+    return tuple(map((g + (-1,)).__getitem__, f))
 
 
 def _pidentity(s):
@@ -753,18 +759,39 @@ def _slots(n):
     return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
 
 
-def _family_commutes(A, B, fam):
+def _commuting_families(A, B, slots):
+    """Slot permutations from A to B commuting with every inj and surj.
+
+    Families come in the order of the product of the permutation pools
+    (slot by slot, ``slots`` order).  Each square is checked as soon as
+    its last slot is chosen, so a failing prefix is never extended.
+    """
+    position = {s: t for t, s in enumerate(slots)}
+    squares = [[] for _ in slots]
+    # phi[left] . top == bottom . phi[right], phi of a diagonal slot ();
+    # a square on diagonal slots alone maps empty sets and commutes
     for (i, j, k) in A.inj:
-        phi_ij = fam[(i, j)] if i != j else ()
-        phi_ik = fam[(i, k)] if i != k else ()
-        if _pcompose(phi_ik, A.inj[(i, j, k)]) != \
-                _pcompose(B.inj[(i, j, k)], phi_ij):
-            return False
-        phi_jk = fam[(j, k)] if j != k else ()
-        if _pcompose(phi_jk, A.surj[(i, j, k)]) != \
-                _pcompose(B.surj[(i, j, k)], phi_ik):
-            return False
-    return True
+        for left, right, top, bottom in (
+                ((i, k), (i, j), A.inj[(i, j, k)], B.inj[(i, j, k)]),
+                ((j, k), (i, k), A.surj[(i, j, k)], B.surj[(i, j, k)])):
+            last = max(position.get(left, -1), position.get(right, -1))
+            if last >= 0:
+                squares[last].append((left, right, top, bottom))
+    fam = {}
+
+    def extend(t):
+        if t == len(slots):
+            yield tuple(fam[s] for s in slots)
+            return
+        s = slots[t]
+        for perm in permutations(range(A.sizes[s])):
+            fam[s] = perm
+            if all(_pcompose(fam.get(left, ()), top) ==
+                   _pcompose(bottom, fam.get(right, ()))
+                   for left, right, top, bottom in squares[t]):
+                yield from extend(t + 1)
+
+    yield from extend(0)
 
 
 def _level_groupoid(c, n, name):
@@ -786,14 +813,10 @@ def _level_groupoid(c, n, name):
         for o2, B in by_obj.items():
             if any(A.sizes[s] != B.sizes[s] for s in slots):
                 continue
-            pools = [permutations(range(A.sizes[s])) for s in slots]
-            for perms in iproduct(*pools):
-                fam = dict(zip(slots, perms))
-                if not _family_commutes(A, B, fam):
-                    continue
+            for fam in _commuting_families(A, B, slots):
                 mid = f"m{len(morphisms)}"
                 morphisms.append(mid)
-                key = (o1, o2, tuple(fam[s] for s in slots))
+                key = (o1, o2, fam)
                 mor_data[mid] = key
                 src[mid] = o1
                 tgt[mid] = o2
@@ -802,17 +825,17 @@ def _level_groupoid(c, n, name):
     for o, A in by_obj.items():
         key = (o, o, tuple(_pidentity(A.sizes[s]) for s in slots))
         identity[o] = by_signature[key]
+    into = {o: [] for o in objects}
+    for m in morphisms:
+        into[tgt[m]].append(m)
     compose = {}
     inverse = {}
     for m2 in morphisms:
         o2a, o2b, fam2 = mor_data[m2]
-        for m1 in morphisms:
-            o1a, o1b, fam1 = mor_data[m1]
-            if o1b != o2a:
-                continue
-            composed = tuple(_pcompose(f2, f1)
-                             for f2, f1 in zip(fam2, fam1))
-            compose[(m2, m1)] = by_signature[(o1a, o2b, composed)]
+        for m1 in into[o2a]:
+            o1a, _, fam1 = mor_data[m1]
+            compose[(m2, m1)] = by_signature[
+                (o1a, o2b, tuple(map(_pcompose, fam2, fam1)))]
     for m in morphisms:
         oa, ob, fam = mor_data[m]
         inv = tuple(tuple(sorted(range(len(p)), key=lambda x: p[x]))

@@ -66,7 +66,8 @@ def _require_keys(data: dict, keys, what: str):
 def _require_type(data: dict, keys, kind: type):
     for key in keys:
         if not isinstance(data[key], kind):
-            article = "an object" if kind is dict else "an array"
+            article = {dict: "an object", list: "an array",
+                       str: "a string"}[kind]
             raise InputError(f"{key} must be {article}")
 
 
@@ -139,7 +140,8 @@ def _category_parts(data: dict):
     _require_type(data, ("objects", "morphisms"), list)
     morphisms, src, tgt = [], {}, {}
     for row in data["morphisms"]:
-        if not isinstance(row, dict) or set(row) != {"id", "src", "tgt"}:
+        if not isinstance(row, dict) or set(row) != {"id", "src", "tgt"} \
+                or not all(isinstance(v, str) for v in row.values()):
             raise InputError(f"bad morphism record {row!r}")
         morphisms.append(row["id"])
         src[row["id"]] = row["src"]
@@ -195,6 +197,8 @@ def save_partial_monoid(M: PartialMonoid) -> str:
 def load_partial_monoid(text: str, name: str = "") -> PartialMonoid:
     data = _parse(text)
     _require_keys(data, ("elements", "unit", "product"), "partial monoid")
+    _require_type(data, ("elements",), list)
+    _require_type(data, ("unit",), str)
     product = {_parse_pair(k, "product"): c
                for k, c in _string_table(data["product"],
                                          "product").items()}

@@ -128,6 +128,10 @@ def _report_doc():
     return json.loads(io.save_report(segal_check(standard_simplex(1, 2))))
 
 
+def _monoid_doc():
+    return json.loads(io.save_partial_monoid(truncated_free_monoid(2)))
+
+
 @pytest.mark.parametrize("make, key, value", [
     (_sgpd_doc, "face", None),
     (_sgpd_doc, "degeneracy", []),
@@ -136,15 +140,42 @@ def _report_doc():
     (_report_doc, "entries", None),
     (_report_doc, "summary", None),
     (_report_doc, "summary", "x"),
+    # a tuple key is a path to a field below the top level
+    pytest.param(_category_doc, ("morphisms", 0, "id"), ["a"],
+                 id="_category_doc-morphism-id-list"),
+    pytest.param(_groupoid_doc, ("morphisms", 0, "id"), {"a": 1},
+                 id="_groupoid_doc-morphism-id-object"),
+    pytest.param(_category_doc, ("morphisms", 1, "src"), ["0"],
+                 id="_category_doc-morphism-src-list"),
+    (_monoid_doc, "elements", None),
+    (_monoid_doc, "elements", 3),
+    (_monoid_doc, "unit", [1]),
+    (_monoid_doc, "unit", {}),
 ])
 def test_loaded_containers_of_the_wrong_type_exit_two(tmp_path, capsys, make,
                                                       key, value):
     doc = make()
-    doc[key] = value
+    *path, last = key if isinstance(key, tuple) else (key,)
+    target = doc
+    for step in path:
+        target = target[step]
+    target[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sgpd_composite_outside_its_level_is_reported(tmp_path, capsys):
+    doc = _sgpd_doc()
+    compose = doc["levels"][0]["compose"]
+    compose[next(iter(compose))] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "[groupoid] level 0" in out
+    assert "composition-preservation" in out
 
 
 def test_validate_machine_output(tri_file, capsys):

@@ -1,0 +1,351 @@
+"""Indexed hom-sets and grouped joins in the groupoid tier.
+
+``FinCategory.hom`` reads a (src, tgt) index, ``iso_comma`` pairs
+morphisms only across matched source objects, ``_level_groupoid``
+enumerates only commuting families and composes only morphisms that
+meet, and ``validate_category`` walks only composable strings.  Each is
+compared here with the plain nested-loop build it replaces, order
+included, and the S-construction outputs are pinned byte for byte.
+"""
+
+import dataclasses
+import hashlib
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from edgewise import io
+from edgewise.cat import FinCategory, LawViolation, validate_category
+from edgewise.corpus import random_category
+from edgewise.groupoid import (FinGroupoid, Functor, IsoComma, esd_gpd,
+                               groupoid_equivalence, iso_classes, iso_comma,
+                               s_construction, sgpd_beta_gamma_equality,
+                               sgpd_segal_check, sgpd_segal_map,
+                               sgpd_two_segal_check)
+from edgewise.groupoid import _level_groupoid
+
+SMALL = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def S3():
+    return s_construction(3, 3)
+
+
+def scan_hom(A, a, b):
+    return tuple(f for f in A.morphisms if A.src[f] == a and A.tgt[f] == b)
+
+
+def _assert_hom_is_scan(A):
+    ends = list(A.objects) + ["not-an-object"]
+    for a in ends:
+        for b in ends:
+            assert A.hom(a, b) == scan_hom(A, a, b), (a, b)
+
+
+@SMALL
+@given(st.integers(0, 10 ** 6))
+def test_hom_equals_linear_scan_on_random_categories(seed):
+    _assert_hom_is_scan(random_category(seed, max_objects=4,
+                                        max_morphisms=12))
+
+
+def test_hom_equals_linear_scan_on_s_construction_levels(S3):
+    for G in S3.levels:
+        _assert_hom_is_scan(G)
+    assert S3.levels[3].hom("x0", "not-an-object") == ()
+
+
+# -- reference builds: the nested loops the grouped joins replace ----------
+
+
+def reference_iso_comma(F, G):
+    C = F.target
+    objects, obj_data, obj_by_pair = [], {}, {}
+    for a in F.source.objects:
+        for b in G.source.objects:
+            for gamma in scan_hom(C, F.on_objects[a], G.on_objects[b]):
+                oid = IsoComma.obj_id(a, b, gamma)
+                objects.append(oid)
+                obj_data[oid] = (a, b, gamma)
+                obj_by_pair.setdefault((a, b), []).append(oid)
+    morphisms, mor_data, src, tgt, by_signature = [], {}, {}, {}, {}
+    for p in F.source.morphisms:
+        Fp_inv = C.inverse[F.on_morphisms[p]]
+        for q in G.source.morphisms:
+            Gq = G.on_morphisms[q]
+            for oid in obj_by_pair.get((F.source.src[p],
+                                        G.source.src[q]), ()):
+                gamma = obj_data[oid][2]
+                gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
+                mid = IsoComma.mor_id(p, q, gamma)
+                morphisms.append(mid)
+                mor_data[mid] = (p, q, gamma)
+                src[mid] = oid
+                tgt[mid] = IsoComma.obj_id(F.source.tgt[p],
+                                           G.source.tgt[q], gamma2)
+                by_signature[(p, q, oid)] = mid
+    identity = {oid: by_signature[(F.source.identity[a],
+                                   G.source.identity[b], oid)]
+                for oid, (a, b, _) in obj_data.items()}
+    compose = {}
+    for m1 in morphisms:
+        p1, q1, _ = mor_data[m1]
+        for m2 in morphisms:
+            if src[m2] != tgt[m1]:
+                continue
+            p2, q2, _ = mor_data[m2]
+            compose[(m2, m1)] = by_signature[(
+                F.source.compose[(p2, p1)], G.source.compose[(q2, q1)],
+                src[m1])]
+    inverse = {m: by_signature[(F.source.inverse[mor_data[m][0]],
+                                G.source.inverse[mor_data[m][1]], tgt[m])]
+               for m in morphisms}
+    return objects, morphisms, src, tgt, identity, compose, inverse, \
+        obj_data, mor_data
+
+
+def _ordered(G):
+    return (list(G.objects), list(G.morphisms), list(G.src.items()),
+            list(G.tgt.items()), list(G.identity.items()),
+            list(G.compose.items()), list(G.inverse.items()))
+
+
+def _face_pairs(Y, n):
+    """Pairs of faces out of level n, sharing level n-1."""
+    return [(Y.face[(n, i)], Y.face[(n, j)])
+            for i in range(n + 1) for j in range(n + 1)]
+
+
+def _assert_iso_comma_is_reference(F, G):
+    IC = iso_comma(F, G)
+    objects, morphisms, src, tgt, identity, compose, inverse, \
+        obj_data, mor_data = reference_iso_comma(F, G)
+    assert _ordered(IC.groupoid) == (
+        objects, morphisms, list(src.items()), list(tgt.items()),
+        list(identity.items()), list(compose.items()), list(inverse.items()))
+    assert list(IC.obj_data.items()) == list(obj_data.items())
+    assert list(IC.mor_data.items()) == list(mor_data.items())
+    assert IC.left.on_morphisms == {m: d[0] for m, d in mor_data.items()}
+    assert IC.right.on_morphisms == {m: d[1] for m, d in mor_data.items()}
+    return IC
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_iso_comma_equals_nested_loop_build(S3, n):
+    # level 3 is left out: one of its iso-commas has ~10^7 composites
+    for F, G in _face_pairs(S3, n):
+        _assert_iso_comma_is_reference(F, G)
+
+
+def test_iso_comma_skips_unmatched_sources():
+    # x and y lie in different components: no iso-comma object pairs them
+    two = FinGroupoid(("x", "y"), ("ix", "iy"), {"ix": "x", "iy": "y"},
+                      {"ix": "x", "iy": "y"}, {"x": "ix", "y": "iy"},
+                      {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
+                      name="two", inverse={"ix": "ix", "iy": "iy"})
+    ident = Functor(two, two, {"x": "x", "y": "y"},
+                    {"ix": "ix", "iy": "iy"}, name="id")
+    H = _assert_iso_comma_is_reference(ident, ident).groupoid
+    assert H.objects == ("x&x&ix", "y&y&iy")
+    assert H.morphisms == ("ix&ix&ix", "iy&iy&iy")
+
+
+def test_iso_comma_keeps_morphism_order_across_sources():
+    # morphisms listed with their sources interleaved: x, y, x, y
+    pair = FinGroupoid(
+        ("x", "y"), ("ix", "iy", "u", "v"),
+        {"ix": "x", "iy": "y", "u": "x", "v": "y"},
+        {"ix": "x", "iy": "y", "u": "y", "v": "x"},
+        {"x": "ix", "y": "iy"},
+        {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("u", "ix"): "u",
+         ("iy", "u"): "u", ("v", "iy"): "v", ("ix", "v"): "v",
+         ("v", "u"): "ix", ("u", "v"): "iy"},
+        name="pair", inverse={"ix": "ix", "iy": "iy", "u": "v", "v": "u"})
+    ident = Functor(pair, pair, {"x": "x", "y": "y"},
+                    {f: f for f in pair.morphisms}, name="id")
+    H = _assert_iso_comma_is_reference(ident, ident).groupoid
+    # p = ix meets every q, in morphism order, not grouped by source
+    assert [m.split("&")[1] for m in H.morphisms[:4]] == \
+        ["ix", "iy", "u", "v"]
+
+
+def pcompose(g, f):
+    return tuple(-1 if v == -1 else g[v] for v in f)
+
+
+def family_commutes(A, B, fam):
+    phi = {**fam, **{(i, i): () for i in range(A.n + 1)}}
+    return all(
+        pcompose(phi[(i, k)], A.inj[(i, j, k)]) ==
+        pcompose(B.inj[(i, j, k)], phi[(i, j)]) and
+        pcompose(phi[(j, k)], A.surj[(i, j, k)]) ==
+        pcompose(B.surj[(i, j, k)], phi[(i, k)])
+        for (i, j, k) in A.inj)
+
+
+@pytest.mark.parametrize("c, n", [(2, 2), (3, 1), (3, 2), (3, 3)])
+def test_level_groupoid_equals_all_pairs(c, n):
+    G, by_obj, _, mor_data, by_signature, slots = _level_groupoid(c, n, "L")
+    families = []
+    for o1, A in by_obj.items():
+        for o2, B in by_obj.items():
+            if any(A.sizes[s] != B.sizes[s] for s in slots):
+                continue
+            pools = [permutations(range(A.sizes[s])) for s in slots]
+            for perms in product(*pools):
+                if family_commutes(A, B, dict(zip(slots, perms))):
+                    families.append((o1, o2, perms))
+    assert list(mor_data.values()) == families
+    assert list(G.morphisms) == [f"m{i}" for i in range(len(families))]
+    compose = {}
+    for m2 in G.morphisms:
+        o2a, o2b, fam2 = mor_data[m2]
+        for m1 in G.morphisms:
+            o1a, o1b, fam1 = mor_data[m1]
+            if o1b == o2a:
+                compose[(m2, m1)] = by_signature[(o1a, o2b, tuple(
+                    pcompose(f2, f1) for f2, f1 in zip(fam2, fam1)))]
+    assert list(G.compose.items()) == list(compose.items())
+    assert [G.src[m] for m in G.morphisms] == \
+        [mor_data[m][0] for m in G.morphisms]
+    assert [G.tgt[m] for m in G.morphisms] == \
+        [mor_data[m][1] for m in G.morphisms]
+    for m, (oa, ob, fam) in mor_data.items():
+        inv = G.inverse[m]
+        assert G.compose[(inv, m)] == G.identity[oa]
+        assert G.compose[(m, inv)] == G.identity[ob]
+
+
+def reference_groupoid_equivalence(F):
+    out = []
+    for a in F.source.objects:
+        for b in F.source.objects:
+            image = {}
+            for f in scan_hom(F.source, a, b):
+                g = F.on_morphisms[f]
+                if g in image:
+                    out.append(LawViolation(
+                        "faithful", (image[g], f), f"both map to {g!r}"))
+                image.setdefault(g, f)
+            for g in scan_hom(F.target, F.on_objects[a], F.on_objects[b]):
+                if g not in image:
+                    out.append(LawViolation(
+                        "full", (a, b, g), "no preimage in this hom-set"))
+    classes = iso_classes(F.target)
+    reached = {classes[F.on_objects[a]] for a in F.source.objects}
+    for rep in sorted(set(classes.values())):
+        if rep not in reached:
+            out.append(LawViolation("essentially-surjective", (rep,),
+                                    "component never hit"))
+    return out
+
+
+def test_equivalence_violations_on_failing_s_construction_segal(S3):
+    failing = [e for e in sgpd_segal_check(S3).entries
+               if e.verdict == "fail"]
+    assert failing
+    for e in failing:
+        H = sgpd_segal_map(S3, *e.indices).functor
+        got = groupoid_equivalence(H)
+        assert got
+        assert got == reference_groupoid_equivalence(H)
+
+
+# -- validate_category walks composable strings only -----------------------
+
+
+def reference_validate_category(A):
+    out = []
+    for x in A.objects:
+        i = A.identity[x]
+        if A.src[i] != x or A.tgt[i] != x:
+            out.append(LawViolation("identity-endpoints", (x,),
+                                    f"identity {i!r} not an endomorphism"))
+    for g in A.morphisms:
+        for f in A.morphisms:
+            defined = (g, f) in A.compose
+            if defined != A.composable(g, f):
+                out.append(LawViolation(
+                    "composability", (g, f),
+                    "defined" if defined else "missing"))
+                continue
+            if not defined:
+                continue
+            h = A.compose[(g, f)]
+            if h not in set(A.morphisms):
+                out.append(LawViolation("composability", (g, f),
+                                        f"composite {h!r} unknown"))
+            elif A.src[h] != A.src[f] or A.tgt[h] != A.tgt[g]:
+                out.append(LawViolation("composite-endpoints", (g, f), h))
+    for f in A.morphisms:
+        left = A.compose.get((f, A.identity[A.src[f]]))
+        right = A.compose.get((A.identity[A.tgt[f]], f))
+        if left != f:
+            out.append(LawViolation("unit", (f,), f"right unit gave {left!r}"))
+        if right != f:
+            out.append(LawViolation("unit", (f,), f"left unit gave {right!r}"))
+    for h in A.morphisms:
+        for g in A.morphisms:
+            if not A.composable(h, g):
+                continue
+            hg = A.compose.get((h, g))
+            for f in A.morphisms:
+                if not A.composable(g, f):
+                    continue
+                gf = A.compose.get((g, f))
+                lhs = A.compose.get((h, gf)) if gf is not None else None
+                rhs = A.compose.get((hg, f)) if hg is not None else None
+                if lhs != rhs:
+                    out.append(LawViolation("associativity", (h, g, f),
+                                            f"{lhs!r} != {rhs!r}"))
+    return out
+
+
+@SMALL
+@given(st.integers(0, 10 ** 6), st.lists(
+    st.tuples(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+              st.integers(0, 10 ** 4), st.booleans()), max_size=4))
+def test_validate_category_equals_all_triples(seed, edits):
+    A = random_category(seed, max_objects=3, max_morphisms=8)
+    compose = dict(A.compose)
+    mors = A.morphisms
+    for gi, fi, hi, drop in edits:
+        key = (mors[gi % len(mors)], mors[fi % len(mors)])
+        if drop:
+            compose.pop(key, None)
+        else:
+            compose[key] = mors[hi % len(mors)] if hi % 5 else "nowhere"
+    B = FinCategory(A.objects, A.morphisms, A.src, A.tgt, A.identity,
+                    compose, name=A.name)
+    assert validate_category(B) == reference_validate_category(B)
+
+
+# -- byte pin of the S-construction outputs --------------------------------
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_s_construction_bytes_are_pinned(S3):
+    bg = sgpd_beta_gamma_equality(S3, 1, 1)
+    assert {
+        "sgpd": _sha(io.save_sgpd(S3)),
+        "segal": _sha(io.save_report(sgpd_segal_check(S3))),
+        "esd_segal": _sha(io.save_report(sgpd_segal_check(esd_gpd(S3)))),
+        "beta_gamma": _sha(io.canonical_json(dataclasses.asdict(bg))),
+        "two_segal": _sha(io.save_report(sgpd_two_segal_check(S3))),
+    } == {
+        "sgpd": "717e418807bc52fea5d52f04594eb5ac"
+                "884de0e247d435222922e12c0a49fd6c",
+        "segal": "3bb099d2cc7a8fb8dc46f73e3bd6da4b"
+                 "339b4e101019a8153fa099ceec81cd91",
+        "esd_segal": "f91e86d055ef4cef4d55dc3ff09b5591"
+                     "7b14005521a495c96ca5e06eb3c283eb",
+        "beta_gamma": "049c2fc2e30afc6d6352b97a431ae266"
+                      "1e24c47cd91af89a3d0ce47824876a80",
+        "two_segal": "e584590a356b7ab2b76bee5d1ca54240"
+                     "fe22c7f6db56f85c7bf1a8e94ebe2da5",
+    }
