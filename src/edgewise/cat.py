@@ -120,7 +120,8 @@ class FinCategory:
 
 
 def validate_category(A: FinCategory):
-    """Law violations of A: composability, endpoints, units, associativity."""
+    """Law violations of A: composability, endpoints, units, associativity,
+    and composites recorded for pairs that are not morphisms."""
     out = []
     for x in A.objects:
         i = A.identity[x]
@@ -164,6 +165,9 @@ def validate_category(A: FinCategory):
                 if lhs != rhs:
                     out.append(LawViolation("associativity", (h, g, f),
                                             f"{lhs!r} != {rhs!r}"))
+    out.extend(LawViolation("stray-entry", (g, f),
+                            "compose key is not a pair of morphisms")
+               for g, f in A.compose if g not in morset or f not in morset)
     return out
 
 

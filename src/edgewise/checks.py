@@ -422,6 +422,21 @@ class RetractResult:
     witness: tuple | None = None
 
 
+def _first_failure(n, k, failures):
+    """The first of ``failures``, or None; reading a cell that a table
+    lacks is an ``InputError``."""
+    try:
+        return next(failures, None)
+    except KeyError as exc:
+        raise InputError(
+            f"retract ({n}, {k}) reads {exc} outside a structure table; "
+            f"input tables are not simplicial") from None
+
+
+def _factors(outer, inner, pair):
+    return outer[pair[0]], inner[pair[1]]
+
+
 def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     """Verify the retract presentation of the edge-{0,k} comparison.
 
@@ -437,13 +452,8 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     ret = retract_retraction(n, k)
     down = act(sec, X)       # level 2n-1 -> level n
     up = act(ret, X)         # level n -> level 2n-1
-    witness = None
-    identity_ok = True
-    for x in X.level(n):
-        if down[up[x]] != x:
-            identity_ok = False
-            witness = ("identity", x)
-            break
+    identity = _first_failure(
+        n, k, (x for x in X.level(n) if down[up[x]] != x))
 
     small = two_segal_map(X, n, 0, k)
     big = two_segal_map(X, 2 * n - 1, n - k, n + k - 1)
@@ -452,32 +462,29 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
 
     up_outer = act(induced_subset_map(ret, big_inc.outer, small_inc.outer), X)
     up_inner = act(induced_subset_map(ret, big_inc.inner, small_inc.inner), X)
-    square_up_ok = True
-    for x in X.level(n):
-        o, i = small.table[x]
-        if big.table[up[x]] != (up_outer[o], up_inner[i]):
-            square_up_ok = False
-            witness = witness or ("square_up", x)
-            break
+    square_up = _first_failure(n, k, (
+        x for x in X.level(n) if big.table[up[x]] !=
+        _factors(up_outer, up_inner, small.table[x])))
 
     down_outer = act(induced_subset_map(sec, small_inc.outer, big_inc.outer),
                      X)
     down_inner = act(induced_subset_map(sec, small_inc.inner, big_inc.inner),
                      X)
-    square_down_ok = True
-    for y in X.level(2 * n - 1):
-        o, i = big.table[y]
-        if small.table[down[y]] != (down_outer[o], down_inner[i]):
-            square_down_ok = False
-            witness = witness or ("square_down", y)
-            break
+    square_down = _first_failure(n, k, (
+        y for y in X.level(2 * n - 1) if small.table[down[y]] !=
+        _factors(down_outer, down_inner, big.table[y])))
 
+    witness = next(((name, x) for name, x in (("identity", identity),
+                                              ("square_up", square_up),
+                                              ("square_down", square_down))
+                    if x is not None), None)
     implication_ok = not (big.verdict == "pass" and small.verdict != "pass")
+    ok = witness is None and implication_ok
     if not implication_ok:
         witness = witness or ("implication", small.witness)
-    ok = identity_ok and square_up_ok and square_down_ok and implication_ok
-    return RetractResult(n, k, False, "pass" if ok else "fail", identity_ok,
-                         square_up_ok, square_down_ok, implication_ok,
+    return RetractResult(n, k, False, "pass" if ok else "fail",
+                         identity is None, square_up is None,
+                         square_down is None, implication_ok,
                          big.verdict, small.verdict, witness)
 
 

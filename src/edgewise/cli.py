@@ -27,8 +27,6 @@ class RunConfig:
     """What a single invocation was asked to do, echoed into reports."""
 
     command: str
-    inputs: tuple
-    truncation: int | None
     seed: int | None
     budget_iso_nodes: int | None
     budget_fuzz_count: int | None
@@ -129,12 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args, inputs=(), truncation=None) -> RunConfig:
+def _config(args) -> RunConfig:
     command = args.command if not getattr(args, "what", None) \
         else f"{args.command} {args.what}"
-    return RunConfig(command, tuple(inputs), truncation, args.seed,
-                     args.budget_iso_nodes, args.budget_fuzz_count,
-                     args.fmt)
+    return RunConfig(command, args.seed, args.budget_iso_nodes,
+                     args.budget_fuzz_count, args.fmt)
 
 
 def _read(path: str) -> str:
@@ -209,7 +206,7 @@ _VALIDATORS = {
 
 
 def _run_validate(args) -> int:
-    cfg = _config(args, [args.file])
+    cfg = _config(args)
     kind, value = io.load_any(_read(args.file), name=_stem(args.file))
     if kind == "report":
         problems = []
@@ -253,7 +250,7 @@ def _run_transform(args) -> int:
 def _run_check(args) -> int:
     if args.reduced and args.what != "2segal":
         raise InputError("--reduced applies only to: check 2segal")
-    cfg = _config(args, [args.file])
+    cfg = _config(args)
     X = io.load_sset(_read(args.file), name=_stem(args.file))
     if args.what == "segal":
         return _report_out(checks.segal_check(X), cfg)

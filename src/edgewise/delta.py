@@ -98,9 +98,6 @@ class SimplexMap:
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.dom_size
 
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.cod_size
-
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.values)))
 

@@ -92,12 +92,6 @@ class Functor:
     on_morphisms: dict
     name: str = ""
 
-    def obj(self, a):
-        return self.on_objects[a]
-
-    def mor(self, f):
-        return self.on_morphisms[f]
-
     def __repr__(self):
         return f"<functor {self.name or '?'}>"
 

@@ -172,18 +172,23 @@ def load_category(text: str, name: str = "") -> FinCategory:
     return FinCategory(*_category_parts(data), name=name)
 
 
+def _groupoid_doc(G: FinGroupoid) -> dict:
+    return dict(_category_doc(G), inverse=dict(G.inverse))
+
+
+def _groupoid_from(data: dict, what: str, name: str) -> FinGroupoid:
+    _require_keys(data, ("objects", "morphisms", "identity", "compose",
+                         "inverse"), what)
+    inverse = _string_table(data["inverse"], "inverse")
+    return FinGroupoid(*_category_parts(data), name=name, inverse=inverse)
+
+
 def save_groupoid(G: FinGroupoid) -> str:
-    doc = _category_doc(G)
-    doc["inverse"] = dict(G.inverse)
-    return canonical_json(doc)
+    return canonical_json(_groupoid_doc(G))
 
 
 def load_groupoid(text: str, name: str = "") -> FinGroupoid:
-    data = _parse(text)
-    _require_keys(data, ("objects", "morphisms", "identity", "compose",
-                         "inverse"), "groupoid")
-    inverse = _string_table(data["inverse"], "inverse")
-    return FinGroupoid(*_category_parts(data), name=name, inverse=inverse)
+    return _groupoid_from(_parse(text), "groupoid", name)
 
 
 def save_partial_monoid(M: PartialMonoid) -> str:
@@ -208,12 +213,6 @@ def load_partial_monoid(text: str, name: str = "") -> PartialMonoid:
 # -- simplicial groupoids ---------------------------------------------------
 
 
-def _groupoid_block(G: FinGroupoid) -> dict:
-    doc = _category_doc(G)
-    doc["inverse"] = dict(G.inverse)
-    return doc
-
-
 def _functor_doc(F: Functor) -> dict:
     return {"on_objects": dict(F.on_objects),
             "on_morphisms": dict(F.on_morphisms)}
@@ -222,7 +221,7 @@ def _functor_doc(F: Functor) -> dict:
 def save_sgpd(Y: TruncatedSGpd) -> str:
     return canonical_json({
         "truncation": Y.truncation,
-        "levels": [_groupoid_block(Y.levels[n])
+        "levels": [_groupoid_doc(Y.levels[n])
                    for n in range(Y.truncation + 1)],
         "face": {_index_key(*k): _functor_doc(v)
                  for k, v in Y.face.items()},
@@ -245,11 +244,7 @@ def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
     for n, block in enumerate(data["levels"]):
         if not isinstance(block, dict):
             raise InputError(f"level {n} is not a groupoid block")
-        _require_keys(block, ("objects", "morphisms", "identity", "compose",
-                              "inverse"), f"level {n}")
-        inverse = _string_table(block["inverse"], "inverse")
-        levels.append(FinGroupoid(*_category_parts(block),
-                                  name=f"level{n}", inverse=inverse))
+        levels.append(_groupoid_from(block, f"level {n}", f"level{n}"))
     _require_type(data, ("face", "degeneracy"), dict)
 
     def functor(key, doc, delta, what):

@@ -12,7 +12,7 @@ report on.  Constructors only enforce basic shape.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,10 +163,34 @@ class TruncatedSSet(SimplicialTables):
         return f"<{label}: levels {self.level_sizes()}>"
 
 
-def _lookup(table, key):
-    if table is None:
-        return None
-    return table.get(key)
+def _totality(out, n, indices, table, cells, targets, kind, bad_value):
+    """Report each cell that ``table`` leaves unmapped or sends outside
+    ``targets``; ``bad_value`` formats the offending value."""
+    for c in cells:
+        v = table.get(c)
+        if v is None:
+            out.append(Violation("totality", n, indices, c,
+                                 f"{kind} entry missing"))
+        elif v not in targets:
+            out.append(Violation("totality", n, indices, c,
+                                 bad_value.format(v)))
+
+
+def _through(cells, *tables):
+    """Each cell carried through the tables in turn (None once missing)."""
+    for table in tables:
+        cells = map(table.get, cells)
+    return cells
+
+
+def _disagreements(out, identity, n, indices, cells, lhs, rhs,
+                   detail="{!r} != {!r}"):
+    """Report the cells where two composites both exist and differ;
+    ``detail`` formats the two values."""
+    for c, a, b in zip(cells, lhs, rhs):
+        if a is not None and b is not None and a != b:
+            out.append(Violation(identity, n, indices, c,
+                                 detail.format(a, b)))
 
 
 def validate(X: TruncatedSSet):
@@ -179,104 +203,57 @@ def validate(X: TruncatedSSet):
     """
     out = []
     N = X.truncation
+    for kind, store, levels, shift in (
+            ("face", X.face, range(1, N + 1), -1),
+            ("degeneracy", X.degeneracy, range(N), 1)):
+        for n in levels:
+            cells, cellset = X.level(n), X.level_set(n)
+            targets = X.level_set(n + shift)
+            for i in range(n + 1):
+                t = store.get((n, i))
+                if t is None:
+                    out.append(Violation("totality", n, (i,), "",
+                                         f"{kind} table ({n}, {i}) missing"))
+                    continue
+                _totality(out, n, (i,), t, cells, targets, kind,
+                          f"{kind} value {{!r}} not a cell")
+                out.extend(Violation("stray-entry", n, (i,), c,
+                                     f"{kind} key is not a cell")
+                           for c in t if c not in cellset)
 
-    def table(kind, n, i):
-        store = X.face if kind == "face" else X.degeneracy
-        return store.get((n, i))
-
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            t = table("face", n, i)
-            if t is None:
-                out.append(Violation("totality", n, (i,), "",
-                                     f"face table ({n}, {i}) missing"))
-                continue
-            for c in X.level(n):
-                v = t.get(c)
-                if v is None:
-                    out.append(Violation("totality", n, (i,), c,
-                                         "face entry missing"))
-                elif v not in X.level_set(n - 1):
-                    out.append(Violation("totality", n, (i,), c,
-                                         f"face value {v!r} not a cell"))
-            for c in t:
-                if c not in X.level_set(n):
-                    out.append(Violation("stray-entry", n, (i,), c,
-                                         "face key is not a cell"))
-    for n in range(N):
-        for i in range(n + 1):
-            t = table("degeneracy", n, i)
-            if t is None:
-                out.append(Violation("totality", n, (i,), "",
-                                     f"degeneracy table ({n}, {i}) missing"))
-                continue
-            for c in X.level(n):
-                v = t.get(c)
-                if v is None:
-                    out.append(Violation("totality", n, (i,), c,
-                                         "degeneracy entry missing"))
-                elif v not in X.level_set(n + 1):
-                    out.append(Violation("totality", n, (i,), c,
-                                         f"degeneracy value {v!r} not a cell"))
-            for c in t:
-                if c not in X.level_set(n):
-                    out.append(Violation("stray-entry", n, (i,), c,
-                                         "degeneracy key is not a cell"))
-
+    # a missing table was reported above; through it nothing is defined
+    d, s = defaultdict(dict, X.face), defaultdict(dict, X.degeneracy)
     # d_i d_j = d_{j-1} d_i for i < j
     for n in range(2, N + 1):
+        cells = X.level(n)
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                dj, di = table("face", n, j), table("face", n, i)
-                dil, djl = table("face", n - 1, i), table("face", n - 1, j - 1)
-                for c in X.level(n):
-                    lhs = _lookup(dil, _lookup(dj, c))
-                    rhs = _lookup(djl, _lookup(di, c))
-                    if lhs is not None and rhs is not None and lhs != rhs:
-                        out.append(Violation(
-                            "dd", n, (i, j), c, f"{lhs!r} != {rhs!r}"))
+                _disagreements(out, "dd", n, (i, j), cells,
+                               _through(cells, d[n, j], d[n - 1, i]),
+                               _through(cells, d[n, i], d[n - 1, j - 1]))
 
     # s_i s_j = s_{j+1} s_i for i <= j
-    for n in range(0, N - 1):
+    for n in range(N - 1):
+        cells = X.level(n)
         for i in range(n + 1):
             for j in range(i, n + 1):
-                sj, si = table("degeneracy", n, j), table("degeneracy", n, i)
-                sih = table("degeneracy", n + 1, i)
-                sjh = table("degeneracy", n + 1, j + 1)
-                for c in X.level(n):
-                    lhs = _lookup(sih, _lookup(sj, c))
-                    rhs = _lookup(sjh, _lookup(si, c))
-                    if lhs is not None and rhs is not None and lhs != rhs:
-                        out.append(Violation(
-                            "ss", n, (i, j), c, f"{lhs!r} != {rhs!r}"))
+                _disagreements(out, "ss", n, (i, j), cells,
+                               _through(cells, s[n, j], s[n + 1, i]),
+                               _through(cells, s[n, i], s[n + 1, j + 1]))
 
     # d_i s_j: identity on the diagonal pair, shifted degeneracy otherwise
-    for n in range(0, N):
+    for n in range(N):
+        cells = X.level(n)
         for j in range(n + 1):
-            sj = table("degeneracy", n, j)
             for i in range(n + 2):
-                di = table("face", n + 1, i)
-                for c in X.level(n):
-                    lhs = _lookup(di, _lookup(sj, c))
-                    if lhs is None:
-                        continue
-                    if i in (j, j + 1):
-                        if lhs != c:
-                            out.append(Violation(
-                                "ds", n, (i, j), c,
-                                f"expected identity, got {lhs!r}"))
-                    elif i < j:
-                        rhs = _lookup(table("degeneracy", n - 1, j - 1),
-                                      _lookup(table("face", n, i), c))
-                        if rhs is not None and lhs != rhs:
-                            out.append(Violation(
-                                "ds", n, (i, j), c, f"{lhs!r} != {rhs!r}"))
-                    else:
-                        rhs = _lookup(table("degeneracy", n - 1, j),
-                                      _lookup(table("face", n, i - 1), c))
-                        if rhs is not None and lhs != rhs:
-                            out.append(Violation(
-                                "ds", n, (i, j), c, f"{lhs!r} != {rhs!r}"))
+                lhs = _through(cells, s[n, j], d[n + 1, i])
+                if i in (j, j + 1):
+                    _disagreements(out, "ds", n, (i, j), cells, lhs, cells,
+                                   "expected identity, got {!r}")
+                else:
+                    k, l = (i, j - 1) if i < j else (i - 1, j)
+                    _disagreements(out, "ds", n, (i, j), cells, lhs,
+                                   _through(cells, d[n, k], s[n - 1, l]))
     return out
 
 
@@ -493,36 +470,21 @@ def simplicial_map_violations(f: SimplicialMap):
     if len(f.components) != X.truncation + 1:
         return [Violation("shape", -1, (), "",
                           f"expected {X.truncation + 1} components")]
-    for n in range(X.truncation + 1):
-        comp = f.components[n]
-        for c in X.level(n):
-            v = comp.get(c)
-            if v is None:
-                out.append(Violation("totality", n, (), c,
-                                     "component entry missing"))
-            elif v not in Y.level_set(n):
-                out.append(Violation("totality", n, (), c,
-                                     f"image {v!r} not a cell of the target"))
+    for n, comp in enumerate(f.components):
+        _totality(out, n, (), comp, X.level(n), Y.level_set(n), "component",
+                  "image {!r} not a cell of the target")
     for n in range(1, X.truncation + 1):
+        cells, lo, hi = X.level(n), f.components[n - 1], f.components[n]
         for i in range(n + 1):
-            fx, fy = X.face_map(n, i), Y.face_map(n, i)
-            lo, hi = f.components[n - 1], f.components[n]
-            for c in X.level(n):
-                lhs = _lookup(lo, _lookup(fx, c))
-                rhs = _lookup(fy, _lookup(hi, c))
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    out.append(Violation("naturality-face", n, (i,), c,
-                                         f"{lhs!r} != {rhs!r}"))
+            _disagreements(out, "naturality-face", n, (i,), cells,
+                           _through(cells, X.face_map(n, i), lo),
+                           _through(cells, hi, Y.face_map(n, i)))
     for n in range(X.truncation):
+        cells, lo, hi = X.level(n), f.components[n], f.components[n + 1]
         for i in range(n + 1):
-            sx, sy = X.degeneracy_map(n, i), Y.degeneracy_map(n, i)
-            lo, hi = f.components[n], f.components[n + 1]
-            for c in X.level(n):
-                lhs = _lookup(hi, _lookup(sx, c))
-                rhs = _lookup(sy, _lookup(lo, c))
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    out.append(Violation("naturality-degeneracy", n, (i,), c,
-                                         f"{lhs!r} != {rhs!r}"))
+            _disagreements(out, "naturality-degeneracy", n, (i,), cells,
+                           _through(cells, X.degeneracy_map(n, i), hi),
+                           _through(cells, lo, Y.degeneracy_map(n, i)))
     return out
 
 

@@ -50,6 +50,22 @@ def test_validate_category_spots_a_broken_unit():
     assert "unit" in laws or "composite-endpoints" in laws
 
 
+def test_validate_category_reports_stray_compose_keys_last():
+    A = chain_poset(1)
+    compose = dict(A.compose)
+    compose[("0<1", "0<0")] = "0<0"
+    unit_broken = FinCategory(A.objects, A.morphisms, A.src, A.tgt,
+                              A.identity, compose)
+    compose[("zz", "0<1")] = "0<1"
+    compose[("0<0", "yy")] = "0<0"
+    broken = FinCategory(A.objects, A.morphisms, A.src, A.tgt,
+                         A.identity, compose)
+    got = validate_category(broken)
+    assert got[:-2] == validate_category(unit_broken) != []
+    assert [(v.law, v.witness) for v in got[-2:]] == \
+        [("stray-entry", ("zz", "0<1")), ("stray-entry", ("0<0", "yy"))]
+
+
 def test_nerve_of_arrow_category_sizes():
     X = nerve(chain_poset(1), 2)
     assert X.level_sizes() == (2, 3, 4)

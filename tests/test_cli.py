@@ -178,6 +178,15 @@ def test_sgpd_composite_outside_its_level_is_reported(tmp_path, capsys):
     assert "composition-preservation" in out
 
 
+def test_theorem_on_a_table_leaving_its_level_exits_two(tmp_path, capsys):
+    doc = json.loads(io.save_sset(nerve(chain_poset(2), 5)))
+    doc["degeneracy"]["4,1"]["0<0|0<0|0<0|0<0"] = "0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["check", "theorem", str(bad)]) == 2
+    assert "input tables are not simplicial" in capsys.readouterr().err
+
+
 def test_validate_machine_output(tri_file, capsys):
     assert cli.main(["validate", tri_file, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
