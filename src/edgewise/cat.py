@@ -113,6 +113,13 @@ class FinCategory:
     def composable(self, g, f):
         return self.src[g] == self.tgt[f]
 
+    def composite(self, g, f):
+        """g after f; ``InputError`` naming the pair if none is recorded."""
+        try:
+            return self.compose[(g, f)]
+        except KeyError:
+            raise InputError(f"composition undefined on ({g}, {f})") from None
+
     def __repr__(self):
         label = self.name or "category"
         return f"<{label}: {len(self.objects)} objects, " \
@@ -216,7 +223,7 @@ def nerve(A: FinCategory, truncation: int) -> TruncatedSSet:
                 elif i == n:
                     table["|".join(s)] = "|".join(s[:-1])
                 else:
-                    merged = s[:i - 1] + (A.compose[(s[i], s[i - 1])],) + \
+                    merged = s[:i - 1] + (A.composite(s[i], s[i - 1]),) + \
                         s[i + 1:]
                     table["|".join(s)] = "|".join(merged)
             face[(n, i)] = table
@@ -259,14 +266,14 @@ def twisted_arrow(A: FinCategory) -> FinCategory:
         for u in A.morphisms:
             if A.tgt[u] != A.src[f]:
                 continue
-            fu = A.compose[(f, u)]
+            fu = A.composite(f, u)
             for v in A.morphisms:
                 if A.src[v] != A.tgt[f]:
                     continue
                 t = _triple_id(f, u, v)
                 morphisms.append(t)
                 src[t] = f
-                tgt[t] = A.compose[(v, fu)]
+                tgt[t] = A.composite(v, fu)
                 triple[t] = (f, u, v)
     identity = {f: _triple_id(f, A.identity[A.src[f]], A.identity[A.tgt[f]])
                 for f in A.morphisms}
@@ -278,7 +285,7 @@ def twisted_arrow(A: FinCategory) -> FinCategory:
             if tgt[t1] != g2:
                 continue
             compose[(t2, t1)] = _triple_id(
-                f1, A.compose[(u1, u2)], A.compose[(v2, v1)])
+                f1, A.composite(u1, u2), A.composite(v2, v1))
     return FinCategory(objects, morphisms, src, tgt, identity, compose,
                        name=f"tw({A.name})" if A.name else "tw")
 

@@ -165,9 +165,12 @@ def coskeletal_from_graph(vertices, edges, truncation,
     def pairs(n):
         return [(p, q) for p in range(n + 1) for q in range(p + 1, n + 1)]
 
+    src = {e: u for (u, w), pool in by_pair.items() for e in pool}
+    tgt = {e: w for (u, w), pool in by_pair.items() for e in pool}
     levels = [list(vertices), edge_ids]
-    cell_id = {}      # (n, vertex tuple, edge tuple) -> id
-    cell_data = [None, None]  # per level: list of (vt, et)
+    # per level: (vertex tuple, edge tuple) of each cell, in level order
+    cell_data = [[((v,), ()) for v in vertices],
+                 [((src[e], tgt[e]), (e,)) for e in edge_ids]]
     for n in range(2, truncation + 1):
         data = []
         for vt in iproduct(vertices, repeat=n + 1):
@@ -180,27 +183,15 @@ def coskeletal_from_graph(vertices, edges, truncation,
                     raise GenerationError(
                         f"level {n} exceeds the cap of {level_cap} cells",
                         level=n, cap=level_cap)
-        names = [f"c{n}_{i}" for i in range(len(data))]
-        for nm, d in zip(names, data):
-            cell_id[(n, d[0], d[1])] = nm
-        levels.append(names)
+        levels.append([f"c{n}_{i}" for i in range(len(data))])
         cell_data.append(data)
-
-    src = {e: u for (u, w), pool in by_pair.items() for e in pool}
-    tgt = {e: w for (u, w), pool in by_pair.items() for e in pool}
-
-    def name_of(n, vt, et):
-        if n == 1:
-            return et[0]
-        return cell_id[(n, vt, et)]
+    cell_id = {(n, vt, et): name
+               for n, (names, data) in enumerate(zip(levels, cell_data))
+               for name, (vt, et) in zip(names, data)}
 
     face = {}
     degeneracy = {}
-    if truncation >= 1:
-        face[(1, 0)] = {e: tgt[e] for e in edge_ids}
-        face[(1, 1)] = {e: src[e] for e in edge_ids}
-        degeneracy[(0, 0)] = {v: loop_of[v] for v in vertices}
-    for n in range(2, truncation + 1):
+    for n in range(1, truncation + 1):
         prs = pairs(n)
         small = pairs(n - 1)
         for i in range(n + 1):
@@ -210,32 +201,22 @@ def coskeletal_from_graph(vertices, edges, truncation,
             for vt, et in cell_data[n]:
                 vt2 = tuple(vt[p] for p in keep)
                 et2 = tuple(et[s] for s in sel)
-                table[name_of(n, vt, et)] = name_of(n - 1, vt2, et2)
+                table[cell_id[(n, vt, et)]] = cell_id[(n - 1, vt2, et2)]
             face[(n, i)] = table
-    for n in range(1, truncation):
+    for n in range(truncation):
         big = pairs(n + 1)
         prs = pairs(n)
         for i in range(n + 1):
             # duplicate vertex i; the new adjacent pair takes the loop
             expand = [p if p <= i else p - 1 for p in range(n + 2)]
             table = {}
-            if n == 1:
-                for e in edge_ids:
-                    vt = (src[e], tgt[e])
-                    vt2 = tuple(vt[expand[p]] for p in range(3))
-                    et2 = tuple(
-                        loop_of[vt[i]] if (p, q) == (i, i + 1)
-                        else e for p, q in big)
-                    table[e] = name_of(2, vt2, et2)
-            else:
-                for vt, et in cell_data[n]:
-                    vt2 = tuple(vt[expand[p]] for p in range(n + 2))
-                    et2 = tuple(
-                        loop_of[vt[i]] if (p, q) == (i, i + 1)
-                        else et[prs.index((expand[p], expand[q]))]
-                        if expand[p] != expand[q] else None
-                        for p, q in big)
-                    table[name_of(n, vt, et)] = name_of(n + 1, vt2, et2)
+            for vt, et in cell_data[n]:
+                vt2 = tuple(vt[expand[p]] for p in range(n + 2))
+                et2 = tuple(
+                    loop_of[vt[i]] if (p, q) == (i, i + 1)
+                    else et[prs.index((expand[p], expand[q]))]
+                    for p, q in big)
+                table[cell_id[(n, vt, et)]] = cell_id[(n + 1, vt2, et2)]
             degeneracy[(n, i)] = table
     return TruncatedSSet(truncation, levels, face, degeneracy,
                          name=name or "coskeletal")

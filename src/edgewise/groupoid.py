@@ -17,7 +17,8 @@ from .cat import FinCategory, LawViolation, validate_category
 from .checks import Semantics
 from .delta import SimplexMap, epi_mono_factorize
 from .errors import InputError
-from .sset import SimplicialTables, TruncatedSSet, Violation, subdivide
+from .sset import (SimplicialTables, TruncatedSSet, Violation, along,
+                   identities, subdivide)
 
 __all__ = [
     "FinGroupoid",
@@ -97,7 +98,8 @@ class Functor:
 
 
 def functor_violations(F: Functor) -> list[LawViolation]:
-    """Totality, endpoint preservation, identities, and composition."""
+    """Totality, endpoint preservation, identities, and composition, then
+    the keys of either assignment that are not in the source."""
     out = []
     objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
@@ -109,8 +111,15 @@ def functor_violations(F: Functor) -> list[LawViolation]:
         if g is None or g not in morset:
             out.append(LawViolation("morphism-totality", (f,),
                                     f"image {g!r}"))
+    objects, morphisms = set(F.source.objects), set(F.source.morphisms)
+    stray = [LawViolation("stray-entry", (a,), "object key is not a source "
+                          "object")
+             for a in F.on_objects if a not in objects]
+    stray += [LawViolation("stray-entry", (f,), "morphism key is not a "
+                           "source morphism")
+              for f in F.on_morphisms if f not in morphisms]
     if out:
-        return out
+        return out + stray
     for f in F.source.morphisms:
         g = F.on_morphisms[f]
         if F.target.src[g] != F.on_objects[F.source.src[f]] or \
@@ -127,7 +136,7 @@ def functor_violations(F: Functor) -> list[LawViolation]:
         if expected != image(h):
             out.append(LawViolation("composition-preservation", (g, f),
                                     f"{expected!r} != image of {h!r}"))
-    return out
+    return out + stray
 
 
 def identity_functor(A: FinCategory) -> Functor:
@@ -203,18 +212,17 @@ def equivalence_verdict(F: Functor):
 
 @dataclass
 class IsoComma:
-    """The groupoid of triples (a, b, iso F(a) -> G(b)) with projections.
+    """The groupoid of triples (a, b, iso F(a) -> G(b)).
 
-    ``obj_data`` and ``mor_data`` recover the components from the
-    generated ids; morphism ids carry the source iso so that equal
-    component pairs starting at different isos stay distinct.
+    ``obj_data`` and ``mor_data`` recover the components, and so both
+    projections, from the generated ids; morphism ids carry the source
+    iso so that equal component pairs starting at different isos stay
+    distinct.
     """
 
     groupoid: FinGroupoid
     obj_data: dict
     mor_data: dict
-    left: Functor
-    right: Functor
 
     @staticmethod
     def obj_id(a, b, gamma):
@@ -302,11 +310,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     H = FinGroupoid(tuple(objects), tuple(morphisms), src, tgt, identity,
                     compose, name=f"({F.name})x^h({G.name})",
                     inverse=inverse)
-    left = Functor(H, F.source, {o: obj_data[o][0] for o in objects},
-                   {m: mor_data[m][0] for m in morphisms}, name="pr1")
-    right = Functor(H, G.source, {o: obj_data[o][1] for o in objects},
-                    {m: mor_data[m][1] for m in morphisms}, name="pr2")
-    return IsoComma(H, obj_data, mor_data, left, right)
+    return IsoComma(H, obj_data, mor_data)
 
 
 @dataclass
@@ -324,21 +328,13 @@ class TruncatedSGpd(SimplicialTables):
     name: str = ""
 
 
-def _functor_diff(F: Functor, G: Functor):
-    for a, v in F.on_objects.items():
-        if G.on_objects.get(a) != v:
-            return str(a)
-    for f, v in F.on_morphisms.items():
-        if G.on_morphisms.get(f) != v:
-            return str(f)
-    if set(G.on_objects) != set(F.on_objects) or \
-            set(G.on_morphisms) != set(F.on_morphisms):
-        return "(domain mismatch)"
-    return None
-
-
 def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
-    """Valid groupoids, valid functors, strict simplicial identities."""
+    """Valid groupoids, valid functors, strict simplicial identities.
+
+    Each failing identity is reported once, at the first disagreeing key
+    in the order of its first-applied functor's table, objects before
+    morphisms.  Identities are listed by name, level and reversed indices.
+    """
     out = []
     N = Y.truncation
     if len(Y.levels) != N + 1:
@@ -366,40 +362,21 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
     if out:
         return out
 
-    def check(identity, level, indices, F, G):
-        where = _functor_diff(F, G)
-        if where is not None:
-            out.append(Violation(identity, level, indices, where, ""))
+    # every functor is now total on its source with no stray keys
+    order = ("dd", "ss", "ds")
+    for identity, n, indices, lhs, rhs in sorted(identities(N), key=lambda t: (
+            order.index(t[0]), t[1], t[2][::-1])):
+        for part in ("on_objects", "on_morphisms"):
+            def table(kind, m, i):
+                return getattr(getattr(Y, kind)[m, i], part)
 
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                check("dd", n, (i, j),
-                      compose_functors(Y.face[(n - 1, i)], Y.face[(n, j)]),
-                      compose_functors(Y.face[(n - 1, j - 1)],
-                                       Y.face[(n, i)]))
-    for n in range(N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                check("ss", n, (i, j),
-                      compose_functors(Y.degeneracy[(n + 1, i)],
-                                       Y.degeneracy[(n, j)]),
-                      compose_functors(Y.degeneracy[(n + 1, j + 1)],
-                                       Y.degeneracy[(n, i)]))
-    for n in range(N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                left = compose_functors(Y.face[(n + 1, i)],
-                                        Y.degeneracy[(n, j)])
-                if i == j or i == j + 1:
-                    right = identity_functor(Y.levels[n])
-                elif i < j:
-                    right = compose_functors(Y.degeneracy[(n - 1, j - 1)],
-                                             Y.face[(n, i)])
-                else:
-                    right = compose_functors(Y.degeneracy[(n - 1, j)],
-                                             Y.face[(n, i - 1)])
-                check("ds", n, (i, j), left, right)
+            cells = list(table(*lhs[0]))
+            where = next((c for c, a, b in zip(cells, along(cells, lhs, table),
+                                               along(cells, rhs, table))
+                          if a != b), None)
+            if where is not None:
+                out.append(Violation(identity, n, indices, str(where), ""))
+                break
     return out
 
 

@@ -12,7 +12,7 @@ report on.  Constructors only enforce basic shape.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +31,8 @@ __all__ = [
     "SimplicialTables",
     "TruncatedSSet",
     "validate",
+    "identities",
+    "along",
     "standard_simplex",
     "act",
     "Pullback",
@@ -193,6 +195,46 @@ def _disagreements(out, identity, n, indices, cells, lhs, rhs,
                                  detail.format(a, b)))
 
 
+def identities(N):
+    """Every simplicial identity up to truncation N, each stated once.
+
+    Yields (name, level, indices, lhs, rhs): both sides are composites
+    of structure maps (kind, level, index) listed in the order they
+    apply to the cells of the level, and an empty ``rhs`` is the
+    identity.  Order: dd, ss, ds, then level, then indices (i, j) for
+    dd and ss and (j, i) for ds.
+    """
+    d, s = "face", "degeneracy"
+    # d_i d_j = d_{j-1} d_i for i < j
+    for n in range(2, N + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                yield ("dd", n, (i, j), ((d, n, j), (d, n - 1, i)),
+                       ((d, n, i), (d, n - 1, j - 1)))
+    # s_i s_j = s_{j+1} s_i for i <= j
+    for n in range(N - 1):
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                yield ("ss", n, (i, j), ((s, n, j), (s, n + 1, i)),
+                       ((s, n, i), (s, n + 1, j + 1)))
+    # d_i s_j: identity on the diagonal pair, shifted degeneracy otherwise
+    for n in range(N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = ((s, n, j), (d, n + 1, i))
+                if i in (j, j + 1):
+                    yield "ds", n, (i, j), lhs, ()
+                else:
+                    k, l = (i, j - 1) if i < j else (i - 1, j)
+                    yield "ds", n, (i, j), lhs, ((d, n, k), (s, n - 1, l))
+
+
+def along(cells, maps, table):
+    """Each cell carried along structure maps in turn (None once missing);
+    ``table(kind, level, index)`` gives a map's table."""
+    return _through(cells, *(table(*m) for m in maps))
+
+
 def validate(X: TruncatedSSet):
     """All structural violations of X: totality plus simplicial identities.
 
@@ -222,38 +264,15 @@ def validate(X: TruncatedSSet):
                            for c in t if c not in cellset)
 
     # a missing table was reported above; through it nothing is defined
-    d, s = defaultdict(dict, X.face), defaultdict(dict, X.degeneracy)
-    # d_i d_j = d_{j-1} d_i for i < j
-    for n in range(2, N + 1):
-        cells = X.level(n)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                _disagreements(out, "dd", n, (i, j), cells,
-                               _through(cells, d[n, j], d[n - 1, i]),
-                               _through(cells, d[n, i], d[n - 1, j - 1]))
+    def table(kind, n, i):
+        return getattr(X, kind).get((n, i), {})
 
-    # s_i s_j = s_{j+1} s_i for i <= j
-    for n in range(N - 1):
+    for identity, n, indices, lhs, rhs in identities(N):
         cells = X.level(n)
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                _disagreements(out, "ss", n, (i, j), cells,
-                               _through(cells, s[n, j], s[n + 1, i]),
-                               _through(cells, s[n, i], s[n + 1, j + 1]))
-
-    # d_i s_j: identity on the diagonal pair, shifted degeneracy otherwise
-    for n in range(N):
-        cells = X.level(n)
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = _through(cells, s[n, j], d[n + 1, i])
-                if i in (j, j + 1):
-                    _disagreements(out, "ds", n, (i, j), cells, lhs, cells,
-                                   "expected identity, got {!r}")
-                else:
-                    k, l = (i, j - 1) if i < j else (i - 1, j)
-                    _disagreements(out, "ds", n, (i, j), cells, lhs,
-                                   _through(cells, d[n, k], s[n - 1, l]))
+        _disagreements(out, identity, n, indices, cells,
+                       along(cells, lhs, table), along(cells, rhs, table),
+                       "{!r} != {!r}" if rhs else
+                       "expected identity, got {!r}")
     return out
 
 

@@ -178,6 +178,33 @@ def test_sgpd_composite_outside_its_level_is_reported(tmp_path, capsys):
     assert "composition-preservation" in out
 
 
+@pytest.mark.parametrize("part, value", [
+    ("on_objects", "yy"), ("on_objects", "0"),
+    ("on_morphisms", "yy"), ("on_morphisms", "i(0)"),
+])
+def test_sgpd_stray_functor_key_is_reported(tmp_path, capsys, part, value):
+    doc = _sgpd_doc()
+    doc["face"]["1,0"][part]["zz"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "violations: 1\n" in out
+    assert "[functor] level 1, indices (0,), cell \"('zz',)\": face " \
+        "stray-entry" in out
+
+
+@pytest.mark.parametrize("argv", [["nerve", "--truncation", "3"], ["tw"]],
+                         ids=["nerve", "tw"])
+def test_category_without_a_composite_exits_two(tmp_path, capsys, argv):
+    doc = _category_doc()
+    del doc["compose"]["1<2,0<1"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(bad)] + argv[1:]) == 2
+    assert "composition undefined on (1<2, 0<1)" in capsys.readouterr().err
+
+
 def test_theorem_on_a_table_leaving_its_level_exits_two(tmp_path, capsys):
     doc = json.loads(io.save_sset(nerve(chain_poset(2), 5)))
     doc["degeneracy"]["4,1"]["0<0|0<0|0<0|0<0"] = "0"

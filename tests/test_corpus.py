@@ -1,6 +1,10 @@
 """Generator determinism, validity, and the standard corpus contract."""
 
+import hashlib
+
 import pytest
+
+from edgewise import io
 
 from edgewise.cat import validate_category, validate_partial_monoid
 from edgewise.checks import segal_check, two_segal_check
@@ -43,6 +47,25 @@ def test_sparse_graph_still_validates():
         ("a", "b", "c"), [("e0", "a", "b"), ("e1", "b", "c")], 4)
     assert validate(X) == []
     assert X.level_sizes() == (3, 5, 7, 9, 11)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: coskeletal_from_graph(("a", "b"), PAR2, 5, name="par2"),
+     "e548c3003a903dbfffa525359abbca08f9ca6c2e954c7854690a184599e2a6ee"),
+    (lambda: coskeletal_from_graph(("a",), [("e0", "a", "a")], 4),
+     "62222cce2218358876a3472085fb0097d05d0f1e239ad148f0b63ce5bae7079e"),
+    (lambda: random_coskeletal_sset(3, 2, 4, 0),
+     "47a0a3983531f83b31bc29eee6cc6223d58b511220771803f0f474384a0534af"),
+    (lambda: random_coskeletal_sset(2, 3, 1, 5),
+     "f7be8422068b3cdbf734a58873af1f046e669087156126db6a7cfeb6cff1ce0f"),
+    (lambda: random_coskeletal_sset(3, 3, 2, 1),
+     "5ea824e115d04ef56e705bd6c07fa9fb00f06b1da6235b6105b7de68f2b90003"),
+], ids=["par2-5", "loop-4", "v3e2-4", "v2e3-1", "v3e3-2"])
+def test_coskeletal_bytes_are_pinned(make, digest):
+    """SHA-256 of the saved file, recorded before the level-0 and level-1
+    tables were built by the general face and degeneracy loops."""
+    text = io.save_sset(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_graph_input_errors():
