@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .sset import SimplicialMap, TruncatedSSet, edgewise
+from .sset import SimplicialMap, TruncatedSSet, edgewise, tabulate
 
 __all__ = [
     "LawViolation",
@@ -191,53 +191,38 @@ def nerve(A: FinCategory, truncation: int) -> TruncatedSSet:
 
     Level n cells are pipe-joined strings of n composable morphisms
     (objects at level 0); inner faces compose adjacent entries, outer
-    faces drop an end, degeneracies insert identities.
+    faces drop an end, degeneracies insert identities.  A cell's data
+    is its first object with its tuple of morphisms.
     """
     _check_names(A.objects, "|", "object")
     _check_names(A.morphisms, "|", "morphism")
     if truncation < 0:
         raise InputError("negative truncation")
-    by_tuple = [[()], [(f,) for f in A.morphisms]]
+    src, tgt, ident = A.src, A.tgt, A.identity
+    cells = [[(x, ()) for x in A.objects],
+             [(src[f], (f,)) for f in A.morphisms]][:truncation + 1]
     for n in range(2, truncation + 1):
-        by_tuple.append([s + (f,) for s in by_tuple[n - 1]
-                         for f in A.morphisms
-                         if A.src[f] == A.tgt[s[-1]]])
-    levels = [list(A.objects)]
-    for n in range(1, truncation + 1):
-        levels.append(["|".join(s) for s in by_tuple[n]])
+        cells.append([(x, fs + (f,)) for x, fs in cells[n - 1]
+                      for f in A.morphisms if src[f] == tgt[fs[-1]]])
 
-    def vertex(s, i):
-        # the i-th object visited by the string s
-        return A.src[s[0]] if i == 0 else A.tgt[s[i - 1]]
+    def face(n, i):
+        if i == 0:
+            return lambda c: (tgt[c[1][0]], c[1][1:])
+        if i == n:
+            return lambda c: (c[0], c[1][:-1])
+        return lambda c: (c[0], c[1][:i - 1] +
+                          (A.composite(c[1][i], c[1][i - 1]),) + c[1][i + 1:])
 
-    face = {}
-    degeneracy = {}
-    for n in range(1, truncation + 1):
-        for i in range(n + 1):
-            table = {}
-            for s in by_tuple[n]:
-                if n == 1:
-                    table["|".join(s)] = vertex(s, 1 - i)
-                elif i == 0:
-                    table["|".join(s)] = "|".join(s[1:])
-                elif i == n:
-                    table["|".join(s)] = "|".join(s[:-1])
-                else:
-                    merged = s[:i - 1] + (A.composite(s[i], s[i - 1]),) + \
-                        s[i + 1:]
-                    table["|".join(s)] = "|".join(merged)
-            face[(n, i)] = table
-    for n in range(truncation):
-        for i in range(n + 1):
-            if n == 0:
-                degeneracy[(0, 0)] = {x: A.identity[x] for x in A.objects}
-            else:
-                degeneracy[(n, i)] = {
-                    "|".join(s):
-                    "|".join(s[:i] + (A.identity[vertex(s, i)],) + s[i:])
-                    for s in by_tuple[n]}
-    return TruncatedSSet(truncation, levels, face, degeneracy,
-                         name=f"nerve({A.name or 'category'})")
+    def degeneracy(n, i):
+        # the identity of the i-th object the string visits
+        if i == 0:
+            return lambda c: (c[0], (ident[c[0]],) + c[1])
+        return lambda c: (c[0], c[1][:i] + (ident[tgt[c[1][i - 1]]],) +
+                          c[1][i:])
+
+    return tabulate(cells, face, degeneracy,
+                    lambda c: "|".join(c[1]) or c[0],
+                    label=f"nerve({A.name or 'category'})")
 
 
 def _escape(part):
@@ -413,49 +398,30 @@ def bar(M: PartialMonoid, truncation: int) -> TruncatedSSet:
     _check_names(M.elements, "|", "element")
     if truncation < 0:
         raise InputError("negative truncation")
-    by_tuple = [[t for t, _ in _progressive_tuples(M, n)]
-                for n in range(truncation + 1)]
-    levels = [["*"]] + [["|".join(t) for t in by_tuple[n]]
-                        for n in range(1, truncation + 1)]
-    level_sets = [set(lv) for lv in levels]
+    cells = [[t for t, _ in _progressive_tuples(M, n)]
+             for n in range(truncation + 1)]
+    members = [set(lv) for lv in cells]
 
-    def put(table, t, parts, n):
-        # record only entries that land on existing cells; validation
-        # surfaces the gaps for defective inputs
-        if parts is None:
-            return
-        cell = "|".join(parts) if parts else "*"
-        if cell in level_sets[n]:
-            table["|".join(t) if t else "*"] = cell
+    def face(n, i):
+        below = members[n - 1]
 
-    face = {}
-    degeneracy = {}
-    for n in range(1, truncation + 1):
-        for i in range(n + 1):
-            table = {}
-            for t in by_tuple[n]:
-                if n == 1:
-                    table["|".join(t)] = "*"
-                elif i == 0:
-                    put(table, t, t[1:], n - 1)
-                elif i == n:
-                    put(table, t, t[:-1], n - 1)
-                else:
-                    prod = M.multiply(t[i - 1], t[i])
-                    merged = None if prod is None else \
-                        t[:i - 1] + (prod,) + t[i + 1:]
-                    put(table, t, merged, n - 1)
-            face[(n, i)] = table
-    for n in range(truncation):
-        for i in range(n + 1):
-            if n == 0:
-                degeneracy[(0, 0)] = {"*": M.unit}
+        def rule(t):
+            if i == 0:
+                d = t[1:]
+            elif i == n:
+                d = t[:-1]
             else:
-                degeneracy[(n, i)] = {
-                    "|".join(t): "|".join(t[:i] + (M.unit,) + t[i:])
-                    for t in by_tuple[n]}
-    return TruncatedSSet(truncation, levels, face, degeneracy,
-                         name=f"bar({M.name or 'monoid'})")
+                prod = M.multiply(t[i - 1], t[i])
+                d = None if prod is None else t[:i - 1] + (prod,) + t[i + 1:]
+            # record only entries that land on existing cells; validation
+            # surfaces the gaps for defective inputs
+            return d if d in below else None
+        return rule
+
+    return tabulate(cells, face,
+                    lambda n, i: lambda t: t[:i] + (M.unit,) + t[i:],
+                    lambda t: "|".join(t) or "*",
+                    label=f"bar({M.name or 'monoid'})")
 
 
 def span_category(M: PartialMonoid) -> FinCategory:

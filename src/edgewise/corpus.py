@@ -28,7 +28,7 @@ from .cat import (
     validate_partial_monoid,
 )
 from .errors import GenerationError, InputError
-from .sset import TruncatedSSet
+from .sset import TruncatedSSet, tabulate
 
 __all__ = [
     "random_partial_monoid",
@@ -185,41 +185,30 @@ def coskeletal_from_graph(vertices, edges, truncation,
                         level=n, cap=level_cap)
         levels.append([f"c{n}_{i}" for i in range(len(data))])
         cell_data.append(data)
-    cell_id = {(n, vt, et): name
-               for n, (names, data) in enumerate(zip(levels, cell_data))
-               for name, (vt, et) in zip(names, data)}
+    cell_id = {c: cid
+               for ids, data in zip(levels, cell_data)
+               for cid, c in zip(ids, data)}
 
-    face = {}
-    degeneracy = {}
-    for n in range(1, truncation + 1):
+    def face(n, i):
+        keep = [p for p in range(n + 1) if p != i]
         prs = pairs(n)
-        small = pairs(n - 1)
-        for i in range(n + 1):
-            keep = [p for p in range(n + 1) if p != i]
-            sel = [prs.index((keep[p], keep[q])) for p, q in small]
-            table = {}
-            for vt, et in cell_data[n]:
-                vt2 = tuple(vt[p] for p in keep)
-                et2 = tuple(et[s] for s in sel)
-                table[cell_id[(n, vt, et)]] = cell_id[(n - 1, vt2, et2)]
-            face[(n, i)] = table
-    for n in range(truncation):
-        big = pairs(n + 1)
+        sel = [prs.index((keep[p], keep[q])) for p, q in pairs(n - 1)]
+        return lambda c: (tuple(c[0][p] for p in keep),
+                          tuple(c[1][s] for s in sel))
+
+    def degeneracy(n, i):
+        # duplicate vertex i; the new adjacent pair takes the loop
+        expand = [p if p <= i else p - 1 for p in range(n + 2)]
         prs = pairs(n)
-        for i in range(n + 1):
-            # duplicate vertex i; the new adjacent pair takes the loop
-            expand = [p if p <= i else p - 1 for p in range(n + 2)]
-            table = {}
-            for vt, et in cell_data[n]:
-                vt2 = tuple(vt[expand[p]] for p in range(n + 2))
-                et2 = tuple(
-                    loop_of[vt[i]] if (p, q) == (i, i + 1)
-                    else et[prs.index((expand[p], expand[q]))]
-                    for p, q in big)
-                table[cell_id[(n, vt, et)]] = cell_id[(n + 1, vt2, et2)]
-            degeneracy[(n, i)] = table
-    return TruncatedSSet(truncation, levels, face, degeneracy,
-                         name=name or "coskeletal")
+        picks = [None if (p, q) == (i, i + 1)
+                 else prs.index((expand[p], expand[q]))
+                 for p, q in pairs(n + 1)]
+        return lambda c: (tuple(c[0][p] for p in expand),
+                          tuple(loop_of[c[0][i]] if s is None else c[1][s]
+                                for s in picks))
+
+    return tabulate(cell_data, face, degeneracy, cell_id.__getitem__,
+                    label=name or "coskeletal")
 
 
 def random_coskeletal_sset(num_vertices: int, num_edges: int,

@@ -98,9 +98,6 @@ class SimplexMap:
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.dom_size
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.values)))
-
     def __repr__(self):
         return f"SimplexMap({list(self.values)} -> [{self.cod_dim}])"
 

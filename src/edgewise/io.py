@@ -235,7 +235,8 @@ def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
     _require_keys(data, ("truncation", "levels", "face", "degeneracy"),
                   "simplicial groupoid")
     truncation = data["truncation"]
-    if not isinstance(truncation, int) or truncation < 0:
+    if not isinstance(truncation, int) or isinstance(truncation, bool) \
+            or truncation < 0:
         raise InputError(f"bad truncation {truncation!r}")
     if not isinstance(data["levels"], list) or \
             len(data["levels"]) != truncation + 1:

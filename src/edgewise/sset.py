@@ -33,6 +33,7 @@ __all__ = [
     "validate",
     "identities",
     "along",
+    "tabulate",
     "standard_simplex",
     "act",
     "Pullback",
@@ -126,7 +127,8 @@ class TruncatedSSet(SimplicialTables):
     """
 
     def __init__(self, truncation, levels, face, degeneracy, name=""):
-        if not isinstance(truncation, int) or truncation < 0:
+        if not isinstance(truncation, int) or isinstance(truncation, bool) \
+                or truncation < 0:
             raise InputError(f"bad truncation {truncation!r}")
         levels = tuple(tuple(lv) for lv in levels)
         if len(levels) != truncation + 1:
@@ -276,6 +278,38 @@ def validate(X: TruncatedSSet):
     return out
 
 
+def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
+    """A truncated simplicial set from cell data and rules on it.
+
+    ``cells[n]`` lists the hashable data of the level-n cells in level
+    order, and ``name(c)`` gives a cell's id.  ``face(n, i)`` and
+    ``degeneracy(n, i)`` each return a function carrying a level-n
+    cell's data to its image's data; where it returns None the entry is
+    left out.  Each id is computed once per cell, and the levels and
+    every table share that string; an image that is not a cell still
+    gets its name, so ``validate`` reports it.  Face tables are built
+    for each (n, i) in order, then the degeneracy tables.
+    """
+    N = len(cells) - 1
+    levels = [list(map(name, lv)) for lv in cells]
+    ids = [dict(zip(lv, names)) for lv, names in zip(cells, levels)]
+
+    def table(n, rule, target):
+        out = {}
+        for c, cid in ids[n].items():
+            d = rule(c)
+            if d is not None:
+                t = target.get(d)
+                out[cid] = name(d) if t is None else t
+        return out
+
+    faces = {(n, i): table(n, face(n, i), ids[n - 1])
+             for n in range(1, N + 1) for i in range(n + 1)}
+    degeneracies = {(n, i): table(n, degeneracy(n, i), ids[n + 1])
+                    for n in range(N) for i in range(n + 1)}
+    return TruncatedSSet(N, levels, faces, degeneracies, name=label)
+
+
 def standard_simplex(k: int, truncation: int) -> TruncatedSSet:
     """The k-simplex: level n holds all monotone maps [n] -> [k]."""
     if k < 0 or truncation < 0:
@@ -283,25 +317,13 @@ def standard_simplex(k: int, truncation: int) -> TruncatedSSet:
     # digit strings up to [9], dot-separated beyond, fixed by k for the
     # whole complex so names cannot collide
     sep = "" if k <= 9 else "."
-    cell = lambda vals: sep.join(str(v) for v in vals)
-    levels = []
-    by_level = []
-    for n in range(truncation + 1):
-        cells = [tuple(a.values) for a in all_monotone_maps(n, k)]
-        by_level.append(cells)
-        levels.append([cell(c) for c in cells])
-    face = {}
-    degeneracy = {}
-    for n in range(1, truncation + 1):
-        for i in range(n + 1):
-            face[(n, i)] = {cell(c): cell(c[:i] + c[i + 1:])
-                            for c in by_level[n]}
-    for n in range(truncation):
-        for i in range(n + 1):
-            degeneracy[(n, i)] = {cell(c): cell(c[:i + 1] + c[i:])
-                                  for c in by_level[n]}
-    return TruncatedSSet(truncation, levels, face, degeneracy,
-                         name=f"standard-simplex-{k}")
+    return tabulate(
+        [[a.values for a in all_monotone_maps(n, k)]
+         for n in range(truncation + 1)],
+        lambda n, i: lambda c: c[:i] + c[i + 1:],
+        lambda n, i: lambda c: c[:i + 1] + c[i:],
+        lambda c: sep.join(map(str, c)),
+        label=f"standard-simplex-{k}")
 
 
 def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
@@ -353,8 +375,7 @@ class Pullback:
     Its elements are the pairs (a, b) with f[a] == g[b], in the
     insertion order of f and then g.  Nothing is enumerated up front:
     iterating runs a hash join over g bucketed by value, and ``pairs``
-    (with the projections ``left`` and ``right`` built from it) keeps
-    that enumeration on first use.  ``size()`` multiplies value counts
+    keeps that enumeration on first use.  ``size()`` multiplies value counts
     and ``in`` compares the two legs, so neither enumerates a pair.
     Two pullbacks are equal when their ``pairs`` are.
     """
@@ -374,14 +395,6 @@ class Pullback:
     @cached_property
     def pairs(self) -> tuple:
         return tuple(self)
-
-    @cached_property
-    def left(self) -> dict:
-        return {p: p[0] for p in self.pairs}
-
-    @cached_property
-    def right(self) -> dict:
-        return {p: p[1] for p in self.pairs}
 
     def size(self) -> int:
         counts = Counter(self.g.values())
@@ -448,9 +461,9 @@ def edgewise(X: TruncatedSSet) -> TruncatedSSet:
 
 def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
     """The reversed simplicial set: structure index i becomes n - i."""
-    face = {(n, i): dict(X.face_map(n, n - i))
+    face = {(n, i): X.face_map(n, n - i)
             for n in range(1, X.truncation + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): dict(X.degeneracy_map(n, n - i))
+    degeneracy = {(n, i): X.degeneracy_map(n, n - i)
                   for n in range(X.truncation) for i in range(n + 1)}
     return TruncatedSSet(X.truncation, X.levels, face, degeneracy,
                          name=f"rev({X.name})" if X.name else "rev")

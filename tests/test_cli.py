@@ -132,6 +132,15 @@ def _monoid_doc():
     return json.loads(io.save_partial_monoid(truncated_free_monoid(2)))
 
 
+# at truncation 1, so that a truncation read as 1 gives a consistent file
+def _sset1_doc():
+    return json.loads(io.save_sset(standard_simplex(1, 1)))
+
+
+def _sgpd1_doc():
+    return json.loads(io.save_sgpd(discrete_sgpd(nerve(chain_poset(1), 1))))
+
+
 @pytest.mark.parametrize("make, key, value", [
     (_sgpd_doc, "face", None),
     (_sgpd_doc, "degeneracy", []),
@@ -151,6 +160,8 @@ def _monoid_doc():
     (_monoid_doc, "elements", 3),
     (_monoid_doc, "unit", [1]),
     (_monoid_doc, "unit", {}),
+    (_sset1_doc, "truncation", True),
+    (_sgpd1_doc, "truncation", True),
 ])
 def test_loaded_containers_of_the_wrong_type_exit_two(tmp_path, capsys, make,
                                                       key, value):

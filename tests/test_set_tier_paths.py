@@ -122,8 +122,6 @@ def test_pullback_matches_nested_loop(case):
     pairs = reference_pairs(f, g)
     assert P.size() == len(pairs)
     assert P.pairs == pairs
-    assert P.left == {p: p[0] for p in pairs}
-    assert P.right == {p: p[1] for p in pairs}
     for p in table.values():
         assert (p in P) == (p in set(pairs))
 

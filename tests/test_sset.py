@@ -86,7 +86,6 @@ def test_strict_pullback_diagonal():
     f = {x: x for x in "abc"}
     p = strict_pullback(f, f)
     assert p.pairs == (("a", "a"), ("b", "b"), ("c", "c"))
-    assert p.left[("b", "b")] == "b"
 
 
 def test_strict_pullback_codomain_mismatch():
