@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import add, mul
 from typing import Callable
 
 from .cat import bar, nerve
@@ -25,7 +25,9 @@ from .delta import (
     two_segal_inclusions,
 )
 from .errors import GenerationError, InputError
-from .sset import Pullback, TruncatedSSet, act, edgewise, op_reverse, strict_pullback
+# act and strict_pullback are bound here too, for tracers that wrap them
+from .sset import (Pullback, TruncatedSSet, act, act_positions, edgewise,
+                   op_reverse, strict_pullback)
 
 __all__ = [
     "Semantics",
@@ -53,15 +55,20 @@ __all__ = [
 class Comparison:
     """A comparison table into a strict pullback, with its verdict.
 
-    ``witness`` is ``("collision", (x, y))`` for two domain cells with
-    the same image, ``("uncovered", pair)`` for a pullback element with
-    empty preimage, or None when the table is a bijection.
+    The table sends the domain cell at position x to the pair
+    (outer[x], inner[x]) of positions in the pullback's legs (a value
+    v that is not a cell is kept as (v,)); ``table`` gives it by name,
+    built on first use.  ``witness`` is ``("collision", (x, y))`` for
+    two domain cells with the same image, ``("uncovered", pair)`` for a
+    pullback element with empty preimage, or None when the table is a
+    bijection.
     """
 
     kind: str
     indices: tuple
     domain: tuple
-    table: dict = field(repr=False)
+    outer: tuple = field(repr=False)
+    inner: tuple = field(repr=False)
     pullback: Pullback = field(repr=False)
     verdict: str
     witness: tuple | None
@@ -74,51 +81,65 @@ class Comparison:
     def codomain_size(self):
         return self.pullback.size()
 
+    @cached_property
+    def table(self) -> dict:
+        P = self.pullback
+        return dict(zip(self.domain, zip(_named(P.left, self.outer),
+                                         _named(P.right, self.inner))))
 
-_NO_LEFT, _NO_RIGHT = object(), object()
+
+def _named(cells, positions):
+    """The cells at ``positions``; a value kept as (v,) is v."""
+    return [p[0] if isinstance(p, tuple) else cells[p] for p in positions]
 
 
-def _compare(kind, indices, domain, table, pullback) -> Comparison:
-    """Decide whether ``table`` (domain cell -> pair) is a bijection.
+def _compare(kind, indices, domain, outer, inner, pullback) -> Comparison:
+    """Decide whether x -> (outer[x], inner[x]) is a bijection.
 
-    A bijection is proved by counting: every image satisfies the
-    pullback equation, the images are distinct, and there are as many
-    as the pullback has pairs.  Only when that fails does the ordered
-    scan run, to raise for the first image outside the pullback or to
-    find the first collision or else the first uncovered pair.
+    ``outer`` and ``inner`` give, per domain position, positions in the
+    domains of the pullback's legs.  A bijection is proved by counting:
+    every image satisfies the pullback equation, the pair codes
+    a * |B| + b of the images are distinct, and there are as many as
+    the pullback has pairs.  Only when that fails does the ordered scan
+    run, to raise for the first image outside the pullback or to find
+    the first collision or else the first uncovered pair.
     """
-    images = list(map(table.__getitem__, domain))
-    left = map(pullback.f.get, map(itemgetter(0), images), repeat(_NO_LEFT))
-    right = map(pullback.g.get, map(itemgetter(1), images),
-                repeat(_NO_RIGHT))
-    if list(left) == list(right) and \
-            len(set(images)) == len(images) == pullback.size():
+    f, g = pullback.f, pullback.g
+    try:
+        agree = list(map(f.__getitem__, outer)) == \
+            list(map(g.__getitem__, inner))
+    except TypeError:       # a value kept as (v,) is not a cell
+        agree = False
+    if agree and len(domain) == pullback.size() == len(set(
+            map(add, map(mul, outer, repeat(len(g))), inner))):
         witness = None
     else:
-        witness = _scan(kind, indices, domain, table, pullback)
+        witness = _scan(kind, indices, domain, outer, inner, pullback)
     verdict = "pass" if witness is None else "fail"
-    return Comparison(kind, tuple(indices), tuple(domain), table,
+    return Comparison(kind, tuple(indices), tuple(domain), outer, inner,
                       pullback, verdict, witness)
 
 
-def _scan(kind, indices, domain, table, pullback):
-    """The first failure of ``table`` in domain order, then pullback order."""
+def _scan(kind, indices, domain, outer, inner, pullback):
+    """The first failure of the table in domain order, then pullback
+    order, by name."""
+    f, g, left, right = pullback.f, pullback.g, pullback.left, pullback.right
     seen = {}
     collision = None
-    for x in domain:
-        p = table[x]
-        if p not in pullback:
+    for x, p in enumerate(zip(outer, inner)):
+        a, b = p
+        if isinstance(a, tuple) or isinstance(b, tuple) or f[a] != g[b]:
             raise InputError(
                 f"{kind} comparison at {indices} leaves the pullback "
-                f"at cell {x!r}; input tables are not simplicial")
+                f"at cell {domain[x]!r}; input tables are not simplicial")
         if p in seen and collision is None:
-            collision = ("collision", (seen[p], x))
+            collision = ("collision", (domain[seen[p]], domain[x]))
         seen.setdefault(p, x)
     if collision is not None:
         return collision
-    for p in pullback:
-        if p not in seen:
-            return ("uncovered", p)
+    for a, b in pullback.positions():
+        if (a, b) not in seen:
+            return ("uncovered", (left[a], right[b]))
     return None
 
 
@@ -223,14 +244,22 @@ class Semantics:
 
 def _bijection(kind, indices, X, first, second, leg_first, leg_second,
                shared) -> Comparison:
-    """Set semantics: the table into the strict pullback of the legs."""
-    outer = act(first, X)
-    inner = act(second, X)
-    P = strict_pullback(act(leg_first, X), act(leg_second, X),
-                        codomain=X.level(leg_first.dom_dim))
-    cells = X.level(first.cod_dim)
-    table = {x: (outer[x], inner[x]) for x in cells}
-    return _compare(kind, indices, cells, table, P)
+    """Set semantics: the table into the strict pullback of the legs.
+
+    Everything is positions; a leg value kept as (v,) lies outside the
+    shared level.
+    """
+    outer = act_positions(first, X)
+    inner = act_positions(second, X)
+    f, g = act_positions(leg_first, X), act_positions(leg_second, X)
+    for leg, side in ((f, "left"), (g, "right")):
+        if tuple in map(type, leg):
+            outside, = next(v for v in leg if isinstance(v, tuple))
+            raise InputError(
+                f"{side} table value {outside!r} outside the codomain")
+    P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
+                              X.level(leg_second.cod_dim))
+    return _compare(kind, indices, X.level(first.cod_dim), outer, inner, P)
 
 
 SET = Semantics("set", _bijection)
@@ -362,14 +391,16 @@ def beta_gamma_equality(X: TruncatedSSet, m: int, j: int) -> BetaGammaResult:
 def _same_pairs(P: Pullback, Q: Pullback, swap: bool = False) -> bool:
     """Whether P holds the pairs of Q (each reversed, with ``swap``).
 
-    Equal legs give equal pairs, so the pairs are enumerated only when
-    the legs differ.
+    The legs of both have the same domains, so positions compare as
+    names do.  Equal legs give equal pairs, so the pairs are enumerated
+    only when the legs differ.
     """
     f, g = (Q.g, Q.f) if swap else (Q.f, Q.g)
     if P.f == f and P.g == g:
         return True
-    theirs = {(b, a) for a, b in Q} if swap else set(Q)
-    return set(P) == theirs
+    theirs = {(b, a) for a, b in Q.positions()} if swap \
+        else set(Q.positions())
+    return set(P.positions()) == theirs
 
 
 def _beta_gamma_match(m, j, beta: Comparison,
@@ -378,16 +409,17 @@ def _beta_gamma_match(m, j, beta: Comparison,
 
     The vertex legs of beta are the tables of E = edgewise(X) at the
     vertices j of [j] and 0 of [m-j]; those of gamma are X's tables at
-    the edge {m-j, m+j+1} of the inner and outer polygon.
+    the edge {m-j, m+j+1} of the inner and outer polygon.  E's level k
+    is X's level 2k+1, so the positions of both compare as names do.
     """
     mismatch = None
-    tables_equal = True
-    for x in beta.domain:
-        o, i = gamma.table[x]
-        if beta.table[x] != (i, o):
-            tables_equal = False
-            mismatch = (x, beta.table[x], gamma.table[x])
-            break
+    tables_equal = beta.outer == gamma.inner and beta.inner == gamma.outer
+    if not tables_equal:
+        x = beta.domain[next(
+            p for p in range(len(beta.domain))
+            if (beta.outer[p], beta.inner[p]) !=
+            (gamma.inner[p], gamma.outer[p]))]
+        mismatch = (x, beta.table[x], gamma.table[x])
     pullbacks_equal = _same_pairs(beta.pullback, gamma.pullback, swap=True)
     legs_equal = beta.pullback.f == gamma.pullback.g and \
         beta.pullback.g == gamma.pullback.f
@@ -422,19 +454,47 @@ class RetractResult:
     witness: tuple | None = None
 
 
-def _first_failure(n, k, failures):
-    """The first of ``failures``, or None; reading a cell that a table
-    lacks is an ``InputError``."""
+def _carry(count, path):
+    """Positions 0..count-1, each carried through the tables of ``path``
+    in turn."""
+    cells = range(count)
+    for table in path:
+        cells = map(table.__getitem__, cells)
+    return list(cells)
+
+
+def _follow(x, path):
+    """Position x carried through the tables of ``path``; a value kept
+    as (v,), not a cell, has no entry."""
+    for table in path:
+        if isinstance(x, tuple):
+            raise KeyError(x[0])
+        x = table[x]
+    return x
+
+
+def _first_failure(n, k, count, lhs, rhs):
+    """The first position below ``count`` whose two composites differ,
+    or None.
+
+    Each side lists paths of position tables, and its value at x is the
+    tuple of x carried along each path.  Whole levels are compared
+    first; only when they differ are the positions followed one by one,
+    where reading an entry that a table lacks is an ``InputError``.
+    """
     try:
-        return next(failures, None)
+        if [_carry(count, p) for p in lhs] == [_carry(count, p) for p in rhs]:
+            return None
+    except TypeError:       # a value kept as (v,) read as a position
+        pass
+    try:
+        return next((x for x in range(count)
+                     if tuple(_follow(x, p) for p in lhs) !=
+                     tuple(_follow(x, p) for p in rhs)), None)
     except KeyError as exc:
         raise InputError(
             f"retract ({n}, {k}) reads {exc} outside a structure table; "
             f"input tables are not simplicial") from None
-
-
-def _factors(outer, inner, pair):
-    return outer[pair[0]], inner[pair[1]]
 
 
 def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
@@ -450,34 +510,35 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
         return RetractResult(n, k, False, "out_of_truncation")
     sec = retract_section(n, k)
     ret = retract_retraction(n, k)
-    down = act(sec, X)       # level 2n-1 -> level n
-    up = act(ret, X)         # level n -> level 2n-1
-    identity = _first_failure(
-        n, k, (x for x in X.level(n) if down[up[x]] != x))
+    down = act_positions(sec, X)       # level 2n-1 -> level n
+    up = act_positions(ret, X)         # level n -> level 2n-1
+    cells, big_cells = X.level(n), X.level(2 * n - 1)
+    identity = _first_failure(n, k, len(cells), [(up, down)], [()])
 
     small = two_segal_map(X, n, 0, k)
     big = two_segal_map(X, 2 * n - 1, n - k, n + k - 1)
     small_inc = two_segal_inclusions(n, 0, k)
     big_inc = two_segal_inclusions(2 * n - 1, n - k, n + k - 1)
 
-    up_outer = act(induced_subset_map(ret, big_inc.outer, small_inc.outer), X)
-    up_inner = act(induced_subset_map(ret, big_inc.inner, small_inc.inner), X)
-    square_up = _first_failure(n, k, (
-        x for x in X.level(n) if big.table[up[x]] !=
-        _factors(up_outer, up_inner, small.table[x])))
+    up_outer = act_positions(
+        induced_subset_map(ret, big_inc.outer, small_inc.outer), X)
+    up_inner = act_positions(
+        induced_subset_map(ret, big_inc.inner, small_inc.inner), X)
+    square_up = _first_failure(
+        n, k, len(cells), [(up, big.outer), (up, big.inner)],
+        [(small.outer, up_outer), (small.inner, up_inner)])
 
-    down_outer = act(induced_subset_map(sec, small_inc.outer, big_inc.outer),
-                     X)
-    down_inner = act(induced_subset_map(sec, small_inc.inner, big_inc.inner),
-                     X)
-    square_down = _first_failure(n, k, (
-        y for y in X.level(2 * n - 1) if small.table[down[y]] !=
-        _factors(down_outer, down_inner, big.table[y])))
+    down_outer = act_positions(
+        induced_subset_map(sec, small_inc.outer, big_inc.outer), X)
+    down_inner = act_positions(
+        induced_subset_map(sec, small_inc.inner, big_inc.inner), X)
+    square_down = _first_failure(
+        n, k, len(big_cells), [(down, small.outer), (down, small.inner)],
+        [(big.outer, down_outer), (big.inner, down_inner)])
 
-    witness = next(((name, x) for name, x in (("identity", identity),
-                                              ("square_up", square_up),
-                                              ("square_down", square_down))
-                    if x is not None), None)
+    witness = next(((name, level[x]) for name, x, level in (
+        ("identity", identity, cells), ("square_up", square_up, cells),
+        ("square_down", square_down, big_cells)) if x is not None), None)
     implication_ok = not (big.verdict == "pass" and small.verdict != "pass")
     ok = witness is None and implication_ok
     if not implication_ok:
@@ -499,10 +560,16 @@ def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
         raise InputError(f"need n >= 3 and 0 < k < n - 1, got ({n}, {k})")
     if 2 * n - 1 > X.truncation:
         return RetractResult(n, k, True, "out_of_truncation")
-    rev = op_reverse(X)
+    return _retract_reversed(X, op_reverse(X), n, k)
+
+
+def _retract_reversed(X, rev, n, k) -> RetractResult:
+    """``retract_verify_reversed`` with ``rev = op_reverse(X)`` given;
+    rev has X's levels, so positions compare as names do."""
     direct = two_segal_map(X, n, k, n)
     transported = two_segal_map(rev, n, 0, n - k)
-    transport_ok = direct.table == transported.table and \
+    transport_ok = direct.outer == transported.outer and \
+        direct.inner == transported.inner and \
         _same_pairs(direct.pullback, transported.pullback) and \
         direct.verdict == transported.verdict
     inner = retract_verify(rev, n, n - k)
@@ -565,12 +632,14 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
     retract_failures = 0
     retract_witness = None
     retract_results = []
+    rev = None          # built once, where the reversed family first needs it
     n = 3
     while 2 * n - 1 <= X.truncation:
         for k in range(2, n):
             retract_results.append(retract_verify(X, n, k))
+        rev = rev or op_reverse(X)
         for k in range(1, n - 1):
-            retract_results.append(retract_verify_reversed(X, n, k))
+            retract_results.append(_retract_reversed(X, rev, n, k))
         n += 1
     for r in retract_results:
         if r.verdict != "pass":

@@ -76,11 +76,24 @@ def _index_key(n: int, i: int) -> str:
 
 
 def _parse_index(key: str, what: str):
+    """(n, i) from the canonical key "n,i"; any other spelling of it
+    (such as "01,0") is rejected, so no two keys name one table."""
     parts = key.split(",")
     try:
         n, i = (int(p) for p in parts)
     except ValueError:
         raise InputError(f"bad {what} index key {key!r}") from None
+    if key != _index_key(n, i):
+        raise InputError(f"bad {what} index key {key!r}")
+    return n, i
+
+
+def _check_index(key: str, what: str, truncation: int):
+    """Reject a structure map index outside the truncation."""
+    n, i = _parse_index(key, what)
+    lo, hi = (1, truncation) if what == "face" else (0, truncation - 1)
+    if not (lo <= n <= hi and 0 <= i <= n):
+        raise InputError(f"{what} index {key!r} out of range")
     return n, i
 
 
@@ -90,7 +103,7 @@ def _string_table(value, what: str) -> dict:
     for k, v in value.items():
         if not isinstance(k, str) or not isinstance(v, str):
             raise InputError(f"{what} entry {k!r}: {v!r} is not str -> str")
-    return dict(value)
+    return value
 
 
 # -- simplicial sets --------------------------------------------------------
@@ -100,9 +113,8 @@ def save_sset(X: TruncatedSSet) -> str:
     return canonical_json({
         "truncation": X.truncation,
         "levels": [list(X.level(n)) for n in range(X.truncation + 1)],
-        "face": {_index_key(*k): dict(v) for k, v in X.face.items()},
-        "degeneracy": {_index_key(*k): dict(v)
-                       for k, v in X.degeneracy.items()},
+        "face": {_index_key(*k): v for k, v in X.face.items()},
+        "degeneracy": {_index_key(*k): v for k, v in X.degeneracy.items()},
     })
 
 
@@ -119,8 +131,12 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
     degeneracy = {
         _parse_index(k, "degeneracy"): _string_table(v, f"degeneracy {k}")
         for k, v in data["degeneracy"].items()}
-    return TruncatedSSet(data["truncation"], data["levels"], face,
-                         degeneracy, name=name)
+    X = TruncatedSSet(data["truncation"], data["levels"], face, degeneracy,
+                      name=name)
+    for what in ("face", "degeneracy"):
+        for key in data[what]:
+            _check_index(key, what, X.truncation)
+    return X
 
 
 # -- categories, groupoids, partial monoids ---------------------------------
@@ -249,10 +265,7 @@ def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
     _require_type(data, ("face", "degeneracy"), dict)
 
     def functor(key, doc, delta, what):
-        n, i = _parse_index(key, what)
-        lo, hi = (1, truncation) if delta < 0 else (0, truncation - 1)
-        if not (lo <= n <= hi and 0 <= i <= n):
-            raise InputError(f"{what} index {key!r} out of range")
+        n, i = _check_index(key, what, truncation)
         if not isinstance(doc, dict) or \
                 set(doc) != {"on_objects", "on_morphisms"}:
             raise InputError(f"bad functor record at {what} {key!r}")

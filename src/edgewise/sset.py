@@ -1,9 +1,17 @@
 """Truncated simplicial sets over explicit finite cell sets.
 
-A ``TruncatedSSet`` stores cell identifiers (opaque strings) for levels
-0..truncation together with total face and degeneracy tables.  All
-simplicial structure is tabulated; nothing is lazy, so validation and
-every downstream check are finite enumerations.
+A ``TruncatedSSet`` keeps, for levels 0..truncation, the cell names
+(opaque strings) in level order, and each face and degeneracy map as a
+tuple of positions: entry p is the position, in the target level, of
+the image of the level's p-th cell.  Positions are the working form:
+``act`` composes position tuples and the checkers compare them.  Names
+are the interface: the constructor takes tables of names, and ``face``,
+``degeneracy``, ``face_map`` and ``degeneracy_map`` read back name
+tables, decoded from positions when read.  A table that is not a total
+map from its level into the target level (input that ``validate``
+reports) is kept as the name table it was given.  All simplicial
+structure is tabulated; nothing is lazy, so validation and every
+downstream check are finite enumerations.
 
 ``validate`` returns a list of violations instead of raising: invalid
 instances are data one can inspect, generate on purpose in tests, and
@@ -13,8 +21,9 @@ report on.  Constructors only enforce basic shape.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .delta import (
     SimplexMap,
@@ -36,6 +45,7 @@ __all__ = [
     "tabulate",
     "standard_simplex",
     "act",
+    "act_positions",
     "Pullback",
     "strict_pullback",
     "subdivide",
@@ -75,8 +85,10 @@ class Violation:
 class SimplicialTables:
     """Range-checked levels and structure maps, for sets and groupoids.
 
-    Subclasses hold ``truncation``, ``levels``, and ``face`` and
-    ``degeneracy`` keyed by (n, i), as tables or as functors.
+    Subclasses hold ``truncation`` and ``levels``, and keep the face and
+    degeneracy maps keyed by (n, i), as tables or as functors, in the
+    stores that ``_store(kind)`` returns.  ``_map`` reads a map in its
+    stored form; ``face_map`` and ``degeneracy_map`` give it to callers.
     """
 
     def level(self, n):
@@ -84,46 +96,58 @@ class SimplicialTables:
             raise InputError(f"level {n} beyond truncation {self.truncation}")
         return self.levels[n]
 
-    def face_map(self, n, i):
-        if not (1 <= n <= self.truncation and 0 <= i <= n):
-            raise InputError(f"face index ({n}, {i}) out of range")
+    def _store(self, kind):
+        return getattr(self, kind)
+
+    def _map(self, kind, n, i):
+        low, high = (1, self.truncation) if kind == "face" else \
+            (0, self.truncation - 1)
+        if not (low <= n <= high and 0 <= i <= n):
+            raise InputError(f"{kind} index ({n}, {i}) out of range")
         try:
-            return self.face[(n, i)]
+            return self._store(kind)[(n, i)]
         except KeyError:
-            raise InputError(f"face table ({n}, {i}) missing") from None
+            raise InputError(f"{kind} table ({n}, {i}) missing") from None
+
+    def face_map(self, n, i):
+        return self._map("face", n, i)
 
     def degeneracy_map(self, n, i):
-        if not (0 <= n < self.truncation and 0 <= i <= n):
-            raise InputError(f"degeneracy index ({n}, {i}) out of range")
-        try:
-            return self.degeneracy[(n, i)]
-        except KeyError:
-            raise InputError(f"degeneracy table ({n}, {i}) missing") from None
+        return self._map("degeneracy", n, i)
 
     def generator_maps(self, m, cofaces, codegens):
-        """(map, level it reads) per generator, in the order they apply.
+        """(stored map, level it reads) per generator, in the order they
+        apply.
 
         The generators are an epi-mono factorization of a map into [m];
         a generator's map is looked up when the iteration reaches it.
         """
         level = m
         for i in reversed(cofaces):
-            yield self.face_map(level, i), level
+            yield self._map("face", level, i), level
             level -= 1
         for j in codegens:
-            yield self.degeneracy_map(level, j), level
+            yield self._map("degeneracy", level, j), level
             level += 1
+
+
+_SHIFT = {"face": -1, "degeneracy": 1}
 
 
 class TruncatedSSet(SimplicialTables):
     """Finite simplicial data up to a truncation level.
 
-    ``levels[n]`` is the ordered tuple of cell ids at level n.  ``face``
-    maps (n, i) with 1 <= n <= truncation, 0 <= i <= n to a dict from
-    level-n cells to level-(n-1) cells; ``degeneracy`` maps (n, i) with
-    0 <= n < truncation to a dict from level-n cells to level-(n+1)
-    cells.  Treated as immutable after construction; derived objects are
-    always newly built.
+    ``levels[n]`` is the ordered tuple of cell names at level n.  The
+    constructor takes ``face`` keyed by (n, i) with 1 <= n <= truncation,
+    0 <= i <= n, each a dict from level-n cells to level-(n-1) cells, and
+    ``degeneracy`` keyed by (n, i) with 0 <= n < truncation, each a dict
+    from level-n cells to level-(n+1) cells.  It keeps each table as a
+    tuple of target positions in level order, or as the dict itself
+    when that is not a total map into the target level; it also takes
+    such position tuples in place of dicts.  ``face`` and ``degeneracy``
+    read the tables back as dicts of names, built on each read.
+    Treated as immutable after construction; derived objects are always
+    newly built.
     """
 
     def __init__(self, truncation, levels, face, degeneracy, name=""):
@@ -134,22 +158,69 @@ class TruncatedSSet(SimplicialTables):
         if len(levels) != truncation + 1:
             raise InputError(
                 f"expected {truncation + 1} levels, got {len(levels)}")
+        index = []
         for n, lv in enumerate(levels):
             for c in lv:
                 if not isinstance(c, str):
                     raise InputError(f"cell id {c!r} at level {n} is not str")
-            if len(set(lv)) != len(lv):
+            index.append({c: p for p, c in enumerate(lv)})
+            if len(index[n]) != len(lv):
                 raise InputError(f"duplicate cell ids at level {n}")
         self.truncation = truncation
         self.levels = levels
-        self.face = {k: dict(v) for k, v in face.items()}
-        self.degeneracy = {k: dict(v) for k, v in degeneracy.items()}
         self.name = name
-        self._level_sets = tuple(frozenset(lv) for lv in levels)
+        self._index = tuple(index)
+        self._tables = {
+            kind: {(n, i): self._as_positions(t, n, n + _SHIFT[kind])
+                   for (n, i), t in tables.items()}
+            for kind, tables in (("face", face), ("degeneracy", degeneracy))}
+
+    def _as_positions(self, table, n, target):
+        """A name table as positions in level ``target``, in level-n order;
+        position tuples, and tables that are not total maps from level n
+        into level ``target``, are returned as they are."""
+        if not isinstance(table, Mapping) or \
+                not (0 <= n <= self.truncation and
+                     0 <= target <= self.truncation) or \
+                len(table) != len(self.levels[n]):
+            return table
+        try:
+            return tuple(map(self._index[target].__getitem__,
+                             map(table.__getitem__, self.levels[n])))
+        except (KeyError, TypeError):
+            return table
+
+    def _as_names(self, table, n, target):
+        """A stored table as a dict of names (name tables as they are)."""
+        if isinstance(table, Mapping):
+            return table
+        return dict(zip(self.levels[n],
+                        map(self.levels[target].__getitem__, table)))
+
+    def _store(self, kind):
+        return self._tables[kind]
+
+    @property
+    def face(self):
+        return self._name_tables("face")
+
+    @property
+    def degeneracy(self):
+        return self._name_tables("degeneracy")
+
+    def _name_tables(self, kind):
+        return {(n, i): self._as_names(t, n, n + _SHIFT[kind])
+                for (n, i), t in self._tables[kind].items()}
+
+    def face_map(self, n, i):
+        return self._as_names(self._map("face", n, i), n, n - 1)
+
+    def degeneracy_map(self, n, i):
+        return self._as_names(self._map("degeneracy", n, i), n, n + 1)
 
     def level_set(self, n):
         self.level(n)
-        return self._level_sets[n]
+        return self._index[n].keys()
 
     def level_sizes(self):
         return tuple(len(lv) for lv in self.levels)
@@ -159,8 +230,7 @@ class TruncatedSSet(SimplicialTables):
             return NotImplemented
         return (self.truncation == other.truncation
                 and self.levels == other.levels
-                and self.face == other.face
-                and self.degeneracy == other.degeneracy)
+                and self._tables == other._tables)
 
     def __repr__(self):
         label = self.name or "sset"
@@ -247,14 +317,14 @@ def validate(X: TruncatedSSet):
     """
     out = []
     N = X.truncation
-    for kind, store, levels, shift in (
-            ("face", X.face, range(1, N + 1), -1),
-            ("degeneracy", X.degeneracy, range(N), 1)):
+    stores = {"face": X.face, "degeneracy": X.degeneracy}
+    for kind, levels, shift in (("face", range(1, N + 1), -1),
+                                ("degeneracy", range(N), 1)):
         for n in levels:
             cells, cellset = X.level(n), X.level_set(n)
             targets = X.level_set(n + shift)
             for i in range(n + 1):
-                t = store.get((n, i))
+                t = stores[kind].get((n, i))
                 if t is None:
                     out.append(Violation("totality", n, (i,), "",
                                          f"{kind} table ({n}, {i}) missing"))
@@ -267,7 +337,7 @@ def validate(X: TruncatedSSet):
 
     # a missing table was reported above; through it nothing is defined
     def table(kind, n, i):
-        return getattr(X, kind).get((n, i), {})
+        return stores[kind].get((n, i), {})
 
     for identity, n, indices, lhs, rhs in identities(N):
         cells = X.level(n)
@@ -285,27 +355,34 @@ def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
     order, and ``name(c)`` gives a cell's id.  ``face(n, i)`` and
     ``degeneracy(n, i)`` each return a function carrying a level-n
     cell's data to its image's data; where it returns None the entry is
-    left out.  Each id is computed once per cell, and the levels and
-    every table share that string; an image that is not a cell still
-    gets its name, so ``validate`` reports it.  Face tables are built
-    for each (n, i) in order, then the degeneracy tables.
+    left out.  Each id is computed once per cell.  A table whose images
+    are all cells comes out as positions in the target level; any other
+    table is a dict of names that shares the levels' strings, where an
+    image that is not a cell still gets its name, so ``validate``
+    reports it.  Face tables are built for each (n, i) in order, then
+    the degeneracy tables.
     """
     N = len(cells) - 1
     levels = [list(map(name, lv)) for lv in cells]
-    ids = [dict(zip(lv, names)) for lv, names in zip(cells, levels)]
+    where = [{c: p for p, c in enumerate(lv)} for lv in cells]
 
     def table(n, rule, target):
+        try:
+            return tuple(map(where[target].__getitem__, map(rule, cells[n])))
+        except KeyError:
+            pass
+        # an image that is no cell, or none at all: a table of names
         out = {}
-        for c, cid in ids[n].items():
+        for c, cid in zip(cells[n], levels[n]):
             d = rule(c)
             if d is not None:
-                t = target.get(d)
-                out[cid] = name(d) if t is None else t
+                t = where[target].get(d)
+                out[cid] = name(d) if t is None else levels[target][t]
         return out
 
-    faces = {(n, i): table(n, face(n, i), ids[n - 1])
+    faces = {(n, i): table(n, face(n, i), n - 1)
              for n in range(1, N + 1) for i in range(n + 1)}
-    degeneracies = {(n, i): table(n, degeneracy(n, i), ids[n + 1])
+    degeneracies = {(n, i): table(n, degeneracy(n, i), n + 1)
                     for n in range(N) for i in range(n + 1)}
     return TruncatedSSet(N, levels, faces, degeneracies, name=label)
 
@@ -332,36 +409,42 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     For alpha: [n] -> [m] the result maps level-m cells to level-n
     cells, keyed in level order, by composing face and degeneracy
     tables along the epi-mono factorization of alpha.  The composite is
-    built from the last generator back: each pass maps the whole level
-    that its generator reads through the table composed so far, so the
-    cost is about the sum of those level sizes rather than the number
-    of generators times the size of level m.  When a table lacks an
-    entry that such a pass reads, the generators are applied in turn to
-    the cells reached from level m instead, which raises ``InputError``
-    for the first missing entry or gives the table those cells allow.
+    built from the last generator back: each pass maps the position
+    tuple of its generator through the tuple composed so far, so the
+    cost is about the sum of the level sizes the generators read rather
+    than the number of generators times the size of level m.  When a
+    table on the way is not a position tuple (input that fails
+    ``validate``), the generators are applied in turn, by name, to the
+    cells reached from level m instead, which raises ``InputError`` for
+    the first missing entry or gives the table those cells allow.
     """
+    return X._as_names(_act(alpha, X), alpha.cod_dim, alpha.dom_dim)
+
+
+def _act(alpha, X):
+    """``act`` as X stores a table: a tuple of level-n positions in
+    level-m order, or the dict of names that composing by name gives."""
     n, m = alpha.dom_dim, alpha.cod_dim
     if m > X.truncation or n > X.truncation:
         raise InputError(
             f"act needs levels {n} and {m} within truncation {X.truncation}")
     cofaces, codegens = epi_mono_factorize(alpha)
-    if not cofaces and not codegens:
-        return {c: c for c in X.level(m)}
     try:
         steps = list(X.generator_maps(m, cofaces, codegens))
-        table = None
-        for step, k in reversed(steps):
-            cells = X.level(k)
-            images = map(step.__getitem__, cells)
-            if table is not None:
-                images = map(table.__getitem__, images)
-            table = dict(zip(cells, images))
+    except InputError:
+        steps = None
+    if steps is not None and all(isinstance(s, tuple) for s, _ in steps):
+        if not steps:
+            return tuple(range(len(X.level(m))))
+        table = steps[-1][0]
+        for step, _ in reversed(steps[:-1]):
+            table = tuple(map(table.__getitem__, step))
         return table
-    except (InputError, KeyError):
-        pass
     table = {c: c for c in X.level(m)}
     try:
-        for step, _ in X.generator_maps(m, cofaces, codegens):
+        for s, (step, k) in enumerate(
+                X.generator_maps(m, cofaces, codegens)):
+            step = X._as_names(step, k, k - 1 if s < len(cofaces) else k + 1)
             table = {c: step[v] for c, v in table.items()}
     except KeyError as exc:
         raise InputError(
@@ -369,43 +452,82 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     return table
 
 
-class Pullback:
-    """A strict pullback of two tables f and g with a common codomain.
+def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
+    """``act`` as a tuple of level-n positions in level-m order.
 
-    Its elements are the pairs (a, b) with f[a] == g[b], in the
-    insertion order of f and then g.  Nothing is enumerated up front:
-    iterating runs a hash join over g bucketed by value, and ``pairs``
-    keeps that enumeration on first use.  ``size()`` multiplies value counts
-    and ``in`` compares the two legs, so neither enumerates a pair.
-    Two pullbacks are equal when their ``pairs`` are.
+    Where the tables compose only by name, an image v that is not a
+    cell of level n is kept as (v,), which no position equals and which
+    the checks can name.
+    """
+    table = _act(alpha, X)
+    if isinstance(table, dict):
+        where = X._index[alpha.dom_dim]
+        return tuple(where[v] if v in where else (v,)
+                     for v in table.values())
+    return table
+
+
+class Pullback:
+    """A strict pullback of two legs f: A -> C and g: B -> C.
+
+    Its elements are the pairs (a, b) with f[a] == g[b], in the order of
+    A and then B.  The legs are kept as tuples of positions in C, one
+    per element of A and of B in order, and ``left`` and ``right`` name
+    those elements; ``Pullback(f, g)`` numbers the values of two dicts.
+    Nothing is enumerated up front: ``positions()`` runs a hash join
+    over g bucketed by value and yields the pairs as positions,
+    iterating yields them by name, and ``pairs`` keeps that enumeration
+    on first use.  ``size()`` multiplies value counts and ``in``
+    compares the two legs, so neither enumerates a pair.  Two pullbacks
+    are equal when their ``pairs`` are.
     """
 
     def __init__(self, f: dict, g: dict):
-        self.f = f
-        self.g = g
+        numbers = {}
 
-    def __iter__(self):
+        def number(v):
+            return numbers.setdefault(v, len(numbers))
+
+        self.f = tuple(map(number, f.values()))
+        self.g = tuple(map(number, g.values()))
+        self.left, self.right = tuple(f), tuple(g)
+
+    @classmethod
+    def of_positions(cls, f, g, left, right) -> Pullback:
+        """The pullback of position legs f and g; ``left`` and ``right``
+        name the elements of their domains."""
+        P = cls.__new__(cls)
+        P.f, P.g, P.left, P.right = f, g, left, right
+        return P
+
+    def positions(self):
         fibers = {}
-        for b, v in self.g.items():
+        for b, v in enumerate(self.g):
             fibers.setdefault(v, []).append(b)
-        for a, v in self.f.items():
+        for a, v in enumerate(self.f):
             for b in fibers.get(v, ()):
                 yield a, b
+
+    def __iter__(self):
+        left, right = self.left, self.right
+        for a, b in self.positions():
+            yield left[a], right[b]
 
     @cached_property
     def pairs(self) -> tuple:
         return tuple(self)
 
     def size(self) -> int:
-        counts = Counter(self.g.values())
-        return sum(k * counts[v] for v, k in Counter(self.f.values()).items())
+        counts = Counter(self.g)
+        return sum(k * counts[v] for v, k in Counter(self.f).items())
 
     def __contains__(self, pair) -> bool:
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return False
         a, b = pair
-        f, g = self.f, self.g
-        return a in f and b in g and f[a] == g[b]
+        left, right = self.left, self.right
+        return a in left and b in right and \
+            self.f[left.index(a)] == self.g[right.index(b)]
 
     def __eq__(self, other):
         if not isinstance(other, Pullback):
@@ -454,16 +576,20 @@ def edgewise(X: TruncatedSSet) -> TruncatedSSet:
     """The edgewise subdivision: level n is X's level 2n+1.
 
     The result is truncated at floor((truncation - 1) / 2); structure
-    tables are X acted by the subdivided generators.
+    tables are X acted by the subdivided generators, kept as positions
+    in X's levels.
     """
-    return subdivide(X, act)
+    return subdivide(X, _act)
 
 
 def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
-    """The reversed simplicial set: structure index i becomes n - i."""
-    face = {(n, i): X.face_map(n, n - i)
+    """The reversed simplicial set: structure index i becomes n - i.
+
+    It has X's levels and shares X's tables.
+    """
+    face = {(n, i): X._map("face", n, n - i)
             for n in range(1, X.truncation + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): X.degeneracy_map(n, n - i)
+    degeneracy = {(n, i): X._map("degeneracy", n, n - i)
                   for n in range(X.truncation) for i in range(n + 1)}
     return TruncatedSSet(X.truncation, X.levels, face, degeneracy,
                          name=f"rev({X.name})" if X.name else "rev")
@@ -602,6 +728,9 @@ def iso_search(X: TruncatedSSet, Y: TruncatedSSet,
     for n in range(1, N + 1):
         order += [(n, c) for c in X.level(n)]
 
+    # name tables are built on each read: keep those the search reads
+    xface, ydegeneracy = cache(X.face_map), cache(Y.degeneracy_map)
+
     # target index: face tuple -> candidates, per level
     yface = {}
     for n in range(1, N + 1):
@@ -627,12 +756,12 @@ def iso_search(X: TruncatedSSet, Y: TruncatedSSet,
         if c in forced_by:
             i, w = forced_by[c]
             if w in assign:
-                return [Y.degeneracy_map(n - 1, i)[assign[w]]]
+                return [ydegeneracy(n - 1, i)[assign[w]]]
         if n == 0:
             sig = xsig[c]
             return [v for v in sorted(Y.level(0), key=lambda v: (ysig[v], v))
                     if ysig[v] == sig]
-        key = tuple(assign[X.face_map(n, i)[c]] for i in range(n + 1))
+        key = tuple(assign[xface(n, i)[c]] for i in range(n + 1))
         return yface[n].get(key, [])
 
     def extend(pos):

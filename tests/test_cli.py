@@ -322,3 +322,28 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "segal", "x.json", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind, key, message", [
+    ("face", "7,0", "face index '7,0' out of range"),
+    ("face", "1,5", "face index '1,5' out of range"),
+    ("degeneracy", "-1,0", "degeneracy index '-1,0' out of range"),
+    ("face", "01,0", "bad face index key '01,0'"),
+])
+def test_sset_table_keys_out_of_range_or_not_canonical_exit_two(
+        tmp_path, capsys, kind, key, message):
+    doc = json.loads(io.save_sset(nerve(chain_poset(1), 2)))
+    doc[kind][key] = dict(doc[kind]["1,0"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sgpd_table_key_not_canonical_exits_two(tmp_path, capsys):
+    doc = _sgpd1_doc()
+    doc["face"]["01,0"] = doc["face"]["1,0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert "bad face index key '01,0'" in capsys.readouterr().err

@@ -231,3 +231,29 @@ def test_write_text_round_trip_and_overwrite(tmp_path):
     assert target.read_text() == "second\n"
     leftovers = [p for p in os.listdir(tmp_path) if p != "out.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("face", "7,0"), ("face", "1,5"), ("face", "0,0"),
+    ("degeneracy", "-1,0"), ("degeneracy", "2,0")])
+def test_sset_table_index_range_checked(kind, key):
+    doc = json.loads(io.save_sset(nerve(chain_poset(1), 2)))
+    doc[kind][key] = {}
+    with pytest.raises(InputError) as exc:
+        io.load_sset(json.dumps(doc))
+    assert str(exc.value) == f"{kind} index {key!r} out of range"
+
+
+@pytest.mark.parametrize("key", ["01,0", " 1,0", "1, 0", "+1,0"])
+def test_index_keys_must_be_canonical(key):
+    # another spelling of "1,0" would silently replace that table
+    doc = json.loads(io.save_sset(nerve(chain_poset(1), 2)))
+    doc["face"][key] = doc["face"]["1,1"]
+    with pytest.raises(InputError) as exc:
+        io.load_sset(json.dumps(doc))
+    assert str(exc.value) == f"bad face index key {key!r}"
+    doc = json.loads(io.save_sgpd(discrete_sgpd(standard_simplex(1, 1))))
+    doc["face"][key] = doc["face"]["1,1"]
+    with pytest.raises(InputError) as exc:
+        io.load_sgpd(json.dumps(doc))
+    assert str(exc.value) == f"bad face index key {key!r}"
