@@ -56,12 +56,11 @@ class Comparison:
     """A comparison table into a strict pullback, with its verdict.
 
     The table sends the domain cell at position x to the pair
-    (outer[x], inner[x]) of positions in the pullback's legs (a value
-    v that is not a cell is kept as (v,)); ``table`` gives it by name,
-    built on first use.  ``witness`` is ``("collision", (x, y))`` for
-    two domain cells with the same image, ``("uncovered", pair)`` for a
-    pullback element with empty preimage, or None when the table is a
-    bijection.
+    (outer[x], inner[x]) of positions in the domains of the pullback's
+    legs; ``table`` gives it by name, built on first use.  ``witness``
+    is ``("collision", (x, y))`` for two domain cells with the same
+    image, ``("uncovered", pair)`` for a pullback element with empty
+    preimage, or None when the table is a bijection.
     """
 
     kind: str
@@ -84,13 +83,9 @@ class Comparison:
     @cached_property
     def table(self) -> dict:
         P = self.pullback
-        return dict(zip(self.domain, zip(_named(P.left, self.outer),
-                                         _named(P.right, self.inner))))
-
-
-def _named(cells, positions):
-    """The cells at ``positions``; a value kept as (v,) is v."""
-    return [p[0] if isinstance(p, tuple) else cells[p] for p in positions]
+        return dict(zip(self.domain,
+                        zip(map(P.left.__getitem__, self.outer),
+                            map(P.right.__getitem__, self.inner))))
 
 
 def _compare(kind, indices, domain, outer, inner, pullback) -> Comparison:
@@ -105,11 +100,8 @@ def _compare(kind, indices, domain, outer, inner, pullback) -> Comparison:
     the first collision or else the first uncovered pair.
     """
     f, g = pullback.f, pullback.g
-    try:
-        agree = list(map(f.__getitem__, outer)) == \
-            list(map(g.__getitem__, inner))
-    except TypeError:       # a value kept as (v,) is not a cell
-        agree = False
+    agree = list(map(f.__getitem__, outer)) == \
+        list(map(g.__getitem__, inner))
     if agree and len(domain) == pullback.size() == len(set(
             map(add, map(mul, outer, repeat(len(g))), inner))):
         witness = None
@@ -128,7 +120,7 @@ def _scan(kind, indices, domain, outer, inner, pullback):
     collision = None
     for x, p in enumerate(zip(outer, inner)):
         a, b = p
-        if isinstance(a, tuple) or isinstance(b, tuple) or f[a] != g[b]:
+        if f[a] != g[b]:
             raise InputError(
                 f"{kind} comparison at {indices} leaves the pullback "
                 f"at cell {domain[x]!r}; input tables are not simplicial")
@@ -244,19 +236,11 @@ class Semantics:
 
 def _bijection(kind, indices, X, first, second, leg_first, leg_second,
                shared) -> Comparison:
-    """Set semantics: the table into the strict pullback of the legs.
-
-    Everything is positions; a leg value kept as (v,) lies outside the
-    shared level.
-    """
+    """Set semantics: the table into the strict pullback of the legs,
+    all of it on positions."""
     outer = act_positions(first, X)
     inner = act_positions(second, X)
     f, g = act_positions(leg_first, X), act_positions(leg_second, X)
-    for leg, side in ((f, "left"), (g, "right")):
-        if tuple in map(type, leg):
-            outside, = next(v for v in leg if isinstance(v, tuple))
-            raise InputError(
-                f"{side} table value {outside!r} outside the codomain")
     P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
                               X.level(leg_second.cod_dim))
     return _compare(kind, indices, X.level(first.cod_dim), outer, inner, P)
@@ -463,38 +447,20 @@ def _carry(count, path):
     return list(cells)
 
 
-def _follow(x, path):
-    """Position x carried through the tables of ``path``; a value kept
-    as (v,), not a cell, has no entry."""
-    for table in path:
-        if isinstance(x, tuple):
-            raise KeyError(x[0])
-        x = table[x]
-    return x
-
-
-def _first_failure(n, k, count, lhs, rhs):
+def _first_failure(count, lhs, rhs):
     """The first position below ``count`` whose two composites differ,
     or None.
 
     Each side lists paths of position tables, and its value at x is the
     tuple of x carried along each path.  Whole levels are compared
-    first; only when they differ are the positions followed one by one,
-    where reading an entry that a table lacks is an ``InputError``.
+    first; only when they differ is the first differing position sought.
     """
-    try:
-        if [_carry(count, p) for p in lhs] == [_carry(count, p) for p in rhs]:
-            return None
-    except TypeError:       # a value kept as (v,) read as a position
-        pass
-    try:
-        return next((x for x in range(count)
-                     if tuple(_follow(x, p) for p in lhs) !=
-                     tuple(_follow(x, p) for p in rhs)), None)
-    except KeyError as exc:
-        raise InputError(
-            f"retract ({n}, {k}) reads {exc} outside a structure table; "
-            f"input tables are not simplicial") from None
+    left = [_carry(count, p) for p in lhs]
+    right = [_carry(count, p) for p in rhs]
+    if left == right:
+        return None
+    return next(x for x, (a, b) in enumerate(zip(zip(*left), zip(*right)))
+                if a != b)
 
 
 def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
@@ -513,7 +479,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     down = act_positions(sec, X)       # level 2n-1 -> level n
     up = act_positions(ret, X)         # level n -> level 2n-1
     cells, big_cells = X.level(n), X.level(2 * n - 1)
-    identity = _first_failure(n, k, len(cells), [(up, down)], [()])
+    identity = _first_failure(len(cells), [(up, down)], [()])
 
     small = two_segal_map(X, n, 0, k)
     big = two_segal_map(X, 2 * n - 1, n - k, n + k - 1)
@@ -525,7 +491,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     up_inner = act_positions(
         induced_subset_map(ret, big_inc.inner, small_inc.inner), X)
     square_up = _first_failure(
-        n, k, len(cells), [(up, big.outer), (up, big.inner)],
+        len(cells), [(up, big.outer), (up, big.inner)],
         [(small.outer, up_outer), (small.inner, up_inner)])
 
     down_outer = act_positions(
@@ -533,7 +499,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     down_inner = act_positions(
         induced_subset_map(sec, small_inc.inner, big_inc.inner), X)
     square_down = _first_failure(
-        n, k, len(big_cells), [(down, small.outer), (down, small.inner)],
+        len(big_cells), [(down, small.outer), (down, small.inner)],
         [(big.outer, down_outer), (big.inner, down_inner)])
 
     witness = next(((name, level[x]) for name, x, level in (

@@ -224,6 +224,8 @@ def random_coskeletal_sset(num_vertices: int, num_edges: int,
     """
     if num_vertices < 1:
         raise InputError("need at least one vertex")
+    if num_edges < 0:
+        raise InputError("need a nonnegative number of extra edges")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(num_vertices))
     for attempt in range(tries):

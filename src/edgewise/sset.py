@@ -8,10 +8,11 @@ the image of the level's p-th cell.  Positions are the working form:
 are the interface: the constructor takes tables of names, and ``face``,
 ``degeneracy``, ``face_map`` and ``degeneracy_map`` read back name
 tables, decoded from positions when read.  A table that is not a total
-map from its level into the target level (input that ``validate``
-reports) is kept as the name table it was given.  All simplicial
-structure is tabulated; nothing is lazy, so validation and every
-downstream check are finite enumerations.
+map from its level into the target level does not define a simplicial
+set: it is kept as the name table it was given, so that ``validate``
+can report it, and ``act`` raises ``InputError`` when it reaches it.
+All simplicial structure is tabulated; nothing is lazy, so validation
+and every downstream check are finite enumerations.
 
 ``validate`` returns a list of violations instead of raising: invalid
 instances are data one can inspect, generate on purpose in tests, and
@@ -116,18 +117,18 @@ class SimplicialTables:
         return self._map("degeneracy", n, i)
 
     def generator_maps(self, m, cofaces, codegens):
-        """(stored map, level it reads) per generator, in the order they
-        apply.
+        """(stored map, (kind, level, index)) per generator, in the order
+        they apply.
 
         The generators are an epi-mono factorization of a map into [m];
         a generator's map is looked up when the iteration reaches it.
         """
         level = m
         for i in reversed(cofaces):
-            yield self._map("face", level, i), level
+            yield self._map("face", level, i), ("face", level, i)
             level -= 1
         for j in codegens:
-            yield self._map("degeneracy", level, j), level
+            yield self._map("degeneracy", level, j), ("degeneracy", level, j)
             level += 1
 
 
@@ -142,10 +143,12 @@ class TruncatedSSet(SimplicialTables):
     0 <= i <= n, each a dict from level-n cells to level-(n-1) cells, and
     ``degeneracy`` keyed by (n, i) with 0 <= n < truncation, each a dict
     from level-n cells to level-(n+1) cells.  It keeps each table as a
-    tuple of target positions in level order, or as the dict itself
-    when that is not a total map into the target level; it also takes
-    such position tuples in place of dicts.  ``face`` and ``degeneracy``
-    read the tables back as dicts of names, built on each read.
+    tuple of target positions in level order, and takes such position
+    tuples in place of dicts.  A dict that is not a total map into the
+    target level is kept as it is, for ``validate`` to report; ``act``
+    and the checks read only position tuples.  ``face`` and
+    ``degeneracy`` read the tables back as dicts of names, built on
+    each read.
     Treated as immutable after construction; derived objects are always
     newly built.
     """
@@ -407,63 +410,38 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     """The table of X applied to a monotone map, contravariantly.
 
     For alpha: [n] -> [m] the result maps level-m cells to level-n
-    cells, keyed in level order, by composing face and degeneracy
-    tables along the epi-mono factorization of alpha.  The composite is
-    built from the last generator back: each pass maps the position
-    tuple of its generator through the tuple composed so far, so the
-    cost is about the sum of the level sizes the generators read rather
-    than the number of generators times the size of level m.  When a
-    table on the way is not a position tuple (input that fails
-    ``validate``), the generators are applied in turn, by name, to the
-    cells reached from level m instead, which raises ``InputError`` for
-    the first missing entry or gives the table those cells allow.
+    cells, keyed in level order: ``act_positions`` decoded to names.
     """
-    return X._as_names(_act(alpha, X), alpha.cod_dim, alpha.dom_dim)
-
-
-def _act(alpha, X):
-    """``act`` as X stores a table: a tuple of level-n positions in
-    level-m order, or the dict of names that composing by name gives."""
-    n, m = alpha.dom_dim, alpha.cod_dim
-    if m > X.truncation or n > X.truncation:
-        raise InputError(
-            f"act needs levels {n} and {m} within truncation {X.truncation}")
-    cofaces, codegens = epi_mono_factorize(alpha)
-    try:
-        steps = list(X.generator_maps(m, cofaces, codegens))
-    except InputError:
-        steps = None
-    if steps is not None and all(isinstance(s, tuple) for s, _ in steps):
-        if not steps:
-            return tuple(range(len(X.level(m))))
-        table = steps[-1][0]
-        for step, _ in reversed(steps[:-1]):
-            table = tuple(map(table.__getitem__, step))
-        return table
-    table = {c: c for c in X.level(m)}
-    try:
-        for s, (step, k) in enumerate(
-                X.generator_maps(m, cofaces, codegens)):
-            step = X._as_names(step, k, k - 1 if s < len(cofaces) else k + 1)
-            table = {c: step[v] for c, v in table.items()}
-    except KeyError as exc:
-        raise InputError(
-            f"structure table of {X.name or 'sset'} lacks entry {exc}") from None
-    return table
+    return X._as_names(act_positions(alpha, X), alpha.cod_dim, alpha.dom_dim)
 
 
 def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     """``act`` as a tuple of level-n positions in level-m order.
 
-    Where the tables compose only by name, an image v that is not a
-    cell of level n is kept as (v,), which no position equals and which
-    the checks can name.
+    Face and degeneracy tables are composed along the epi-mono
+    factorization of alpha, from the last generator back: each pass
+    maps the position tuple of its generator through the tuple composed
+    so far, so the cost is about the sum of the level sizes the
+    generators read rather than the number of generators times the size
+    of level m.  A table on the way that is not a total map into its
+    target level (input that fails ``validate``) raises ``InputError``.
     """
-    table = _act(alpha, X)
-    if isinstance(table, dict):
-        where = X._index[alpha.dom_dim]
-        return tuple(where[v] if v in where else (v,)
-                     for v in table.values())
+    n, m = alpha.dom_dim, alpha.cod_dim
+    if m > X.truncation or n > X.truncation:
+        raise InputError(
+            f"act needs levels {n} and {m} within truncation {X.truncation}")
+    steps = []
+    for step, (kind, k, i) in X.generator_maps(m, *epi_mono_factorize(alpha)):
+        if not isinstance(step, tuple):
+            raise InputError(
+                f"{kind} table ({k}, {i}) is not a map from level {k} into "
+                f"level {k + _SHIFT[kind]}; input tables are not simplicial")
+        steps.append(step)
+    if not steps:
+        return tuple(range(len(X.level(m))))
+    table = steps.pop()
+    for step in reversed(steps):
+        table = tuple(map(table.__getitem__, step))
     return table
 
 
@@ -579,7 +557,7 @@ def edgewise(X: TruncatedSSet) -> TruncatedSSet:
     tables are X acted by the subdivided generators, kept as positions
     in X's levels.
     """
-    return subdivide(X, _act)
+    return subdivide(X, act_positions)
 
 
 def op_reverse(X: TruncatedSSet) -> TruncatedSSet:

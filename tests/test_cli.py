@@ -5,7 +5,8 @@ import json
 import pytest
 
 from edgewise import cli, io
-from edgewise.cat import bar, chain_poset, nerve, truncated_free_monoid
+from edgewise.cat import (bar, chain_poset, cyclic_monoid, nerve,
+                          truncated_free_monoid)
 from edgewise.checks import segal_check, theorem_verify
 from edgewise.groupoid import discrete_sgpd
 from edgewise.sset import edgewise, standard_simplex
@@ -225,6 +226,23 @@ def test_theorem_on_a_table_leaving_its_level_exits_two(tmp_path, capsys):
     assert "input tables are not simplicial" in capsys.readouterr().err
 
 
+def test_stray_key_is_refused_by_every_check(tmp_path, capsys):
+    doc = json.loads(io.save_sset(bar(cyclic_monoid(2), 5)))
+    doc["face"]["2,0"]["zz"] = "e"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(bad)]) == 1
+    assert "  [stray-entry] level 2, indices (0,), cell 'zz': face key " \
+        "is not a cell\n" in capsys.readouterr().out
+    out = tmp_path / "esd.json"
+    for argv in (["check", "segal", str(bad)], ["check", "2segal", str(bad)],
+                 ["check", "theorem", str(bad)],
+                 ["esd", str(bad), "-o", str(out)]):
+        assert cli.main(argv) == 2
+        assert "input tables are not simplicial" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_machine_output(tri_file, capsys):
     assert cli.main(["validate", tri_file, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -282,7 +300,11 @@ def test_gen_coskeletal_and_bad_spec(tmp_path, capsys):
     assert cli.main(["gen", "coskeletal", "--spec", "2,2", "--seed", "4"]) == 2
     assert cli.main(["gen", "coskeletal", "--spec", "a,b,c",
                      "--seed", "4"]) == 2
-    capsys.readouterr()
+    negative = tmp_path / "negative.json"
+    assert cli.main(["gen", "coskeletal", "--spec", "2,-1,2",
+                     "-o", str(negative)]) == 2
+    assert "nonnegative number of extra edges" in capsys.readouterr().err
+    assert not negative.exists()
 
 
 def test_fuzz_budget_caps_count(capsys):
