@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import checks, corpus, draw, groupoid, io
 from .cat import bar, nerve, span_category, twisted_arrow, \
@@ -19,28 +18,26 @@ from .errors import GenerationError, InputError
 from .groupoid import validate_groupoid, validate_sgpd
 from .sset import edgewise, validate
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """What a single invocation was asked to do, echoed into reports."""
-
-    command: str
-    seed: int | None
-    budget_iso_nodes: int | None
-    budget_fuzz_count: int | None
-    fmt: str
-
-    def header(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "budgets": {
-                "iso-nodes": self.budget_iso_nodes,
-                "fuzz-count": self.budget_fuzz_count,
-            },
-        }
+# command -> (help, format read, build(loaded, args), format written).
+# A format f is read by io.load_f and written by io.save_f, looked up
+# on io when the command runs, so that a wrapper bound over io's
+# functions (as perfbench/layertrace.py binds one) sees the call.
+_TRANSFORMS = {
+    "esd": ("edgewise subdivision of a simplicial set file",
+            "sset", lambda X, args: edgewise(X), "sset"),
+    "nerve": ("nerve of a category file",
+              "category", lambda A, args: nerve(A, args.truncation), "sset"),
+    "tw": ("twisted arrow category of a category file",
+           "category", lambda A, args: twisted_arrow(A), "category"),
+    "bar": ("bar construction of a partial monoid file",
+            "partial_monoid", lambda M, args: bar(M, args.truncation),
+            "sset"),
+    "spans": ("span category of a partial monoid file",
+              "partial_monoid", lambda M, args: span_category(M),
+              "category"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,33 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("validate", parents=[common],
                        help="validate any known file format")
     q.add_argument("file")
+    q.set_defaults(run=_run_validate)
 
-    q = sub.add_parser("esd", parents=[common],
-                       help="edgewise subdivision of a simplicial set file")
-    q.add_argument("file")
-    q.add_argument("-o", "--output", default=None)
-
-    q = sub.add_parser("nerve", parents=[common],
-                       help="nerve of a category file")
-    q.add_argument("file")
-    q.add_argument("--truncation", type=int, required=True)
-    q.add_argument("-o", "--output", default=None)
-
-    q = sub.add_parser("tw", parents=[common],
-                       help="twisted arrow category of a category file")
-    q.add_argument("file")
-    q.add_argument("-o", "--output", default=None)
-
-    q = sub.add_parser("bar", parents=[common],
-                       help="bar construction of a partial monoid file")
-    q.add_argument("file")
-    q.add_argument("--truncation", type=int, required=True)
-    q.add_argument("-o", "--output", default=None)
-
-    q = sub.add_parser("spans", parents=[common],
-                       help="span category of a partial monoid file")
-    q.add_argument("file")
-    q.add_argument("-o", "--output", default=None)
+    for command, (help_text, *_) in _TRANSFORMS.items():
+        q = sub.add_parser(command, parents=[common], help=help_text)
+        q.add_argument("file")
+        if command in ("nerve", "bar"):
+            q.add_argument("--truncation", type=int, required=True)
+        q.add_argument("-o", "--output", default=None)
+        q.set_defaults(run=_run_transform)
 
     q = sub.add_parser("check", parents=[common],
                        help="run a checker on a simplicial set file")
@@ -98,8 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--reduced", action="store_true",
                    help="2segal only: restrict to the boundary index family")
+    q.set_defaults(run=_run_check)
 
     q = sub.add_parser("gen", help="generate a seeded instance")
+    q.set_defaults(run=_run_gen)
     gen_sub = q.add_subparsers(dest="what", required=True)
     g = gen_sub.add_parser("partial-monoid", parents=[common])
     g.add_argument("--size", type=int, required=True)
@@ -114,24 +95,37 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-card", type=int, required=True)
     q.add_argument("--truncation", type=int, required=True)
     q.add_argument("-o", "--output", default=None)
+    q.set_defaults(run=lambda args: _emit(io.save_sgpd(
+        groupoid.s_construction(args.max_card, args.truncation)),
+        args.output))
 
     q = sub.add_parser("fuzz", parents=[common],
                        help="randomized matched-verdict sweep")
     q.add_argument("--count", type=int, default=100)
+    q.set_defaults(run=_run_fuzz)
 
     q = sub.add_parser("draw", parents=[common],
                        help="graph-description diagram")
     q.add_argument("what", choices=("esd-simplex",))
     q.add_argument("k", type=int)
     q.add_argument("-o", "--output", default=None)
+    q.set_defaults(run=lambda args: _emit(draw.emit_diagram(args.k),
+                                          args.output))
     return p
 
 
-def _config(args) -> RunConfig:
-    command = args.command if not getattr(args, "what", None) \
-        else f"{args.command} {args.what}"
-    return RunConfig(command, args.seed, args.budget_iso_nodes,
-                     args.budget_fuzz_count, args.fmt)
+def _header(args) -> dict:
+    """What the invocation was asked to do, echoed into reports."""
+    command = f"{args.command} {args.what}" \
+        if getattr(args, "what", None) else args.command
+    return {
+        "command": command,
+        "seed": args.seed,
+        "budgets": {
+            "iso-nodes": args.budget_iso_nodes,
+            "fuzz-count": args.budget_fuzz_count,
+        },
+    }
 
 
 def _read(path: str) -> str:
@@ -142,11 +136,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None) -> int:
+    """Write ``text`` to ``output``, or to stdout without one; exit 0."""
     if output is None:
         sys.stdout.write(text)
     else:
         io.write_text(output, text)
+    return 0
 
 
 def _stem(path: str) -> str:
@@ -184,15 +180,14 @@ def _format_report_human(report, header, context=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_out(report, cfg: RunConfig, context=None) -> int:
-    header = cfg.header()
-    if context:
-        header = dict(header, context=context)
-    if cfg.fmt == "machine":
+def _report_out(report, args, context=None) -> int:
+    header = _header(args)
+    if args.fmt == "machine":
+        if context:
+            header = dict(header, context=context)
         sys.stdout.write(io.save_report(report, header=header))
     else:
-        sys.stdout.write(_format_report_human(report, cfg.header(),
-                                              context))
+        sys.stdout.write(_format_report_human(report, header, context))
     return 0 if report.overall == "pass" else 1
 
 
@@ -202,61 +197,44 @@ _VALIDATORS = {
     "groupoid": validate_groupoid,
     "partial_monoid": validate_partial_monoid,
     "sgpd": validate_sgpd,
+    "report": lambda report: [],
 }
 
 
 def _run_validate(args) -> int:
-    cfg = _config(args)
     kind, value = io.load_any(_read(args.file), name=_stem(args.file))
-    if kind == "report":
-        problems = []
-    else:
-        problems = _VALIDATORS[kind](value)
-    lines = _header_lines(cfg.header())
-    lines.append(f"format: {kind}")
-    lines.append(f"violations: {len(problems)}")
-    lines += [f"  {v}" for v in problems]
-    if cfg.fmt == "machine":
-        doc = {"header": cfg.header(), "format": kind,
+    problems = _VALIDATORS[kind](value)
+    header = _header(args)
+    if args.fmt == "machine":
+        doc = {"header": header, "format": kind,
                "violations": [str(v) for v in problems]}
         sys.stdout.write(io.canonical_json(doc))
     else:
+        lines = _header_lines(header)
+        lines.append(f"format: {kind}")
+        lines.append(f"violations: {len(problems)}")
+        lines += [f"  {v}" for v in problems]
         sys.stdout.write("\n".join(lines) + "\n")
     return 1 if problems else 0
 
 
 def _run_transform(args) -> int:
-    text = _read(args.file)
-    name = _stem(args.file)
-    if args.command == "esd":
-        X = io.load_sset(text, name=name)
-        out = io.save_sset(edgewise(X))
-    elif args.command == "nerve":
-        out = io.save_sset(nerve(io.load_category(text, name=name),
-                                 args.truncation))
-    elif args.command == "tw":
-        out = io.save_category(twisted_arrow(
-            io.load_category(text, name=name)))
-    elif args.command == "bar":
-        out = io.save_sset(bar(io.load_partial_monoid(text, name=name),
-                               args.truncation))
-    else:
-        out = io.save_category(span_category(
-            io.load_partial_monoid(text, name=name)))
-    _emit(out, args.output)
-    return 0
+    _, source, build, target = _TRANSFORMS[args.command]
+    loaded = getattr(io, f"load_{source}")(_read(args.file),
+                                           name=_stem(args.file))
+    return _emit(getattr(io, f"save_{target}")(build(loaded, args)),
+                 args.output)
 
 
 def _run_check(args) -> int:
     if args.reduced and args.what != "2segal":
         raise InputError("--reduced applies only to: check 2segal")
-    cfg = _config(args)
     X = io.load_sset(_read(args.file), name=_stem(args.file))
     if args.what == "segal":
-        return _report_out(checks.segal_check(X), cfg)
+        return _report_out(checks.segal_check(X), args)
     if args.what == "2segal":
         mode = "reduced" if args.reduced else "full"
-        return _report_out(checks.two_segal_check(X, mode), cfg)
+        return _report_out(checks.two_segal_check(X, mode), args)
     report = checks.theorem_verify(X)
     own = checks.segal_check(X)
     context = {
@@ -264,15 +242,14 @@ def _run_check(args) -> int:
         "own_segal_failures": [list(e.indices) for e in own.entries
                                if e.verdict != "pass"],
     }
-    return _report_out(report, cfg, context=context)
+    return _report_out(report, args, context=context)
 
 
 def _run_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.what == "partial-monoid":
         M = corpus.random_partial_monoid(args.size, seed)
-        _emit(io.save_partial_monoid(M), args.output)
-        return 0
+        return _emit(io.save_partial_monoid(M), args.output)
     parts = args.spec.split(",")
     if len(parts) != 3:
         raise InputError("--spec takes vertices,edges,truncation")
@@ -281,12 +258,10 @@ def _run_gen(args) -> int:
     except ValueError:
         raise InputError(f"bad --spec {args.spec!r}") from None
     X = corpus.random_coskeletal_sset(nv, ne, truncation, seed)
-    _emit(io.save_sset(X), args.output)
-    return 0
+    return _emit(io.save_sset(X), args.output)
 
 
 def _run_fuzz(args) -> int:
-    cfg = _config(args)
     seed = args.seed if args.seed is not None else 0
     count = args.count
     if args.budget_fuzz_count is not None:
@@ -301,11 +276,11 @@ def _run_fuzz(args) -> int:
         "violations": [list(v) for v in summary.violations],
         "partial_bar_level2_passes": summary.partial_bar_level2_passes,
     }
-    if cfg.fmt == "machine":
+    if args.fmt == "machine":
         sys.stdout.write(io.canonical_json(
-            {"header": cfg.header(), "fuzz": doc}))
+            {"header": _header(args), "fuzz": doc}))
     else:
-        lines = _header_lines(cfg.header())
+        lines = _header_lines(_header(args))
         lines += [f"{key}: {doc[key]}" for key in doc]
         sys.stdout.write("\n".join(lines) + "\n")
     return 1 if summary.violations else 0
@@ -324,27 +299,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_limits(args)
-        if args.command == "validate":
-            return _run_validate(args)
-        if args.command in ("esd", "nerve", "tw", "bar", "spans"):
-            return _run_transform(args)
-        if args.command == "check":
-            return _run_check(args)
-        if args.command == "gen":
-            return _run_gen(args)
-        if args.command == "sconstruction":
-            Y = groupoid.s_construction(args.max_card, args.truncation)
-            _emit(io.save_sgpd(Y), args.output)
-            return 0
-        if args.command == "fuzz":
-            return _run_fuzz(args)
-        if args.command == "draw":
-            _emit(draw.emit_diagram(args.k), args.output)
-            return 0
+        return args.run(args)
     except (InputError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -257,12 +257,13 @@ class CorpusInstance:
     origin: object = None
 
 
-def standard_corpus(nerve_truncation: int = 5, bar_truncation: int = 5,
-                    include_random: bool = True):
+def standard_corpus():
     """The fixed instance list the acceptance checks sweep over.
 
     At least twenty nerves, ten bar constructions, and twenty
     coskeletal controls; deterministic, including the random members.
+    Nerves are truncated at 5, or at 4 above six morphisms; bars at 5,
+    or at 7 for ``tfm1``.
     """
     out = []
 
@@ -276,25 +277,21 @@ def standard_corpus(nerve_truncation: int = 5, bar_truncation: int = 5,
                    product_category(chain_poset(1), chain_poset(1)),
                    twisted_arrow(chain_poset(1)),
                    twisted_arrow(monoid_category(cyclic_monoid(2)))]]
-    if include_random:
-        categories += [(f"{A.name}#s{seed}", A)
-                       for seed in range(1, 9)
-                       for A in [random_category(seed)]]
+    categories += [(f"{A.name}#s{seed}", A)
+                   for seed in range(1, 9)
+                   for A in [random_category(seed)]]
     for label, A in categories:
-        N = nerve_truncation if len(A.morphisms) <= 6 else \
-            min(nerve_truncation, 4)
+        N = 5 if len(A.morphisms) <= 6 else 4
         out.append(CorpusInstance("nerve", f"nerve({label},N={N})",
                                   nerve(A, N), A))
 
     monoids = [truncated_free_monoid(1), truncated_free_monoid(2),
                truncated_free_monoid(3), cyclic_monoid(2),
-               cyclic_monoid(3), idempotent_monoid()]
-    if include_random:
-        monoids += [random_partial_monoid(3, seed) for seed in (1, 2, 3)]
-        monoids += [random_partial_monoid(4, seed) for seed in (5, 8)]
+               cyclic_monoid(3), idempotent_monoid(),
+               *(random_partial_monoid(3, seed) for seed in (1, 2, 3)),
+               *(random_partial_monoid(4, seed) for seed in (5, 8))]
     for M in monoids:
-        N = max(bar_truncation, 7) if M.name == "tfm1" else \
-            min(bar_truncation, 5)
+        N = 7 if M.name == "tfm1" else 5
         out.append(CorpusInstance("bar", f"bar({M.name},N={N})",
                                   bar(M, N), M))
 
@@ -311,14 +308,13 @@ def standard_corpus(nerve_truncation: int = 5, bar_truncation: int = 5,
         out.append(CorpusInstance(
             "coskeletal", f"cosk({label},N={N})",
             coskeletal_from_graph(vs, es, N, name=f"cosk({label})")))
-    if include_random:
-        specs = [(2, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 4), (3, 3, 3),
-                 (2, 2, 3), (3, 4, 3), (1, 2, 3)]
-        seed = 11
-        for nv, ne, N in specs:
-            for _ in range(2):
-                out.append(CorpusInstance(
-                    "coskeletal", f"cosk(v{nv},e{ne},s{seed},N={N})",
-                    random_coskeletal_sset(nv, ne, N, seed)))
-                seed += 1
+    specs = [(2, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 4), (3, 3, 3),
+             (2, 2, 3), (3, 4, 3), (1, 2, 3)]
+    seed = 11
+    for nv, ne, N in specs:
+        for _ in range(2):
+            out.append(CorpusInstance(
+                "coskeletal", f"cosk(v{nv},e{ne},s{seed},N={N})",
+                random_coskeletal_sset(nv, ne, N, seed)))
+            seed += 1
     return out

@@ -9,8 +9,10 @@ are the interface: the constructor takes tables of names, and ``face``,
 ``degeneracy``, ``face_map`` and ``degeneracy_map`` read back name
 tables, decoded from positions when read.  A table that is not a total
 map from its level into the target level does not define a simplicial
-set: it is kept as the name table it was given, so that ``validate``
-can report it, and ``act`` raises ``InputError`` when it reaches it.
+set: a name table is kept as it was given, so that ``validate`` can
+report it, and ``act`` raises ``InputError`` when it reaches it; a
+position tuple that is not such a map, or a table of any other type,
+is refused by the constructor.
 All simplicial structure is tabulated; nothing is lazy, so validation
 and every downstream check are finite enumerations.
 
@@ -135,6 +137,12 @@ class SimplicialTables:
 _SHIFT = {"face": -1, "degeneracy": 1}
 
 
+def _not_a_map(kind, n, i):
+    return InputError(
+        f"{kind} table ({n}, {i}) is not a map from level {n} into "
+        f"level {n + _SHIFT[kind]}; input tables are not simplicial")
+
+
 class TruncatedSSet(SimplicialTables):
     """Finite simplicial data up to a truncation level.
 
@@ -144,7 +152,9 @@ class TruncatedSSet(SimplicialTables):
     ``degeneracy`` keyed by (n, i) with 0 <= n < truncation, each a dict
     from level-n cells to level-(n+1) cells.  It keeps each table as a
     tuple of target positions in level order, and takes such position
-    tuples in place of dicts.  A dict that is not a total map into the
+    tuples in place of dicts; a tuple must hold one in-range position
+    per level-n cell, and any table that is neither such a tuple nor a
+    dict raises ``InputError``.  A dict that is not a total map into the
     target level is kept as it is, for ``validate`` to report; ``act``
     and the checks read only position tuples.  ``face`` and
     ``degeneracy`` read the tables back as dicts of names, built on
@@ -174,24 +184,36 @@ class TruncatedSSet(SimplicialTables):
         self.name = name
         self._index = tuple(index)
         self._tables = {
-            kind: {(n, i): self._as_positions(t, n, n + _SHIFT[kind])
+            kind: {(n, i): self._as_positions(t, kind, n, i)
                    for (n, i), t in tables.items()}
             for kind, tables in (("face", face), ("degeneracy", degeneracy))}
 
-    def _as_positions(self, table, n, target):
-        """A name table as positions in level ``target``, in level-n order;
-        position tuples, and tables that are not total maps from level n
-        into level ``target``, are returned as they are."""
-        if not isinstance(table, Mapping) or \
-                not (0 <= n <= self.truncation and
-                     0 <= target <= self.truncation) or \
-                len(table) != len(self.levels[n]):
-            return table
+    def _as_positions(self, table, kind, n, i):
+        """A name table as positions in its target level, in level-n
+        order; a name table that is not a total map from level n into
+        that level is returned as it is.  A position tuple is returned
+        as it is when it holds one in-range position per level-n cell;
+        any other table raises ``InputError``."""
+        target = n + _SHIFT[kind]
+        in_range = 0 <= n <= self.truncation and \
+            0 <= target <= self.truncation
+        if isinstance(table, Mapping):
+            if not in_range or len(table) != len(self.levels[n]):
+                return table
+            try:
+                return tuple(map(self._index[target].__getitem__,
+                                 map(table.__getitem__, self.levels[n])))
+            except (KeyError, TypeError):
+                return table
         try:
-            return tuple(map(self._index[target].__getitem__,
-                             map(table.__getitem__, self.levels[n])))
-        except (KeyError, TypeError):
-            return table
+            if isinstance(table, tuple) and in_range and \
+                    len(table) == len(self.levels[n]) and \
+                    (not table or (min(table) >= 0 and
+                                   max(table) < len(self.levels[target]))):
+                return table
+        except TypeError:
+            pass
+        raise _not_a_map(kind, n, i)
 
     def _as_names(self, table, n, target):
         """A stored table as a dict of names (name tables as they are)."""
@@ -433,9 +455,7 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     steps = []
     for step, (kind, k, i) in X.generator_maps(m, *epi_mono_factorize(alpha)):
         if not isinstance(step, tuple):
-            raise InputError(
-                f"{kind} table ({k}, {i}) is not a map from level {k} into "
-                f"level {k + _SHIFT[kind]}; input tables are not simplicial")
+            raise _not_a_map(kind, k, i)
         steps.append(step)
     if not steps:
         return tuple(range(len(X.level(m))))
