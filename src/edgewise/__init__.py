@@ -13,8 +13,8 @@ from .delta import (SimplexMap, coface, codegeneracy, compose,
                     segal_inclusions, two_segal_inclusions)
 from .errors import GenerationError, InputError
 from .sset import (Pullback, SimplicialMap, TruncatedSSet, act, edgewise,
-                   edgewise_map, iso_check, iso_search, nondegenerate_cells,
-                   op_reverse, standard_simplex, strict_pullback, validate)
+                   edgewise_map, iso_check, nondegenerate_cells, op_reverse,
+                   standard_simplex, strict_pullback, validate)
 from .cat import (FinCategory, LawViolation, PartialMonoid, bar,
                   canonical_partial_iso, canonical_tw_iso, chain_poset,
                   cyclic_monoid, monoid_category, nerve, poset_category,
@@ -37,7 +37,7 @@ __all__ = [
     "two_segal_inclusions",
     "GenerationError", "InputError",
     "Pullback", "SimplicialMap", "TruncatedSSet", "act", "edgewise",
-    "edgewise_map", "iso_check", "iso_search", "nondegenerate_cells",
+    "edgewise_map", "iso_check", "nondegenerate_cells",
     "op_reverse", "standard_simplex", "strict_pullback", "validate",
     "FinCategory", "LawViolation", "PartialMonoid", "bar",
     "canonical_partial_iso", "canonical_tw_iso", "chain_poset",

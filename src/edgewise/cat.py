@@ -16,6 +16,7 @@ tables total.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,8 +73,11 @@ class FinCategory:
 
     ``compose`` is keyed by (g, f) pairs of morphism ids and must be
     defined exactly on composable pairs; ``validate_category`` reports
-    where that or any law fails.  The tables are immutable after
-    construction: ``hom`` reads an index of them built on first use.
+    where that or any law fails.  It may be a read-only ``Mapping``,
+    which is kept as given, so that composites can be computed on
+    lookup; any other table is copied into a dict.  The tables are
+    immutable after construction: ``hom`` reads an index of them built
+    on first use.
     """
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
@@ -89,7 +93,8 @@ class FinCategory:
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.identity = dict(identity)
-        self.compose = dict(compose)
+        self.compose = compose if isinstance(compose, Mapping) and \
+            not isinstance(compose, MutableMapping) else dict(compose)
         self.name = name
         obset, morset = set(self.objects), set(self.morphisms)
         for f in self.morphisms:

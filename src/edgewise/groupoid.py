@@ -10,6 +10,7 @@ pointed sets supplies the worked example.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
@@ -97,9 +98,15 @@ class Functor:
         return f"<functor {self.name or '?'}>"
 
 
-def functor_violations(F: Functor) -> list[LawViolation]:
+def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     """Totality, endpoint preservation, identities, and composition, then
-    the keys of either assignment that are not in the source."""
+    the keys of either assignment that are not in the source.
+
+    Composition is checked on ``composites``, source composites
+    ((g, f), h) in the order their violations are listed; by default
+    every item of ``F.source.compose``.  A caller that has shown some
+    of them preserved by other means passes the rest.
+    """
     out = []
     objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
@@ -131,7 +138,9 @@ def functor_violations(F: Functor) -> list[LawViolation]:
             out.append(LawViolation("identity-preservation", (a,), ""))
     # .get: an invalid source may compose or name non-morphisms
     image, composite = F.on_morphisms.get, F.target.compose.get
-    for (g, f), h in F.source.compose.items():
+    if composites is None:
+        composites = F.source.compose.items()
+    for (g, f), h in composites:
         expected = composite((image(g), image(f)))
         if expected != image(h):
             out.append(LawViolation("composition-preservation", (g, f),
@@ -217,7 +226,8 @@ class IsoComma:
     ``obj_data`` and ``mor_data`` recover the components, and so both
     projections, from the generated ids; morphism ids carry the source
     iso so that equal component pairs starting at different isos stay
-    distinct.
+    distinct.  The groupoid's ``compose`` is a read-only ``Mapping``:
+    each composite is computed when it is looked up.
     """
 
     groupoid: FinGroupoid
@@ -233,12 +243,75 @@ class IsoComma:
         return f"{p}&{q}&{gamma}"
 
 
+class _IsoCommaCompose(Mapping):
+    """The compose table of an iso-comma groupoid, read-only and lazy.
+
+    (p2, q2, γ2) after (p1, q1, γ1) is (p2∘p1, q2∘q1, γ1), composed in
+    the legs' sources.  A key that is not a composable pair of
+    morphisms is missing; a composable pair whose components have no
+    composite there raises ``InputError``.  Iterating lists each m1 in
+    morphism order, then each m2 leaving its target, and ``len`` counts
+    those pairs without listing them.
+    """
+
+    def __init__(self, morphisms, mor_data, src, tgt, by_signature,
+                 first_compose, second_compose):
+        self._morphisms, self._mor_data = morphisms, mor_data
+        self._src, self._tgt = src, tgt
+        self._by_signature = by_signature
+        self._first, self._second = first_compose, second_compose
+        self._by_src_obj = {}
+        for m in morphisms:
+            self._by_src_obj.setdefault(src[m], []).append(m)
+
+    def __getitem__(self, key):
+        composite = self.get(key)
+        if composite is None:
+            raise KeyError(key)
+        return composite
+
+    def get(self, key, default=None):
+        try:
+            m2, m1 = key
+            p2, q2, _ = self._mor_data[m2]
+            p1, q1, _ = self._mor_data[m1]
+        except (KeyError, TypeError, ValueError):
+            return default
+        if self._src[m2] != self._tgt[m1]:
+            return default
+        try:
+            return self._by_signature[(self._first[(p2, p1)],
+                                       self._second[(q2, q1)],
+                                       self._src[m1])]
+        except KeyError:
+            raise InputError(f"iso-comma composite of {key!r} is undefined "
+                             "in the sources of its legs") from None
+
+    def __contains__(self, key):
+        try:
+            m2, m1 = key
+            return self._src[m2] == self._tgt[m1]
+        except (KeyError, TypeError, ValueError):
+            return False
+
+    def __iter__(self):
+        tgt, by_src_obj = self._tgt, self._by_src_obj
+        for m1 in self._morphisms:
+            for m2 in by_src_obj.get(tgt[m1], ()):
+                yield m2, m1
+
+    def __len__(self):
+        tgt, by_src_obj = self._tgt, self._by_src_obj
+        return sum(len(by_src_obj.get(tgt[m1], ())) for m1 in self._morphisms)
+
+
 def iso_comma(F: Functor, G: Functor) -> IsoComma:
     """Homotopy pullback of F and G: match objects up to a chosen iso.
 
     The common codomain must be a groupoid; a morphism is then any pair
     of source morphisms, the companion iso at the target being solved
-    uniquely by conjugation.
+    uniquely by conjugation.  Objects, morphisms, identities and
+    inverses are listed; composites are computed on lookup.
     """
     C = F.target
     if G.target is not C and G.target != C:
@@ -290,26 +363,16 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     for oid, (a, b, gamma) in obj_data.items():
         identity[oid] = by_signature[(F.source.identity[a],
                                       G.source.identity[b], oid)]
-    by_src_obj = {}
-    for mid in morphisms:
-        by_src_obj.setdefault(src[mid], []).append(mid)
-    compose = {}
-    F_compose, G_compose = F.source.compose, G.source.compose
-    for m1 in morphisms:
-        p1, q1, _ = mor_data[m1]
-        o1 = src[m1]
-        for m2 in by_src_obj.get(tgt[m1], ()):
-            p2, q2, _ = mor_data[m2]
-            compose[(m2, m1)] = by_signature[
-                (F_compose[(p2, p1)], G_compose[(q2, q1)], o1)]
     inverse = {}
     for mid in morphisms:
         p, q, _ = mor_data[mid]
         inverse[mid] = by_signature[(F.source.inverse[p],
                                      G.source.inverse[q], tgt[mid])]
-    H = FinGroupoid(tuple(objects), tuple(morphisms), src, tgt, identity,
-                    compose, name=f"({F.name})x^h({G.name})",
-                    inverse=inverse)
+    morphisms = tuple(morphisms)
+    compose = _IsoCommaCompose(morphisms, mor_data, src, tgt, by_signature,
+                              F.source.compose, G.source.compose)
+    H = FinGroupoid(tuple(objects), morphisms, src, tgt, identity, compose,
+                    name=f"({F.name})x^h({G.name})", inverse=inverse)
     return IsoComma(H, obj_data, mor_data)
 
 
@@ -479,11 +542,40 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
         on_morphisms[f] = IC.mor_id(p, q, gamma)
     H = Functor(A, IC.groupoid, on_objects, on_morphisms,
                 name=f"{kind}{indices}")
-    bad = functor_violations(H)
+    bad = functor_violations(H, _open_composites(
+        H, IC, leg_first.source.compose, leg_second.source.compose))
     if bad:
         raise InputError(f"comparison is not a functor: {bad[0]}")
     verdict, witness = equivalence_verdict(H)
     return SgpdComparison(kind, tuple(indices), H, IC, verdict, witness)
+
+
+def _open_composites(H, IC, P, Q):
+    """The composites ((g, f), h) of H's source, in order, that H's
+    components do not show preserved.
+
+    H(g)∘H(f) is H(h) in the iso-comma when H(g) starts where H(f)
+    ends, H(h) starts where H(f) does, and the components compose in
+    the legs' sources: p(g)∘p(f) = p(h) in P and q(g)∘q(f) = q(h) in Q.
+    Only the composites that fail this are left to a lookup.
+    """
+    mor_data, src, tgt = IC.mor_data, IC.groupoid.src, IC.groupoid.tgt
+    ends = {}
+    for f, m in H.on_morphisms.items():
+        if m in mor_data:
+            p, q, _ = mor_data[m]
+            ends[f] = (p, q, src[m], tgt[m])
+    P, Q = P.get, Q.get
+    for (g, f), h in H.source.compose.items():
+        try:
+            pg, qg, sg, _ = ends[g]
+            pf, qf, sf, tf = ends[f]
+            ph, qh, sh, _ = ends[h]
+        except KeyError:
+            yield (g, f), h
+            continue
+        if sg != tf or sh != sf or P((pg, pf)) != ph or Q((qg, qf)) != qh:
+            yield (g, f), h
 
 
 GROUPOID = Semantics("groupoid", _equivalence)

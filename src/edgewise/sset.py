@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .delta import (
     SimplexMap,
@@ -59,8 +59,6 @@ __all__ = [
     "simplicial_map_violations",
     "iso_check",
     "edgewise_map",
-    "IsoSearchResult",
-    "iso_search",
 ]
 
 
@@ -152,9 +150,9 @@ class TruncatedSSet(SimplicialTables):
     ``degeneracy`` keyed by (n, i) with 0 <= n < truncation, each a dict
     from level-n cells to level-(n+1) cells.  It keeps each table as a
     tuple of target positions in level order, and takes such position
-    tuples in place of dicts; a tuple must hold one in-range position
-    per level-n cell, and any table that is neither such a tuple nor a
-    dict raises ``InputError``.  A dict that is not a total map into the
+    tuples in place of dicts; a tuple must hold one in-range ``int``
+    position per level-n cell, and any table that is neither such a
+    tuple nor a dict raises ``InputError``.  A dict that is not a total map into the
     target level is kept as it is, for ``validate`` to report; ``act``
     and the checks read only position tuples.  ``face`` and
     ``degeneracy`` read the tables back as dicts of names, built on
@@ -192,8 +190,9 @@ class TruncatedSSet(SimplicialTables):
         """A name table as positions in its target level, in level-n
         order; a name table that is not a total map from level n into
         that level is returned as it is.  A position tuple is returned
-        as it is when it holds one in-range position per level-n cell;
-        any other table raises ``InputError``."""
+        as it is when it holds one in-range position per level-n cell,
+        each of type ``int`` exactly (so no ``bool`` or ``float``); any
+        other table raises ``InputError``."""
         target = n + _SHIFT[kind]
         in_range = 0 <= n <= self.truncation and \
             0 <= target <= self.truncation
@@ -205,14 +204,12 @@ class TruncatedSSet(SimplicialTables):
                                  map(table.__getitem__, self.levels[n])))
             except (KeyError, TypeError):
                 return table
-        try:
-            if isinstance(table, tuple) and in_range and \
-                    len(table) == len(self.levels[n]) and \
-                    (not table or (min(table) >= 0 and
-                                   max(table) < len(self.levels[target]))):
-                return table
-        except TypeError:
-            pass
+        if isinstance(table, tuple) and in_range and \
+                len(table) == len(self.levels[n]) and \
+                set(map(type, table)) <= {int} and \
+                (not table or (min(table) >= 0 and
+                               max(table) < len(self.levels[target]))):
+            return table
         raise _not_a_map(kind, n, i)
 
     def _as_names(self, table, n, target):
@@ -678,122 +675,3 @@ def edgewise_map(f: SimplicialMap) -> SimplicialMap:
                   for n in range(src.truncation + 1))
     return SimplicialMap(src, tgt, comps,
                          name=f"esd({f.name})" if f.name else "")
-
-
-@dataclass
-class IsoSearchResult:
-    """Outcome of a bounded isomorphism search.
-
-    ``status`` is "found", "none", or "inconclusive"; the last means the
-    node budget ran out before the search space was exhausted, which is
-    not evidence either way.
-    """
-
-    status: str
-    mapping: SimplicialMap | None
-    nodes: int
-
-
-def _vertex_signature(X, v):
-    if X.truncation < 1:
-        return (0, 0)
-    d0 = X.face_map(1, 0)
-    d1 = X.face_map(1, 1)
-    outs = sum(1 for e in X.level(1) if d1[e] == v)
-    ins = sum(1 for e in X.level(1) if d0[e] == v)
-    return (outs, ins)
-
-
-def iso_search(X: TruncatedSSet, Y: TruncatedSSet,
-               budget: int = 20000) -> IsoSearchResult:
-    """Backtracking search for a simplicial isomorphism X -> Y.
-
-    Candidates are ordered by vertex degree signatures and face
-    compatibility; every attempted assignment costs one node of budget.
-    """
-    nodes = 0
-    if X.truncation != Y.truncation or X.level_sizes() != Y.level_sizes():
-        return IsoSearchResult("none", None, nodes)
-    N = X.truncation
-
-    xsig = {v: _vertex_signature(X, v) for v in X.level(0)}
-    ysig = {v: _vertex_signature(Y, v) for v in Y.level(0)}
-    if sorted(xsig.values()) != sorted(ysig.values()):
-        return IsoSearchResult("none", None, nodes)
-
-    # fixed processing order: level 0 by signature, higher levels as stored
-    order = [(0, v) for v in sorted(X.level(0), key=lambda v: (xsig[v], v))]
-    for n in range(1, N + 1):
-        order += [(n, c) for c in X.level(n)]
-
-    # name tables are built on each read: keep those the search reads
-    xface, ydegeneracy = cache(X.face_map), cache(Y.degeneracy_map)
-
-    # target index: face tuple -> candidates, per level
-    yface = {}
-    for n in range(1, N + 1):
-        idx = {}
-        maps = [Y.face_map(n, i) for i in range(n + 1)]
-        for c in Y.level(n):
-            key = tuple(m[c] for m in maps)
-            idx.setdefault(key, []).append(c)
-        yface[n] = idx
-
-    # forced images: a degenerate cell maps wherever its witness goes
-    forced_by = {}
-    for n in range(1, N + 1):
-        for i in range(n):
-            table = X.degeneracy_map(n - 1, i)
-            for w in X.level(n - 1):
-                forced_by.setdefault(table[w], (i, w))
-
-    assign = {}
-    used = [set() for _ in range(N + 1)]
-
-    def candidates(n, c):
-        if c in forced_by:
-            i, w = forced_by[c]
-            if w in assign:
-                return [ydegeneracy(n - 1, i)[assign[w]]]
-        if n == 0:
-            sig = xsig[c]
-            return [v for v in sorted(Y.level(0), key=lambda v: (ysig[v], v))
-                    if ysig[v] == sig]
-        key = tuple(assign[xface(n, i)[c]] for i in range(n + 1))
-        return yface[n].get(key, [])
-
-    def extend(pos):
-        nonlocal nodes
-        if pos == len(order):
-            return True
-        n, c = order[pos]
-        for y in candidates(n, c):
-            if y in used[n]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetOut
-            assign[c] = y
-            used[n].add(y)
-            if extend(pos + 1):
-                return True
-            del assign[c]
-            used[n].remove(y)
-        return False
-
-    try:
-        found = extend(0)
-    except _BudgetOut:
-        return IsoSearchResult("inconclusive", None, nodes)
-    if not found:
-        return IsoSearchResult("none", None, nodes)
-    comps = tuple({c: assign[c] for c in X.level(n)} for n in range(N + 1))
-    mapping = SimplicialMap(X, Y, comps, name="iso-search")
-    if iso_check(mapping):
-        # the search invariants should prevent this; treat as no result
-        return IsoSearchResult("none", None, nodes)
-    return IsoSearchResult("found", mapping, nodes)
-
-
-class _BudgetOut(Exception):
-    pass

@@ -1,28 +1,34 @@
 """Indexed hom-sets and grouped joins in the groupoid tier.
 
 ``FinCategory.hom`` reads a (src, tgt) index, ``iso_comma`` pairs
-morphisms only across matched source objects, ``_level_groupoid``
-enumerates only commuting families and composes only morphisms that
-meet, and ``validate_category`` walks only composable strings.  Each is
-compared here with the plain nested-loop build it replaces, order
-included, and the S-construction outputs are pinned byte for byte.
+morphisms only across matched source objects and computes composites
+on lookup, ``_level_groupoid`` enumerates only commuting families and
+composes only morphisms that meet, the comparison functors' composites
+are checked on their components, and ``validate_category`` walks only
+composable strings.  Each is compared here with the plain nested-loop
+build it replaces, order included, and the S-construction outputs are
+pinned byte for byte.
 """
 
 import dataclasses
 import hashlib
+import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgewise import io
+from edgewise import groupoid, io
 from edgewise.cat import FinCategory, LawViolation, validate_category
 from edgewise.corpus import random_category
+from edgewise.errors import InputError
 from edgewise.groupoid import (FinGroupoid, Functor, IsoComma, esd_gpd,
                                groupoid_equivalence, iso_classes, iso_comma,
                                s_construction, sgpd_beta_gamma_equality,
                                sgpd_segal_check, sgpd_segal_map,
-                               sgpd_two_segal_check)
+                               sgpd_two_segal_check, sgpd_two_segal_map,
+                               validate_groupoid)
 from edgewise.groupoid import _level_groupoid
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True)
@@ -118,6 +124,16 @@ def _face_pairs(Y, n):
             for i in range(n + 1) for j in range(n + 1)]
 
 
+def _off_table_keys(morphisms, src, tgt):
+    """Keys a compose table must not hold: pairs that do not compose,
+    pairs naming a non-morphism, and keys that are not pairs."""
+    m = morphisms[0]
+    apart = [(g, f) for f in morphisms[:8] for g in morphisms
+             if src[g] != tgt[f]][:50]
+    return apart + [(m, "nowhere"), ("nowhere", m), (m,), (m, m, m), m,
+                    None, ()]
+
+
 def _assert_iso_comma_is_reference(F, G):
     IC = iso_comma(F, G)
     objects, morphisms, src, tgt, identity, compose, inverse, \
@@ -127,14 +143,52 @@ def _assert_iso_comma_is_reference(F, G):
         list(identity.items()), list(compose.items()), list(inverse.items()))
     assert list(IC.obj_data.items()) == list(obj_data.items())
     assert list(IC.mor_data.items()) == list(mor_data.items())
+    lazy = IC.groupoid.compose
+    assert len(lazy) == len(compose)
+    assert all(key in lazy for key in compose)
+    for key in _off_table_keys(morphisms, src, tgt):
+        assert (key in lazy) is False
+        assert lazy.get(key) is None
+        assert lazy.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            lazy[key]
+    assert validate_groupoid(IC.groupoid) == []
     return IC
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_iso_comma_equals_nested_loop_build(S3, n):
-    # level 3 is left out: one of its iso-commas has ~10^7 composites
+    # level 3 is checked without enumerating: see the test below
     for F, G in _face_pairs(S3, n):
         _assert_iso_comma_is_reference(F, G)
+
+
+def test_iso_comma_composites_at_level_three_by_conjugation(S3):
+    """Level 3 has ~10^7 composites in one iso-comma, so its table is
+    sized from the morphisms' endpoints and sampled at seeded pairs."""
+    rng = random.Random(3)
+    for F, G in _face_pairs(S3, 3):
+        IC = iso_comma(F, G)
+        H = IC.groupoid
+        leaving = Counter(H.src.values())
+        assert len(H.compose) == sum(leaving[H.tgt[m]] for m in H.morphisms)
+        starts = {}
+        for m in H.morphisms:
+            starts.setdefault(H.src[m], []).append(m)
+        for m1 in rng.sample(H.morphisms, 40):
+            m2 = rng.choice(starts[H.tgt[m1]])
+            p1, q1, gamma1 = IC.mor_data[m1]
+            p2, q2, _ = IC.mor_data[m2]
+            # the composite starts at m1's iso and conjugates to m2's end
+            expected = IC.mor_id(F.source.compose[(p2, p1)],
+                                 G.source.compose[(q2, q1)], gamma1)
+            assert (m2, m1) in H.compose
+            assert H.compose[(m2, m1)] == expected
+            assert H.src[expected] == H.src[m1]
+            assert H.tgt[expected] == H.tgt[m2]
+            other = rng.choice(H.morphisms)
+            if H.src[other] != H.tgt[m1]:
+                assert H.compose.get((other, m1)) is None
 
 
 def test_iso_comma_skips_unmatched_sources():
@@ -150,9 +204,10 @@ def test_iso_comma_skips_unmatched_sources():
     assert H.morphisms == ("ix&ix&ix", "iy&iy&iy")
 
 
-def test_iso_comma_keeps_morphism_order_across_sources():
-    # morphisms listed with their sources interleaved: x, y, x, y
-    pair = FinGroupoid(
+def _pair_groupoid():
+    """Two objects swapped by u and v = u^-1, listed with their sources
+    interleaved: x, y, x, y."""
+    return FinGroupoid(
         ("x", "y"), ("ix", "iy", "u", "v"),
         {"ix": "x", "iy": "y", "u": "x", "v": "y"},
         {"ix": "x", "iy": "y", "u": "y", "v": "x"},
@@ -161,12 +216,33 @@ def test_iso_comma_keeps_morphism_order_across_sources():
          ("iy", "u"): "u", ("v", "iy"): "v", ("ix", "v"): "v",
          ("v", "u"): "ix", ("u", "v"): "iy"},
         name="pair", inverse={"ix": "ix", "iy": "iy", "u": "v", "v": "u"})
+
+
+def test_iso_comma_keeps_morphism_order_across_sources():
+    pair = _pair_groupoid()
     ident = Functor(pair, pair, {"x": "x", "y": "y"},
                     {f: f for f in pair.morphisms}, name="id")
     H = _assert_iso_comma_is_reference(ident, ident).groupoid
     # p = ix meets every q, in morphism order, not grouped by source
     assert [m.split("&")[1] for m in H.morphisms[:4]] == \
         ["ix", "iy", "u", "v"]
+
+
+def test_iso_comma_composite_missing_from_a_leg_source_is_an_input_error():
+    pair = _pair_groupoid()
+    ident = Functor(pair, pair, {"x": "x", "y": "y"},
+                    {f: f for f in pair.morphisms}, name="id")
+    IC = iso_comma(ident, ident)
+    H = IC.groupoid
+    m1 = next(m for m in H.morphisms if IC.mor_data[m][:2] == ("u", "u"))
+    m2 = next(m for m in H.morphisms if IC.mor_data[m][:2] == ("v", "v")
+              and H.src[m] == H.tgt[m1])
+    assert H.compose[(m2, m1)] == H.identity[H.src[m1]]
+    del pair.compose[("v", "u")]
+    assert (m2, m1) in H.compose
+    with pytest.raises(InputError, match="undefined in the sources of its "
+                                         "legs"):
+        H.compose.get((m2, m1))
 
 
 def pcompose(g, f):
@@ -249,6 +325,110 @@ def test_equivalence_violations_on_failing_s_construction_segal(S3):
         got = groupoid_equivalence(H)
         assert got
         assert got == reference_groupoid_equivalence(H)
+
+
+# -- comparison composites checked on components --------------------------
+
+
+def _swap_one_image(Y, n, i):
+    """Send one non-identity morphism under face (n, i) to another
+    morphism between the same objects: endpoints and identities are
+    kept, composition breaks."""
+    F = Y.face[(n, i)]
+    T, identities = F.target, set(F.source.identity.values())
+    for f in F.source.morphisms:
+        g = F.on_morphisms[f]
+        others = [h for h in T.hom(T.src[g], T.tgt[g]) if h != g]
+        if f not in identities and others:
+            F.on_morphisms[f] = others[0]
+            return
+    raise AssertionError("no parallel morphism to swap in")
+
+
+def _retarget_one_image(Y, n, i):
+    """Send one non-identity morphism under face (n, i) to a morphism
+    from the same object to another: its images stop composing."""
+    F = Y.face[(n, i)]
+    T, identities = F.target, set(F.source.identity.values())
+    for f in F.source.morphisms:
+        g = F.on_morphisms[f]
+        others = [h for h in T.morphisms
+                  if T.src[h] == T.src[g] and T.tgt[h] != T.tgt[g]]
+        if f not in identities and others:
+            F.on_morphisms[f] = others[0]
+            return
+    raise AssertionError("no morphism to retarget to")
+
+
+def _twist_one_face(Y, n, i):
+    """Conjugate face (n, i) by a non-identity automorphism at one
+    object: still a functor, with the same objects, but it no longer
+    meets the other faces on morphisms, so the comparison's images
+    stop meeting in the iso-comma while their components compose."""
+    F = Y.face[(n, i)]
+    T = F.target
+    y, alpha = next((y, a) for y in T.objects for a in T.hom(y, y)
+                    if a != T.identity[y])
+    theta = {x: T.identity[x] for x in T.objects}
+    theta[y] = alpha
+    for f, g in F.on_morphisms.items():
+        F.on_morphisms[f] = T.compose[(
+            T.compose[(theta[T.tgt[g]], g)], T.inverse[theta[T.src[g]]])]
+
+
+def _stray_composite(Y, n, i):
+    A = Y.levels[n]
+    A.compose[("nowhere", A.morphisms[i])] = A.morphisms[i]
+
+
+@pytest.mark.parametrize("truncation, corrupt, n, i", [
+    (2, _swap_one_image, 2, 0), (2, _swap_one_image, 2, 2),
+    (2, _stray_composite, 2, 5), (3, _retarget_one_image, 3, 0),
+    (3, _twist_one_face, 3, 0)])
+def test_comparison_composites_match_the_materialised_iso_comma(
+        monkeypatch, truncation, corrupt, n, i):
+    """The comparison's composites, checked on their components, give
+    the violations, in order, of looking each one up in the whole
+    iso-comma; faces or levels are corrupted so that there are some."""
+    Y = s_construction(3, truncation)
+    corrupt(Y, n, i)
+    legs, seen = [], []
+    real_iso_comma, real_violations = groupoid.iso_comma, \
+        groupoid.functor_violations
+
+    def iso_comma_spy(F, G):
+        legs.append((F, G))
+        return real_iso_comma(F, G)
+
+    def violations_spy(H, composites=None):
+        got = real_violations(H, composites)
+        objects, morphisms, src, tgt, identity, compose, inverse, _, _ = \
+            reference_iso_comma(*legs[-1])
+        whole = FinGroupoid(objects, morphisms, src, tgt, identity, compose,
+                            inverse=inverse)
+        seen.append((got, real_violations(Functor(
+            H.source, whole, H.on_objects, H.on_morphisms))))
+        return got
+
+    monkeypatch.setattr(groupoid, "iso_comma", iso_comma_spy)
+    monkeypatch.setattr(groupoid, "functor_violations", violations_spy)
+    indices = [(m, j) for m in range(1, truncation + 1)
+               for j in range(1, m + 1)]
+    indices += [(3, i, j) for i in range(4) for j in range(i + 2, 4)
+                if truncation == 3]
+    for index in indices:
+        try:
+            (sgpd_segal_map if len(index) == 2 else sgpd_two_segal_map)(
+                Y, *index)
+        except InputError as exc:
+            assert str(exc) == \
+                f"comparison is not a functor: {seen[-1][1][0]}"
+    assert len(seen) == len(indices)
+    for got, want in seen:
+        assert got == want
+    laws = [v.law for got, _ in seen for v in got]
+    assert "composition-preservation" in laws
+    assert set(laws) <= {"composition-preservation", "endpoint-preservation"}
 
 
 # -- validate_category walks composable strings only -----------------------

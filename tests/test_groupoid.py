@@ -13,6 +13,7 @@ from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
     Functor,
+    SgpdBetaGamma,
     act_gpd,
     compose_functors,
     discrete_sgpd,
@@ -342,6 +343,19 @@ def test_comparison_functors_swap_exactly_one_tier_up():
     assert sgpd_beta_gamma_equality(S, 2, 1).verdict == "out_of_truncation"
     with pytest.raises(InputError):
         sgpd_beta_gamma_equality(S, 1, 0)
+
+
+@pytest.mark.parametrize("max_card, truncation", [(2, 4), (3, 3)])
+def test_beta_gamma_at_every_index_of_the_s_construction(max_card,
+                                                         truncation):
+    # the polygon comparison of (m, j) sits at level 2m+1
+    S = s_construction(max_card, truncation)
+    for m in range(1, truncation + 1):
+        for j in range(1, m + 1):
+            res = sgpd_beta_gamma_equality(S, m, j)
+            verdict = "pass" if 2 * m + 1 <= truncation else \
+                "out_of_truncation"
+            assert res == SgpdBetaGamma(m, j, verdict), res
 
 
 def test_discrete_beta_gamma_matches_set_tier():

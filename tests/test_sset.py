@@ -9,7 +9,6 @@ from edgewise.sset import (
     edgewise,
     edgewise_map,
     iso_check,
-    iso_search,
     nondegenerate_cells,
     op_reverse,
     simplicial_map_violations,
@@ -159,20 +158,3 @@ def test_iso_check_catches_a_broken_component():
     problems = iso_check(swapped)
     assert any(v.identity == "bijectivity" for v in problems)
     assert any(v.identity.startswith("naturality") for v in problems)
-
-
-def test_iso_search_finds_reflection_of_triangle():
-    X = standard_simplex(2, 3)
-    res = iso_search(X, op_reverse(X))
-    assert res.status == "found"
-    assert iso_check(res.mapping) == []
-
-
-def test_iso_search_distinguishes_sizes_and_budget():
-    assert iso_search(interval(), standard_simplex(2, 1)).status == "none"
-    big = standard_simplex(2, 3)
-    res = iso_search(big, big, budget=2)
-    assert res.status in ("found", "inconclusive")
-    starved = iso_search(big, op_reverse(big), budget=1)
-    assert starved.status == "inconclusive"
-    assert starved.mapping is None

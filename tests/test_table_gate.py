@@ -6,7 +6,7 @@ other dict is kept as it was given, and ``act_positions`` refuses it
 with an ``InputError`` that names it.  So an instance that ``validate``
 accepts never meets that error.  The corrupted instances are those of
 the ``validate`` reference test.  A table given as positions must hold
-one in-range position per cell, and a table that is neither a dict nor
+one in-range ``int`` position per cell, and a table that is neither a dict nor
 a position tuple is refused when the set is built.
 """
 
@@ -84,3 +84,9 @@ def test_a_position_tuple_shorter_than_its_level_is_refused():
 
 def test_a_table_neither_dict_nor_tuple_is_refused():
     _refused({**FACE, (1, 0): [0]}, DEGENERACY, "face", 1, 0)
+
+
+@pytest.mark.parametrize("position", [1.0, True, "1", None])
+def test_a_position_that_is_not_an_int_is_refused(position):
+    # 1.0 and True are in range by comparison, and True == 1
+    _refused({**FACE, (1, 0): (position,)}, DEGENERACY, "face", 1, 0)
