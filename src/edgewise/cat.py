@@ -6,6 +6,12 @@ morphism or element names; twisted-arrow and span morphisms are
 colon-joined triples.  Constructors reject names containing the
 separator they would need, so generated identifiers never collide.
 
+Every category builder here, and the level groupoids of the
+S-construction, hand their morphism data and rules to one builder,
+``tabulate_category``, which names the morphisms, tabulates their
+endpoints and identities, and asks the composition rule only of
+composable pairs.
+
 Partial monoids here satisfy the two-sided unit law and the strong
 associativity axiom: for any triple, definedness of one bracketing
 (including its outer product) is equivalent to definedness of the
@@ -19,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InputError
 from .sset import SimplicialMap, TruncatedSSet, edgewise, tabulate
@@ -26,6 +33,7 @@ from .sset import SimplicialMap, TruncatedSSet, edgewise, tabulate
 __all__ = [
     "LawViolation",
     "FinCategory",
+    "tabulate_category",
     "validate_category",
     "opposite_category",
     "nerve",
@@ -131,6 +139,33 @@ class FinCategory:
                f"{len(self.morphisms)} morphisms>"
 
 
+def tabulate_category(objects, data, name, src, tgt, identity, compose):
+    """The six tables of a finite category from morphism data and rules.
+
+    ``data`` lists the hashable data of the morphisms in morphism order,
+    and ``name(d)`` gives a morphism's id.  ``src(d)`` and ``tgt(d)``
+    give its endpoints as object ids, ``identity(x)`` the data of the
+    identity of the object ``x``, and ``compose(g, f)`` the data of g
+    after f.  ``compose`` is asked only of composable pairs: g in
+    morphism order, then each f ending where g starts, in morphism
+    order, which is also the key order of the compose table.  Returns
+    the objects, morphisms, src, tgt, identity and compose tables in
+    the order ``FinCategory`` takes them.
+    """
+    morphisms = list(map(name, data))
+    sources = list(map(src, data))
+    targets = list(map(tgt, data))
+    into = {}
+    for f, d, y in zip(morphisms, data, targets):
+        into.setdefault(y, []).append((f, d))
+    identities = {x: name(identity(x)) for x in objects}
+    composites = {(g, f): name(compose(e, d))
+                  for g, e, x in zip(morphisms, data, sources)
+                  for f, d in into.get(x, ())}
+    return (objects, morphisms, dict(zip(morphisms, sources)),
+            dict(zip(morphisms, targets)), identities, composites)
+
+
 def validate_category(A: FinCategory):
     """Law violations of A: composability, endpoints, units, associativity,
     and composites recorded for pairs that are not morphisms."""
@@ -140,23 +175,28 @@ def validate_category(A: FinCategory):
         if A.src[i] != x or A.tgt[i] != x:
             out.append(LawViolation("identity-endpoints", (x,),
                                     f"identity {i!r} not an endomorphism"))
-    morset = set(A.morphisms)
-    for g in A.morphisms:
-        for f in A.morphisms:
-            defined = (g, f) in A.compose
-            if defined != A.composable(g, f):
-                out.append(LawViolation(
-                    "composability", (g, f),
-                    "defined" if defined else "missing"))
-                continue
-            if not defined:
-                continue
-            h = A.compose[(g, f)]
-            if h not in morset:
-                out.append(LawViolation("composability", (g, f),
-                                        f"composite {h!r} unknown"))
-            elif A.src[h] != A.src[f] or A.tgt[h] != A.tgt[g]:
-                out.append(LawViolation("composite-endpoints", (g, f), h))
+    position = {f: p for p, f in enumerate(A.morphisms)}
+    into = {x: [] for x in A.objects}
+    for f in A.morphisms:
+        into[A.tgt[f]].append(f)
+    # only composable pairs and recorded pairs of morphisms can fail
+    pairs = {(g, f) for g in A.morphisms for f in into[A.src[g]]}
+    pairs.update((g, f) for g, f in A.compose
+                 if g in position and f in position)
+    for g, f in sorted(pairs, key=lambda gf: (position[gf[0]],
+                                              position[gf[1]])):
+        defined = (g, f) in A.compose
+        if defined != A.composable(g, f):
+            out.append(LawViolation(
+                "composability", (g, f),
+                "defined" if defined else "missing"))
+            continue
+        h = A.compose[(g, f)]
+        if h not in position:
+            out.append(LawViolation("composability", (g, f),
+                                    f"composite {h!r} unknown"))
+        elif A.src[h] != A.src[f] or A.tgt[h] != A.tgt[g]:
+            out.append(LawViolation("composite-endpoints", (g, f), h))
     for f in A.morphisms:
         left = A.compose.get((f, A.identity[A.src[f]]))
         right = A.compose.get((A.identity[A.tgt[f]], f))
@@ -164,9 +204,6 @@ def validate_category(A: FinCategory):
             out.append(LawViolation("unit", (f,), f"right unit gave {left!r}"))
         if right != f:
             out.append(LawViolation("unit", (f,), f"left unit gave {right!r}"))
-    into = {x: [] for x in A.objects}
-    for f in A.morphisms:
-        into[A.tgt[f]].append(f)
     for h in A.morphisms:
         for g in into[A.src[h]]:
             hg = A.compose.get((h, g))
@@ -179,7 +216,8 @@ def validate_category(A: FinCategory):
                                             f"{lhs!r} != {rhs!r}"))
     out.extend(LawViolation("stray-entry", (g, f),
                             "compose key is not a pair of morphisms")
-               for g, f in A.compose if g not in morset or f not in morset)
+               for g, f in A.compose
+               if g not in position or f not in position)
     return out
 
 
@@ -245,39 +283,22 @@ def twisted_arrow(A: FinCategory) -> FinCategory:
 
     A morphism f -> g is a pair (u, v) with g = v o f o u, stored as the
     triple id "f:u:v" with escaped components; composition whiskers on
-    both sides, contravariantly in u.
+    both sides, contravariantly in u.  A morphism's data is (f, u, v, g).
     """
-    objects = tuple(A.morphisms)
-    morphisms = []
-    src = {}
-    tgt = {}
-    triple = {}
+    data = []
     for f in A.morphisms:
         for u in A.morphisms:
-            if A.tgt[u] != A.src[f]:
-                continue
-            fu = A.composite(f, u)
-            for v in A.morphisms:
-                if A.src[v] != A.tgt[f]:
-                    continue
-                t = _triple_id(f, u, v)
-                morphisms.append(t)
-                src[t] = f
-                tgt[t] = A.composite(v, fu)
-                triple[t] = (f, u, v)
-    identity = {f: _triple_id(f, A.identity[A.src[f]], A.identity[A.tgt[f]])
-                for f in A.morphisms}
-    compose = {}
-    for t2 in morphisms:
-        g2, u2, v2 = triple[t2]
-        for t1 in morphisms:
-            f1, u1, v1 = triple[t1]
-            if tgt[t1] != g2:
-                continue
-            compose[(t2, t1)] = _triple_id(
-                f1, A.composite(u1, u2), A.composite(v2, v1))
-    return FinCategory(objects, morphisms, src, tgt, identity, compose,
-                       name=f"tw({A.name})" if A.name else "tw")
+            if A.tgt[u] == A.src[f]:
+                fu = A.composite(f, u)
+                data += [(f, u, v, A.composite(v, fu)) for v in A.morphisms
+                         if A.src[v] == A.tgt[f]]
+    return FinCategory(*tabulate_category(
+        A.morphisms, data, lambda t: _triple_id(*t[:3]), itemgetter(0),
+        itemgetter(3),
+        lambda f: (f, A.identity[A.src[f]], A.identity[A.tgt[f]], f),
+        lambda t2, t1: (t1[0], A.composite(t1[1], t2[1]),
+                        A.composite(t2[2], t1[2]), t2[3])),
+        name=f"tw({A.name})" if A.name else "tw")
 
 
 def canonical_tw_iso(A: FinCategory, truncation: int) -> SimplicialMap:
@@ -434,44 +455,27 @@ def span_category(M: PartialMonoid) -> FinCategory:
 
     A morphism m -> m' is a triple (m1, m, m2) with m1*m*m2 = m',
     progressively defined; composition multiplies the outer factors
-    outward.  Requires a strongly associative M.
+    outward.  Requires a strongly associative M.  A morphism's data is
+    (m1, m, m2, m').
     """
-    objects = tuple(M.elements)
-    morphisms = []
-    src = {}
-    tgt = {}
-    triple = {}
-    for m1 in M.elements:
-        for m in M.elements:
-            m1m = M.multiply(m1, m)
-            if m1m is None:
-                continue
-            for m2 in M.elements:
-                full = M.multiply(m1m, m2)
-                if full is None:
-                    continue
-                t = _triple_id(m1, m, m2)
-                morphisms.append(t)
-                src[t] = m
-                tgt[t] = full
-                triple[t] = (m1, m, m2)
-    identity = {m: _triple_id(M.unit, m, M.unit) for m in M.elements}
-    compose = {}
-    for t2 in morphisms:
-        n1, _, n2 = triple[t2]
-        for t1 in morphisms:
-            m1, m, m2 = triple[t1]
-            if src[t2] != tgt[t1]:
-                continue
-            outer_left = M.multiply(n1, m1)
-            outer_right = M.multiply(m2, n2)
-            if outer_left is None or outer_right is None:
-                raise InputError(
-                    f"span composition undefined on ({t2}, {t1}); "
-                    "is the monoid strongly associative?")
-            compose[(t2, t1)] = _triple_id(outer_left, m, outer_right)
-    return FinCategory(objects, morphisms, src, tgt, identity, compose,
-                       name=f"spans({M.name})" if M.name else "spans")
+    els = M.elements
+    data = [(m1, m, m2, full) for m1 in els for m in els if M.defined(m1, m)
+            for m2 in els
+            if (full := M.multiply(M.multiply(m1, m), m2)) is not None]
+
+    def compose(t2, t1):
+        outer_left = M.multiply(t2[0], t1[0])
+        outer_right = M.multiply(t1[2], t2[2])
+        if outer_left is None or outer_right is None:
+            raise InputError(
+                f"span composition undefined on ({_triple_id(*t2[:3])}, "
+                f"{_triple_id(*t1[:3])}); is the monoid strongly associative?")
+        return outer_left, t1[1], outer_right, t2[3]
+
+    return FinCategory(*tabulate_category(
+        els, data, lambda t: _triple_id(*t[:3]), itemgetter(1),
+        itemgetter(3), lambda m: (M.unit, m, M.unit, m), compose),
+        name=f"spans({M.name})" if M.name else "spans")
 
 
 def canonical_partial_iso(M: PartialMonoid, truncation: int) -> SimplicialMap:
@@ -534,11 +538,9 @@ def monoid_category(M: PartialMonoid) -> FinCategory:
                 raise InputError(
                     f"monoid_category needs a total product; "
                     f"({a!r}, {b!r}) is undefined")
-    compose = {(g, f): M.product[(f, g)]
-               for g in M.elements for f in M.elements}
-    return FinCategory(
-        ("o",), M.elements, {m: "o" for m in M.elements},
-        {m: "o" for m in M.elements}, {"o": M.unit}, compose,
+    return FinCategory(*tabulate_category(
+        ("o",), M.elements, str, lambda m: "o", lambda m: "o",
+        lambda o: M.unit, lambda g, f: M.product[(f, g)]),
         name=f"B({M.name})" if M.name else "B")
 
 
@@ -560,14 +562,10 @@ def poset_category(elements, leq, name="") -> FinCategory:
             if (b, c) in rel and (a, c) not in rel:
                 raise InputError(
                     f"relation is not transitive at ({a!r}, {b!r}, {c!r})")
-    morphisms = [f"{a}<{b}" for a, b in sorted(rel)]
-    src = {f"{a}<{b}": a for a, b in rel}
-    tgt = {f"{a}<{b}": b for a, b in rel}
-    identity = {a: f"{a}<{a}" for a in elements}
-    compose = {(f"{b}<{c}", f"{a}<{b0}"): f"{a}<{c}"
-               for a, b0 in rel for b, c in rel if b0 == b}
-    return FinCategory(elements, morphisms, src, tgt, identity, compose,
-                       name=name or "poset")
+    return FinCategory(*tabulate_category(
+        elements, sorted(rel), lambda p: f"{p[0]}<{p[1]}", itemgetter(0),
+        itemgetter(1), lambda a: (a, a), lambda g, f: (f[0], g[1])),
+        name=name or "poset")
 
 
 def chain_poset(n: int) -> FinCategory:
@@ -581,17 +579,11 @@ def product_category(A: FinCategory, B: FinCategory) -> FinCategory:
     """The product, with star-joined component names."""
     for pool in (A.objects, A.morphisms, B.objects, B.morphisms):
         _check_names(pool, "*", "component")
-    objects = tuple(f"{x}*{y}" for x in A.objects for y in B.objects)
-    morphisms = tuple(f"{f}*{g}" for f in A.morphisms for g in B.morphisms)
-    src = {f"{f}*{g}": f"{A.src[f]}*{B.src[g]}"
-           for f in A.morphisms for g in B.morphisms}
-    tgt = {f"{f}*{g}": f"{A.tgt[f]}*{B.tgt[g]}"
-           for f in A.morphisms for g in B.morphisms}
-    identity = {f"{x}*{y}": f"{A.identity[x]}*{B.identity[y]}"
+    identity = {f"{x}*{y}": (A.identity[x], B.identity[y])
                 for x in A.objects for y in B.objects}
-    compose = {}
-    for (g1, f1), h1 in A.compose.items():
-        for (g2, f2), h2 in B.compose.items():
-            compose[(f"{g1}*{g2}", f"{f1}*{f2}")] = f"{h1}*{h2}"
-    return FinCategory(objects, morphisms, src, tgt, identity, compose,
-                       name=f"{A.name}x{B.name}")
+    return FinCategory(*tabulate_category(
+        tuple(identity), [(f, g) for f in A.morphisms for g in B.morphisms],
+        "*".join, lambda p: f"{A.src[p[0]]}*{B.src[p[1]]}",
+        lambda p: f"{A.tgt[p[0]]}*{B.tgt[p[1]]}", identity.__getitem__,
+        lambda g, f: (A.composite(g[0], f[0]), B.composite(g[1], f[1]))),
+        name=f"{A.name}x{B.name}")

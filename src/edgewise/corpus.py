@@ -57,8 +57,12 @@ def diamond_poset() -> FinCategory:
     return poset_category(els, leq, name="diamond")
 
 
-def random_partial_monoid(size: int, seed: int,
-                          budget: int = 20000) -> PartialMonoid:
+# draws before a random generator gives up with ``GenerationError``
+_MONOID_DRAWS = 20000
+_GRAPH_DRAWS = 10
+
+
+def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
     """Rejection-sample a strongly associative partial product table.
 
     Unit rows are forced; other pairs are left undefined with weight 2
@@ -69,7 +73,7 @@ def random_partial_monoid(size: int, seed: int,
     rng = random.Random(seed)
     elements = ("e",) + tuple(f"x{i}" for i in range(1, size))
     last = None
-    for attempt in range(budget):
+    for attempt in range(_MONOID_DRAWS):
         product = {("e", m): m for m in elements}
         product.update({(m, "e"): m for m in elements})
         for a in elements[1:]:
@@ -83,8 +87,9 @@ def random_partial_monoid(size: int, seed: int,
         if not last:
             return M
     raise GenerationError(
-        f"no strongly associative table of size {size} within {budget} tries",
-        seed=seed, size=size, attempts=budget,
+        f"no strongly associative table of size {size} within "
+        f"{_MONOID_DRAWS} tries",
+        seed=seed, size=size, attempts=_MONOID_DRAWS,
         last_violation=str(last[0]) if last else "")
 
 
@@ -213,14 +218,13 @@ def coskeletal_from_graph(vertices, edges, truncation,
 
 def random_coskeletal_sset(num_vertices: int, num_edges: int,
                            truncation: int, seed: int,
-                           level_cap: int = 20000,
-                           tries: int = 10) -> TruncatedSSet:
+                           level_cap: int = 20000) -> TruncatedSSet:
     """A coskeletal completion of a random reflexive multigraph.
 
     ``num_edges`` counts extra edges beyond the designated loops; these
     tend to create parallel pairs, which is what makes the instances
     useful as non-2-Segal controls.  Graphs whose completion overflows
-    the level cap are redrawn, up to ``tries`` times.
+    the level cap are redrawn, up to ``_GRAPH_DRAWS`` times.
     """
     if num_vertices < 1:
         raise InputError("need at least one vertex")
@@ -228,7 +232,7 @@ def random_coskeletal_sset(num_vertices: int, num_edges: int,
         raise InputError("need a nonnegative number of extra edges")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(num_vertices))
-    for attempt in range(tries):
+    for attempt in range(_GRAPH_DRAWS):
         edges = []
         for i in range(num_edges):
             u = rng.choice(vertices)
@@ -243,7 +247,7 @@ def random_coskeletal_sset(num_vertices: int, num_edges: int,
             continue
     raise GenerationError(
         f"no graph on {num_vertices} vertices with {num_edges} extra "
-        f"edges fit the cap in {tries} draws",
+        f"edges fit the cap in {_GRAPH_DRAWS} draws",
         seed=seed, truncation=truncation, cap=level_cap)
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
+from operator import itemgetter
 
-from .cat import FinCategory, LawViolation, validate_category
+from .cat import FinCategory, LawViolation, tabulate_category, \
+    validate_category
 from .checks import Semantics
 from .delta import SimplexMap, epi_mono_factorize
 from .errors import InputError
@@ -411,17 +413,16 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
     expected = {(n, i) for n in range(N) for i in range(n + 1)}
     if set(Y.degeneracy) != expected:
         return out + [Violation("shape", N, (), "", "degeneracy keys wrong")]
-    for (n, i), F in Y.face.items():
-        if F.source is not Y.levels[n] or F.target is not Y.levels[n - 1]:
-            out.append(Violation("shape", n, (i,), "", "face endpoints"))
-        out += [Violation("functor", n, (i,), str(v.witness), "face " + v.law)
-                for v in functor_violations(F)]
-    for (n, i), F in Y.degeneracy.items():
-        if F.source is not Y.levels[n] or F.target is not Y.levels[n + 1]:
-            out.append(Violation("shape", n, (i,), "", "degeneracy endpoints"))
-        out += [Violation("functor", n, (i,), str(v.witness),
-                          "degeneracy " + v.law)
-                for v in functor_violations(F)]
+    for kind, functors, shift in (("face", Y.face, -1),
+                                  ("degeneracy", Y.degeneracy, 1)):
+        for (n, i), F in functors.items():
+            if F.source is not Y.levels[n] or \
+                    F.target is not Y.levels[n + shift]:
+                out.append(Violation("shape", n, (i,), "",
+                                     f"{kind} endpoints"))
+            out += [Violation("functor", n, (i,), str(v.witness),
+                              f"{kind} {v.law}")
+                    for v in functor_violations(F)]
     if out:
         return out
 
@@ -859,53 +860,28 @@ def _commuting_families(A, B, slots):
 
 def _level_groupoid(c, n, name):
     arrays = list(_enumerate_arrays(c, n))
-    obj_id = {}
-    objects = []
-    for idx, A in enumerate(arrays):
-        oid = f"x{idx}"
-        obj_id[A.signature()] = oid
-        objects.append(oid)
+    objects = [f"x{idx}" for idx in range(len(arrays))]
+    obj_id = {A.signature(): oid for oid, A in zip(objects, arrays)}
     by_obj = dict(zip(objects, arrays))
-    morphisms = []
-    mor_data = {}
-    src = {}
-    tgt = {}
-    by_signature = {}
     slots = _slots(n)
-    for o1, A in by_obj.items():
-        for o2, B in by_obj.items():
-            if any(A.sizes[s] != B.sizes[s] for s in slots):
-                continue
-            for fam in _commuting_families(A, B, slots):
-                mid = f"m{len(morphisms)}"
-                morphisms.append(mid)
-                key = (o1, o2, fam)
-                mor_data[mid] = key
-                src[mid] = o1
-                tgt[mid] = o2
-                by_signature[key] = mid
-    identity = {}
-    for o, A in by_obj.items():
-        key = (o, o, tuple(_pidentity(A.sizes[s]) for s in slots))
-        identity[o] = by_signature[key]
-    into = {o: [] for o in objects}
-    for m in morphisms:
-        into[tgt[m]].append(m)
-    compose = {}
-    inverse = {}
-    for m2 in morphisms:
-        o2a, o2b, fam2 = mor_data[m2]
-        for m1 in into[o2a]:
-            o1a, _, fam1 = mor_data[m1]
-            compose[(m2, m1)] = by_signature[
-                (o1a, o2b, tuple(map(_pcompose, fam2, fam1)))]
-    for m in morphisms:
-        oa, ob, fam = mor_data[m]
-        inv = tuple(tuple(sorted(range(len(p)), key=lambda x: p[x]))
-                    for p in fam)
-        inverse[m] = by_signature[(ob, oa, inv)]
-    G = FinGroupoid(tuple(objects), tuple(morphisms), src, tgt, identity,
-                    compose, name=name, inverse=inverse)
+    # a morphism's data is (source, target, slot permutations)
+    data = [(o1, o2, fam) for o1, A in by_obj.items()
+            for o2, B in by_obj.items()
+            if all(A.sizes[s] == B.sizes[s] for s in slots)
+            for fam in _commuting_families(A, B, slots)]
+    by_signature = {key: f"m{p}" for p, key in enumerate(data)}
+    tables = tabulate_category(
+        objects, data, by_signature.__getitem__, itemgetter(0),
+        itemgetter(1),
+        lambda o: (o, o, tuple(_pidentity(by_obj[o].sizes[s])
+                               for s in slots)),
+        lambda g, f: (f[0], g[1], tuple(map(_pcompose, g[2], f[2]))))
+    mor_data = dict(zip(tables[1], data))
+    inverse = {
+        m: by_signature[(ob, oa, tuple(
+            tuple(sorted(range(len(p)), key=p.__getitem__)) for p in fam))]
+        for m, (oa, ob, fam) in mor_data.items()}
+    G = FinGroupoid(*tables, name=name, inverse=inverse)
     return G, by_obj, obj_id, mor_data, by_signature, slots
 
 

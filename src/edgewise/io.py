@@ -131,12 +131,8 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
     degeneracy = {
         _parse_index(k, "degeneracy"): _string_table(v, f"degeneracy {k}")
         for k, v in data["degeneracy"].items()}
-    X = TruncatedSSet(data["truncation"], data["levels"], face, degeneracy,
-                      name=name)
-    for what in ("face", "degeneracy"):
-        for key in data[what]:
-            _check_index(key, what, X.truncation)
-    return X
+    return TruncatedSSet(data["truncation"], data["levels"], face,
+                         degeneracy, name=name)
 
 
 # -- categories, groupoids, partial monoids ---------------------------------

@@ -100,10 +100,13 @@ class SimplicialTables:
     def _store(self, kind):
         return getattr(self, kind)
 
-    def _map(self, kind, n, i):
+    def _in_range(self, kind, n, i):
         low, high = (1, self.truncation) if kind == "face" else \
             (0, self.truncation - 1)
-        if not (low <= n <= high and 0 <= i <= n):
+        return low <= n <= high and 0 <= i <= n
+
+    def _map(self, kind, n, i):
+        if not self._in_range(kind, n, i):
             raise InputError(f"{kind} index ({n}, {i}) out of range")
         try:
             return self._store(kind)[(n, i)]
@@ -152,7 +155,9 @@ class TruncatedSSet(SimplicialTables):
     tuple of target positions in level order, and takes such position
     tuples in place of dicts; a tuple must hold one in-range ``int``
     position per level-n cell, and any table that is neither such a
-    tuple nor a dict raises ``InputError``.  A dict that is not a total map into the
+    tuple nor a dict raises ``InputError``, as does a key that is not
+    such an (n, i) pair of ``int``s, or a ``face`` or ``degeneracy``
+    that is not a ``Mapping``.  A dict that is not a total map into the
     target level is kept as it is, for ``validate`` to report; ``act``
     and the checks read only position tuples.  ``face`` and
     ``degeneracy`` read the tables back as dicts of names, built on
@@ -181,10 +186,29 @@ class TruncatedSSet(SimplicialTables):
         self.levels = levels
         self.name = name
         self._index = tuple(index)
-        self._tables = {
-            kind: {(n, i): self._as_positions(t, kind, n, i)
-                   for (n, i), t in tables.items()}
-            for kind, tables in (("face", face), ("degeneracy", degeneracy))}
+        self._tables = {kind: self._position_tables(tables, kind)
+                        for kind, tables in (("face", face),
+                                             ("degeneracy", degeneracy))}
+
+    def _position_tables(self, tables, kind):
+        """The tables of one kind, each as ``_as_positions`` keeps it;
+        ``InputError`` unless ``tables`` is a ``Mapping`` keyed by (n, i)
+        pairs of ``int``s (so no ``bool`` or ``float``) in the kind's
+        index range."""
+        if not isinstance(tables, Mapping):
+            raise InputError(f"{kind} tables must be a mapping keyed by "
+                             f"(n, i), not {type(tables).__name__}")
+        out = {}
+        for key, table in tables.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and
+                    all(type(k) is int for k in key)):
+                raise InputError(f"{kind} index {key!r} is not a pair of "
+                                 "ints")
+            n, i = key
+            if not self._in_range(kind, n, i):
+                raise InputError(f"{kind} index '{n},{i}' out of range")
+            out[key] = self._as_positions(table, kind, n, i)
+        return out
 
     def _as_positions(self, table, kind, n, i):
         """A name table as positions in its target level, in level-n
@@ -192,19 +216,18 @@ class TruncatedSSet(SimplicialTables):
         that level is returned as it is.  A position tuple is returned
         as it is when it holds one in-range position per level-n cell,
         each of type ``int`` exactly (so no ``bool`` or ``float``); any
-        other table raises ``InputError``."""
+        other table raises ``InputError``.  The index (n, i) is in
+        range."""
         target = n + _SHIFT[kind]
-        in_range = 0 <= n <= self.truncation and \
-            0 <= target <= self.truncation
         if isinstance(table, Mapping):
-            if not in_range or len(table) != len(self.levels[n]):
+            if len(table) != len(self.levels[n]):
                 return table
             try:
                 return tuple(map(self._index[target].__getitem__,
                                  map(table.__getitem__, self.levels[n])))
             except (KeyError, TypeError):
                 return table
-        if isinstance(table, tuple) and in_range and \
+        if isinstance(table, tuple) and \
                 len(table) == len(self.levels[n]) and \
                 set(map(type, table)) <= {int} and \
                 (not table or (min(table) >= 0 and

@@ -7,7 +7,8 @@ with an ``InputError`` that names it.  So an instance that ``validate``
 accepts never meets that error.  The corrupted instances are those of
 the ``validate`` reference test.  A table given as positions must hold
 one in-range ``int`` position per cell, and a table that is neither a dict nor
-a position tuple is refused when the set is built.
+a position tuple is refused when the set is built, as is a key that is
+not an in-range (n, i) pair of ``int``s and a store that is not a mapping.
 """
 
 import pytest
@@ -90,3 +91,31 @@ def test_a_table_neither_dict_nor_tuple_is_refused():
 def test_a_position_that_is_not_an_int_is_refused(position):
     # 1.0 and True are in range by comparison, and True == 1
     _refused({**FACE, (1, 0): (position,)}, DEGENERACY, "face", 1, 0)
+
+
+@pytest.mark.parametrize("face, degeneracy, message", [
+    pytest.param({**FACE, "1,0": (1,)}, DEGENERACY,
+                 r"^face index '1,0' is not a pair of ints$", id="str-key"),
+    pytest.param({**FACE, (1,): (1,)}, DEGENERACY,
+                 r"^face index \(1,\) is not a pair of ints$", id="short-key"),
+    # 1.0 == True == 1: each key stands in for (1, 0)
+    pytest.param({(1.0, 0): (1,), (1, 1): (0,)}, DEGENERACY,
+                 r"^face index \(1\.0, 0\) is not a pair of ints$",
+                 id="float-key"),
+    pytest.param({(True, 0): (1,), (1, 1): (0,)}, DEGENERACY,
+                 r"^face index \(True, 0\) is not a pair of ints$",
+                 id="bool-key"),
+    pytest.param({**FACE, (-1, 0): (1,)}, DEGENERACY,
+                 r"^face index '-1,0' out of range$", id="negative-level"),
+    pytest.param({**FACE, (2, 0): (1,)}, DEGENERACY,
+                 r"^face index '2,0' out of range$", id="beyond-truncation"),
+    pytest.param(FACE, {**DEGENERACY, (0, 1): (0, 0)},
+                 r"^degeneracy index '0,1' out of range$", id="index-past-n"),
+    pytest.param(list(FACE.items()), DEGENERACY,
+                 r"^face tables must be a mapping keyed by \(n, i\), "
+                 r"not list$", id="list-store"),
+])
+def test_a_table_key_that_is_no_index_in_range_is_refused(face, degeneracy,
+                                                          message):
+    with pytest.raises(InputError, match=message):
+        TruncatedSSet(1, LEVELS, face, degeneracy)
