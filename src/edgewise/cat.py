@@ -83,13 +83,15 @@ class FinCategory:
     defined exactly on composable pairs; ``validate_category`` reports
     where that or any law fails.  It may be a read-only ``Mapping``,
     which is kept as given, so that composites can be computed on
-    lookup; any other table is copied into a dict.  The tables are
-    immutable after construction: ``hom`` reads an index of them built
-    on first use.
+    lookup; any other table is copied into a dict.  With ``copy=False``
+    the ``src``, ``tgt``, ``identity`` and ``compose`` dicts are kept as
+    given, for tables built for this category that nothing else holds,
+    such as ``tabulate_category``'s.  The tables are immutable after
+    construction: ``hom`` reads an index of them built on first use.
     """
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
-                 name=""):
+                 name="", *, copy=True):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         _check_names(self.objects, ",", "object")
@@ -98,11 +100,15 @@ class FinCategory:
             raise InputError("duplicate object ids")
         if len(set(self.morphisms)) != len(self.morphisms):
             raise InputError("duplicate morphism ids")
-        self.src = dict(src)
-        self.tgt = dict(tgt)
-        self.identity = dict(identity)
-        self.compose = compose if isinstance(compose, Mapping) and \
-            not isinstance(compose, MutableMapping) else dict(compose)
+        if copy:
+            src, tgt, identity = dict(src), dict(tgt), dict(identity)
+            if not isinstance(compose, Mapping) or \
+                    isinstance(compose, MutableMapping):
+                compose = dict(compose)
+        self.src = src
+        self.tgt = tgt
+        self.identity = identity
+        self.compose = compose
         self.name = name
         obset, morset = set(self.objects), set(self.morphisms)
         for f in self.morphisms:
@@ -150,7 +156,8 @@ def tabulate_category(objects, data, name, src, tgt, identity, compose):
     morphism order, then each f ending where g starts, in morphism
     order, which is also the key order of the compose table.  Returns
     the objects, morphisms, src, tgt, identity and compose tables in
-    the order ``FinCategory`` takes them.
+    the order ``FinCategory`` takes them, as new dicts that it can keep
+    without copying (``copy=False``).
     """
     morphisms = list(map(name, data))
     sources = list(map(src, data))
@@ -298,7 +305,7 @@ def twisted_arrow(A: FinCategory) -> FinCategory:
         lambda f: (f, A.identity[A.src[f]], A.identity[A.tgt[f]], f),
         lambda t2, t1: (t1[0], A.composite(t1[1], t2[1]),
                         A.composite(t2[2], t1[2]), t2[3])),
-        name=f"tw({A.name})" if A.name else "tw")
+        name=f"tw({A.name})" if A.name else "tw", copy=False)
 
 
 def canonical_tw_iso(A: FinCategory, truncation: int) -> SimplicialMap:
@@ -475,7 +482,7 @@ def span_category(M: PartialMonoid) -> FinCategory:
     return FinCategory(*tabulate_category(
         els, data, lambda t: _triple_id(*t[:3]), itemgetter(1),
         itemgetter(3), lambda m: (M.unit, m, M.unit, m), compose),
-        name=f"spans({M.name})" if M.name else "spans")
+        name=f"spans({M.name})" if M.name else "spans", copy=False)
 
 
 def canonical_partial_iso(M: PartialMonoid, truncation: int) -> SimplicialMap:
@@ -541,7 +548,7 @@ def monoid_category(M: PartialMonoid) -> FinCategory:
     return FinCategory(*tabulate_category(
         ("o",), M.elements, str, lambda m: "o", lambda m: "o",
         lambda o: M.unit, lambda g, f: M.product[(f, g)]),
-        name=f"B({M.name})" if M.name else "B")
+        name=f"B({M.name})" if M.name else "B", copy=False)
 
 
 def poset_category(elements, leq, name="") -> FinCategory:
@@ -565,7 +572,7 @@ def poset_category(elements, leq, name="") -> FinCategory:
     return FinCategory(*tabulate_category(
         elements, sorted(rel), lambda p: f"{p[0]}<{p[1]}", itemgetter(0),
         itemgetter(1), lambda a: (a, a), lambda g, f: (f[0], g[1])),
-        name=name or "poset")
+        name=name or "poset", copy=False)
 
 
 def chain_poset(n: int) -> FinCategory:
@@ -586,4 +593,4 @@ def product_category(A: FinCategory, B: FinCategory) -> FinCategory:
         "*".join, lambda p: f"{A.src[p[0]]}*{B.src[p[1]]}",
         lambda p: f"{A.tgt[p[0]]}*{B.tgt[p[1]]}", identity.__getitem__,
         lambda g, f: (A.composite(g[0], f[0]), B.composite(g[1], f[1]))),
-        name=f"{A.name}x{B.name}")
+        name=f"{A.name}x{B.name}", copy=False)

@@ -56,9 +56,9 @@ class FinGroupoid(FinCategory):
     """A finite category in which every morphism has a recorded inverse."""
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
-                 name="", inverse=None):
+                 name="", inverse=None, *, copy=True):
         super().__init__(objects, morphisms, src, tgt, identity, compose,
-                         name)
+                         name, copy=copy)
         self.inverse = dict(inverse or {})
 
 
@@ -881,7 +881,7 @@ def _level_groupoid(c, n, name):
         m: by_signature[(ob, oa, tuple(
             tuple(sorted(range(len(p)), key=p.__getitem__)) for p in fam))]
         for m, (oa, ob, fam) in mor_data.items()}
-    G = FinGroupoid(*tables, name=name, inverse=inverse)
+    G = FinGroupoid(*tables, name=name, inverse=inverse, copy=False)
     return G, by_obj, obj_id, mor_data, by_signature, slots
 
 

@@ -4,6 +4,15 @@ Every format is JSON with sorted keys, two-space indentation, and a
 trailing newline; saving a loaded canonical file reproduces it byte for
 byte.  Unknown top-level fields are rejected so that typos fail loudly
 instead of being ignored.
+
+Simplicial-set files stay on position tables both ways.  ``save_sset``
+writes each position table from pieces shared by every table (each
+level's JSON-encoded names, sorted once) and joins the text once; its
+bytes are ``canonical_json`` of the document of name tables, which
+still writes the levels and any table that is not a total map.
+``load_sset`` reads each table into positions in one pass through an
+index of the levels, and checks any other table as str -> str, with
+the errors in the order the constructor gives them on name tables.
 """
 
 from __future__ import annotations
@@ -11,12 +20,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .cat import FinCategory, PartialMonoid
 from .checks import CheckEntry, CheckReport
 from .errors import InputError
 from .groupoid import FinGroupoid, Functor, TruncatedSGpd
-from .sset import TruncatedSSet
+from .sset import TruncatedSSet, _positions
 
 __all__ = [
     "canonical_json",
@@ -109,30 +120,120 @@ def _string_table(value, what: str) -> dict:
 # -- simplicial sets --------------------------------------------------------
 
 
+def _nested(text: str, indent: str) -> str:
+    """``canonical_json`` text of a value, without its newline, as it
+    reads ``indent`` deep inside a document."""
+    return text[:-1].replace("\n", "\n" + indent)
+
+
+def _object(members, indent: str):
+    """The pieces of the canonical JSON of an object ``indent`` deep,
+    from its members in key order: each an encoded key and an iterable
+    of the pieces of its value."""
+    if not members:
+        return ("{}",)
+    pieces = []
+    for sep, (key, value) in zip(chain("{", repeat(",")), members):
+        pieces += [(f"{sep}\n{indent}  {key}: ",), value]
+    pieces.append((f"\n{indent}}}",))
+    return chain.from_iterable(pieces)
+
+
 def save_sset(X: TruncatedSSet) -> str:
-    return canonical_json({
-        "truncation": X.truncation,
-        "levels": [list(X.level(n)) for n in range(X.truncation + 1)],
-        "face": {_index_key(*k): v for k, v in X.face.items()},
-        "degeneracy": {_index_key(*k): v for k, v in X.degeneracy.items()},
-    })
+    """``canonical_json`` of the set's document, byte for byte.
+
+    Each position table is written straight from its positions: every
+    level's names are encoded once and its positions sorted by name
+    once, so a table's text is, in that order, each entry's head (the
+    separator before it, its indent and its encoded key) followed by
+    its target's encoded name.  Heads and names are shared by all
+    tables, and the text is joined once from them.  Name tables and the
+    levels are written by ``canonical_json``.
+    """
+    encoded = [list(map(encode_basestring_ascii, lv)) for lv in X.levels]
+    order = [sorted(range(len(lv)), key=lv.__getitem__) for lv in X.levels]
+    heads = [[f'{"," if j else "{"}\n      {names[p]}: '
+              for j, p in enumerate(by_name)]
+             for names, by_name in zip(encoded, order)]
+
+    def value(table, n, target):
+        if not isinstance(table, tuple):
+            return (_nested(canonical_json(table), "    "),)
+        if not table:
+            return ("{}",)
+        names = map(encoded[target].__getitem__,
+                    map(table.__getitem__, order[n]))
+        return chain(chain.from_iterable(zip(heads[n], names)),
+                     ("\n    }",))
+
+    def store(kind, shift):
+        tables = sorted(X._store(kind).items(),
+                        key=lambda item: _index_key(*item[0]))
+        return _object([(f'"{_index_key(n, i)}"', value(table, n, n + shift))
+                        for (n, i), table in tables], "  ")
+
+    return "".join(chain(_object([
+        ('"degeneracy"', store("degeneracy", 1)),
+        ('"face"', store("face", -1)),
+        ('"levels"', (_nested(canonical_json(X.levels), "  "),)),
+        ('"truncation"', (str(X.truncation),))], ""), "\n"))
+
+
+def _level_index(levels):
+    """Each level's name-to-position dict; None unless every level lists
+    distinct strs."""
+    index = []
+    for lv in levels:
+        if not set(map(type, lv)) <= {str}:
+            return None
+        index.append(dict(zip(lv, range(len(lv)))))
+        if len(index[-1]) != len(lv):
+            return None
+    return tuple(index)
+
+
+def _sset_tables(tables: dict, kind: str, levels, index):
+    """The tables of one kind, keyed by (n, i): a table that is a total
+    map from level n into its target level as a position tuple, read
+    through ``index`` in one pass, and any other checked by
+    ``_string_table`` and kept as it is."""
+    shift = -1 if kind == "face" else 1
+    out = {}
+    for key, table in tables.items():
+        n, i = _parse_index(key, kind)
+        positions = None
+        if index is not None and isinstance(table, dict) and \
+                0 <= n < len(levels) and 0 <= n + shift < len(levels) and \
+                len(table) == len(levels[n]):
+            positions = _positions(table, levels[n], index[n + shift])
+        out[n, i] = _string_table(table, f"{kind} {key}") \
+            if positions is None else positions
+    return out
 
 
 def load_sset(text: str, name: str = "") -> TruncatedSSet:
+    """The set of a file, with its tables as ``TruncatedSSet`` keeps
+    them and the same ``InputError`` as the constructor gives on the
+    tables as names.  When every level lists distinct strs, the tables
+    are read through one index of the levels that the set then keeps;
+    otherwise the constructor refuses the levels."""
     data = _parse(text)
     _require_keys(data, ("truncation", "levels", "face", "degeneracy"),
                   "simplicial set")
-    if not isinstance(data["levels"], list) or \
-            not all(isinstance(lv, list) for lv in data["levels"]):
+    levels = data["levels"]
+    if not isinstance(levels, list) or \
+            not all(isinstance(lv, list) for lv in levels):
         raise InputError("levels must be an array of arrays")
     _require_type(data, ("face", "degeneracy"), dict)
-    face = {_parse_index(k, "face"): _string_table(v, f"face {k}")
-            for k, v in data["face"].items()}
-    degeneracy = {
-        _parse_index(k, "degeneracy"): _string_table(v, f"degeneracy {k}")
-        for k, v in data["degeneracy"].items()}
-    return TruncatedSSet(data["truncation"], data["levels"], face,
-                         degeneracy, name=name)
+    index = _level_index(levels)
+    face = _sset_tables(data["face"], "face", levels, index)
+    degeneracy = _sset_tables(data["degeneracy"], "degeneracy", levels,
+                              index)
+    if index is None:
+        return TruncatedSSet(data["truncation"], levels, face, degeneracy,
+                             name=name)
+    return TruncatedSSet._of_tables(data["truncation"], levels, index, face,
+                                    degeneracy, name=name)
 
 
 # -- categories, groupoids, partial monoids ---------------------------------
@@ -379,13 +480,18 @@ def load_any(text: str, name: str = ""):
     return kind, _LOADERS[kind](text, name=name)
 
 
+_WRITE_SLICE = 1 << 20
+
+
 def write_text(path: str, text: str) -> None:
     """Write atomically: the target never holds a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            # in slices, so that no encoded copy of a long text is made
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start:start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

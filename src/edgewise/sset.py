@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .delta import (
     SimplexMap,
@@ -119,6 +119,12 @@ class SimplicialTables:
     def degeneracy_map(self, n, i):
         return self._map("degeneracy", n, i)
 
+    def _on_levels(self, picked, face, degeneracy, name):
+        """An object of this type whose level n is this one's level
+        ``picked[n]``, with the given face and degeneracy maps."""
+        return type(self)(len(picked) - 1, tuple(map(self.level, picked)),
+                          face, degeneracy, name=name)
+
     def generator_maps(self, m, cofaces, codegens):
         """(stored map, (kind, level, index)) per generator, in the order
         they apply.
@@ -144,6 +150,30 @@ def _not_a_map(kind, n, i):
         f"level {n + _SHIFT[kind]}; input tables are not simplicial")
 
 
+def _positions(table, cells, index):
+    """A name table as positions in a level, in the order of ``cells``;
+    None unless it sends every cell to a key of ``index``, the level's
+    name-to-position dict."""
+    try:
+        return tuple(map(index.__getitem__, map(table.__getitem__, cells)))
+    except (KeyError, TypeError):
+        return None
+
+
+def _shape(truncation, levels):
+    """``levels`` as a tuple of tuples; ``InputError`` unless
+    ``truncation`` is a natural number and there is one level per n up
+    to it."""
+    if not isinstance(truncation, int) or isinstance(truncation, bool) \
+            or truncation < 0:
+        raise InputError(f"bad truncation {truncation!r}")
+    levels = tuple(tuple(lv) for lv in levels)
+    if len(levels) != truncation + 1:
+        raise InputError(
+            f"expected {truncation + 1} levels, got {len(levels)}")
+    return levels
+
+
 class TruncatedSSet(SimplicialTables):
     """Finite simplicial data up to a truncation level.
 
@@ -167,13 +197,7 @@ class TruncatedSSet(SimplicialTables):
     """
 
     def __init__(self, truncation, levels, face, degeneracy, name=""):
-        if not isinstance(truncation, int) or isinstance(truncation, bool) \
-                or truncation < 0:
-            raise InputError(f"bad truncation {truncation!r}")
-        levels = tuple(tuple(lv) for lv in levels)
-        if len(levels) != truncation + 1:
-            raise InputError(
-                f"expected {truncation + 1} levels, got {len(levels)}")
+        levels = _shape(truncation, levels)
         index = []
         for n, lv in enumerate(levels):
             for c in lv:
@@ -182,19 +206,39 @@ class TruncatedSSet(SimplicialTables):
             index.append({c: p for p, c in enumerate(lv)})
             if len(index[n]) != len(lv):
                 raise InputError(f"duplicate cell ids at level {n}")
+        self._take(truncation, levels, tuple(index), face, degeneracy, name,
+                   self._as_positions)
+
+    @classmethod
+    def _of_tables(cls, truncation, levels, index, face, degeneracy,
+                   name=""):
+        """A set on levels and tables the package built, taken as they
+        are: ``levels`` lists distinct strs, ``index`` holds each
+        level's name-to-position dict, and each table is in its stored
+        form (a position tuple, or a name table that is not a total map
+        into its target level), so no cell or table is checked again.
+        The truncation, the level count and the table keys are checked
+        as the constructor checks them."""
+        X = cls.__new__(cls)
+        X._take(truncation, _shape(truncation, levels), index, face,
+                degeneracy, name, lambda table, kind, n, i: table)
+        return X
+
+    def _take(self, truncation, levels, index, face, degeneracy, name,
+              stored):
         self.truncation = truncation
         self.levels = levels
         self.name = name
-        self._index = tuple(index)
-        self._tables = {kind: self._position_tables(tables, kind)
+        self._index = index
+        self._tables = {kind: self._position_tables(tables, kind, stored)
                         for kind, tables in (("face", face),
                                              ("degeneracy", degeneracy))}
 
-    def _position_tables(self, tables, kind):
-        """The tables of one kind, each as ``_as_positions`` keeps it;
-        ``InputError`` unless ``tables`` is a ``Mapping`` keyed by (n, i)
-        pairs of ``int``s (so no ``bool`` or ``float``) in the kind's
-        index range."""
+    def _position_tables(self, tables, kind, stored):
+        """The tables of one kind, each as ``stored(table, kind, n, i)``
+        keeps it; ``InputError`` unless ``tables`` is a ``Mapping`` keyed
+        by (n, i) pairs of ``int``s (so no ``bool`` or ``float``) in the
+        kind's index range."""
         if not isinstance(tables, Mapping):
             raise InputError(f"{kind} tables must be a mapping keyed by "
                              f"(n, i), not {type(tables).__name__}")
@@ -207,8 +251,16 @@ class TruncatedSSet(SimplicialTables):
             n, i = key
             if not self._in_range(kind, n, i):
                 raise InputError(f"{kind} index '{n},{i}' out of range")
-            out[key] = self._as_positions(table, kind, n, i)
+            out[key] = stored(table, kind, n, i)
         return out
+
+    def _on_levels(self, picked, face, degeneracy, name):
+        """``SimplicialTables._on_levels``, sharing the picked levels'
+        index; the tables are taken as they are."""
+        return TruncatedSSet._of_tables(
+            len(picked) - 1, tuple(map(self.level, picked)),
+            tuple(map(self._index.__getitem__, picked)), face, degeneracy,
+            name)
 
     def _as_positions(self, table, kind, n, i):
         """A name table as positions in its target level, in level-n
@@ -222,11 +274,9 @@ class TruncatedSSet(SimplicialTables):
         if isinstance(table, Mapping):
             if len(table) != len(self.levels[n]):
                 return table
-            try:
-                return tuple(map(self._index[target].__getitem__,
-                                 map(table.__getitem__, self.levels[n])))
-            except (KeyError, TypeError):
-                return table
+            positions = _positions(table, self.levels[n],
+                                   self._index[target])
+            return table if positions is None else positions
         if isinstance(table, tuple) and \
                 len(table) == len(self.levels[n]) and \
                 set(map(type, table)) <= {int} and \
@@ -312,6 +362,29 @@ def _disagreements(out, identity, n, indices, cells, lhs, rhs,
                                  detail.format(a, b)))
 
 
+def _position_disagreements(out, identity, n, indices, cells, lhs, rhs,
+                            names, detail="{!r} != {!r}"):
+    """``_disagreements`` of two position tuples into the level
+    ``names``; cells are named only if the tuples differ."""
+    if lhs != rhs:
+        _disagreements(out, identity, n, indices, cells,
+                       map(names.__getitem__, lhs),
+                       map(names.__getitem__, rhs), detail)
+
+
+def _composite(steps, size):
+    """Position tables applied in turn, as one position tuple: each
+    pass maps the next table through the tuple composed so far, from
+    the last table back.  No tables is the identity on ``size``
+    cells."""
+    if not steps:
+        return tuple(range(size))
+    table = steps[-1]
+    for step in reversed(steps[:-1]):
+        table = tuple(map(table.__getitem__, step))
+    return table
+
+
 def identities(N):
     """Every simplicial identity up to truncation N, each stated once.
 
@@ -358,38 +431,53 @@ def validate(X: TruncatedSSet):
     Each reported violation names the identity, the level it was checked
     at, the generator indices involved, and the witnessing cell.
     Identities are only evaluated on entries that exist; missing entries
-    are themselves reported under "totality".
+    are themselves reported under "totality".  A position tuple is a
+    total map into its target level (the constructor refuses any other),
+    so only name tables are checked for totality and stray entries.  An
+    identity whose tables are all position tuples is checked by
+    composing them, and cells are named only where the two sides
+    differ; any other identity is checked on name tables.
     """
     out = []
     N = X.truncation
-    stores = {"face": X.face, "degeneracy": X.degeneracy}
+    stored = X._store
     for kind, levels, shift in (("face", range(1, N + 1), -1),
                                 ("degeneracy", range(N), 1)):
         for n in levels:
-            cells, cellset = X.level(n), X.level_set(n)
-            targets = X.level_set(n + shift)
             for i in range(n + 1):
-                t = stores[kind].get((n, i))
+                t = stored(kind).get((n, i))
                 if t is None:
                     out.append(Violation("totality", n, (i,), "",
                                          f"{kind} table ({n}, {i}) missing"))
-                    continue
-                _totality(out, n, (i,), t, cells, targets, kind,
-                          f"{kind} value {{!r}} not a cell")
-                out.extend(Violation("stray-entry", n, (i,), c,
-                                     f"{kind} key is not a cell")
-                           for c in t if c not in cellset)
+                elif not isinstance(t, tuple):
+                    _totality(out, n, (i,), t, X.level(n),
+                              X.level_set(n + shift), kind,
+                              f"{kind} value {{!r}} not a cell")
+                    cellset = X.level_set(n)
+                    out.extend(Violation("stray-entry", n, (i,), c,
+                                         f"{kind} key is not a cell")
+                               for c in t if c not in cellset)
 
     # a missing table was reported above; through it nothing is defined
+    @cache
     def table(kind, n, i):
-        return stores[kind].get((n, i), {})
+        return X._as_names(stored(kind).get((n, i), {}), n, n + _SHIFT[kind])
 
     for identity, n, indices, lhs, rhs in identities(N):
         cells = X.level(n)
-        _disagreements(out, identity, n, indices, cells,
-                       along(cells, lhs, table), along(cells, rhs, table),
-                       "{!r} != {!r}" if rhs else
-                       "expected identity, got {!r}")
+        detail = "{!r} != {!r}" if rhs else "expected identity, got {!r}"
+        sides = [[stored(kind).get((k, i)) for kind, k, i in side]
+                 for side in (lhs, rhs)]
+        if all(isinstance(t, tuple) for side in sides for t in side):
+            kind, k, _ = lhs[-1]
+            _position_disagreements(out, identity, n, indices, cells,
+                                    *(_composite(side, len(cells))
+                                      for side in sides),
+                                    X.level(k + _SHIFT[kind]), detail)
+        else:
+            _disagreements(out, identity, n, indices, cells,
+                           along(cells, lhs, table),
+                           along(cells, rhs, table), detail)
     return out
 
 
@@ -477,12 +565,7 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
         if not isinstance(step, tuple):
             raise _not_a_map(kind, k, i)
         steps.append(step)
-    if not steps:
-        return tuple(range(len(X.level(m))))
-    table = steps.pop()
-    for step in reversed(steps):
-        table = tuple(map(table.__getitem__, step))
-    return table
+    return _composite(steps, len(X.level(m)))
 
 
 class Pullback:
@@ -581,13 +664,12 @@ def subdivide(X, act):
     if X.truncation < 1:
         raise InputError("edgewise needs truncation >= 1")
     M = (X.truncation - 1) // 2
-    levels = tuple(X.level(2 * n + 1) for n in range(M + 1))
     face = {(n, i): act(edgewise_on_map(coface(i, n)), X)
             for n in range(1, M + 1) for i in range(n + 1)}
     degeneracy = {(n, i): act(edgewise_on_map(codegeneracy(i, n)), X)
                   for n in range(M) for i in range(n + 1)}
-    return type(X)(M, levels, face, degeneracy,
-                   name=f"esd({X.name})" if X.name else "esd")
+    return X._on_levels(range(1, 2 * M + 2, 2), face, degeneracy,
+                        f"esd({X.name})" if X.name else "esd")
 
 
 def edgewise(X: TruncatedSSet) -> TruncatedSSet:
@@ -609,8 +691,8 @@ def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
             for n in range(1, X.truncation + 1) for i in range(n + 1)}
     degeneracy = {(n, i): X._map("degeneracy", n, n - i)
                   for n in range(X.truncation) for i in range(n + 1)}
-    return TruncatedSSet(X.truncation, X.levels, face, degeneracy,
-                         name=f"rev({X.name})" if X.name else "rev")
+    return X._on_levels(range(X.truncation + 1), face, degeneracy,
+                        f"rev({X.name})" if X.name else "rev")
 
 
 def nondegenerate_cells(X: TruncatedSSet, n: int):
@@ -637,7 +719,13 @@ class SimplicialMap:
 
 
 def simplicial_map_violations(f: SimplicialMap):
-    """Totality and naturality failures of f; empty means f is simplicial."""
+    """Totality and naturality failures of f; empty means f is simplicial.
+
+    Each component that sends every cell to a target cell is taken as a
+    position tuple once; a naturality square whose tables and
+    components are all position tuples is checked by composing them,
+    and any other square on name tables.
+    """
     out = []
     X, Y = f.source, f.target
     if X.truncation != Y.truncation:
@@ -646,21 +734,31 @@ def simplicial_map_violations(f: SimplicialMap):
     if len(f.components) != X.truncation + 1:
         return [Violation("shape", -1, (), "",
                           f"expected {X.truncation + 1} components")]
+    positions = []
     for n, comp in enumerate(f.components):
-        _totality(out, n, (), comp, X.level(n), Y.level_set(n), "component",
-                  "image {!r} not a cell of the target")
-    for n in range(1, X.truncation + 1):
-        cells, lo, hi = X.level(n), f.components[n - 1], f.components[n]
-        for i in range(n + 1):
-            _disagreements(out, "naturality-face", n, (i,), cells,
-                           _through(cells, X.face_map(n, i), lo),
-                           _through(cells, hi, Y.face_map(n, i)))
-    for n in range(X.truncation):
-        cells, lo, hi = X.level(n), f.components[n], f.components[n + 1]
-        for i in range(n + 1):
-            _disagreements(out, "naturality-degeneracy", n, (i,), cells,
-                           _through(cells, X.degeneracy_map(n, i), hi),
-                           _through(cells, lo, Y.degeneracy_map(n, i)))
+        positions.append(_positions(comp, X.level(n), Y._index[n]))
+        if positions[n] is None:
+            _totality(out, n, (), comp, X.level(n), Y.level_set(n),
+                      "component", "image {!r} not a cell of the target")
+    for kind, levels in (("face", range(1, X.truncation + 1)),
+                         ("degeneracy", range(X.truncation))):
+        for n in levels:
+            cells, t = X.level(n), n + _SHIFT[kind]
+            for i in range(n + 1):
+                x, y = X._map(kind, n, i), Y._map(kind, n, i)
+                lhs, rhs = [x, positions[t]], [positions[n], y]
+                if all(isinstance(s, tuple) for s in lhs + rhs):
+                    _position_disagreements(
+                        out, f"naturality-{kind}", n, (i,), cells,
+                        _composite(lhs, len(cells)),
+                        _composite(rhs, len(cells)), Y.level(t))
+                else:
+                    _disagreements(
+                        out, f"naturality-{kind}", n, (i,), cells,
+                        _through(cells, X._as_names(x, n, t),
+                                 f.components[t]),
+                        _through(cells, f.components[n],
+                                 Y._as_names(y, n, t)))
     return out
 
 
@@ -675,9 +773,12 @@ def iso_check(f: SimplicialMap):
         return out
     X, Y = f.source, f.target
     for n in range(X.truncation + 1):
-        comp = f.components[n]
+        comp, cells = f.components[n], X.level(n)
+        if len(cells) == len(Y.level(n)) == \
+                len(set(map(comp.__getitem__, cells))):
+            continue    # a bijection: nothing collides or is uncovered
         seen = {}
-        for c in X.level(n):
+        for c in cells:
             v = comp[c]
             if v in seen:
                 out.append(Violation("bijectivity", n, (), c,

@@ -158,3 +158,14 @@ def test_iso_check_catches_a_broken_component():
     problems = iso_check(swapped)
     assert any(v.identity == "bijectivity" for v in problems)
     assert any(v.identity.startswith("naturality") for v in problems)
+
+
+def test_subdivision_and_reversal_share_the_level_index():
+    X = standard_simplex(2, 5)
+    E, R = edgewise(X), op_reverse(X)
+    assert all(E._index[n] is X._index[2 * n + 1]
+               for n in range(E.truncation + 1))
+    assert all(r is x for r, x in zip(R._index, X._index))
+    assert all(R._store("face")[(n, i)] is X._store("face")[(n, n - i)]
+               for n, i in R._store("face"))
+    assert E == TruncatedSSet(E.truncation, E.levels, E.face, E.degeneracy)

@@ -14,8 +14,8 @@ from edgewise.cat import bar, chain_poset, cyclic_monoid, nerve
 from edgewise.corpus import random_coskeletal_sset
 from edgewise.errors import InputError
 from edgewise.sset import (SimplicialMap, TruncatedSSet, Violation,
-                           simplicial_map_violations, standard_simplex,
-                           validate)
+                           iso_check, simplicial_map_violations,
+                           standard_simplex, validate)
 
 # -- references -------------------------------------------------------------
 
@@ -255,6 +255,40 @@ def test_map_violations_match_the_per_cell_reference(data):
     f = SimplicialMap(X, target, corrupt_map(data, X))
     assert outcome(simplicial_map_violations, f) == \
         outcome(reference_map_violations, f)
+
+
+def reference_iso_check(f):
+    out = reference_map_violations(f)
+    if any(v.identity in ("shape", "totality") for v in out):
+        return out
+    X, Y = f.source, f.target
+    for n in range(X.truncation + 1):
+        seen = {}
+        for c in X.level(n):
+            v = f.components[n][c]
+            if v in seen:
+                out.append(Violation("bijectivity", n, (), c,
+                                     f"collides with {seen[v]!r} at {v!r}"))
+            seen[v] = c
+        for y in Y.level(n):
+            if y not in seen:
+                out.append(Violation("bijectivity", n, (), y,
+                                     "uncovered target cell"))
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_map_checks_with_name_tables_at_both_ends_match_the_reference(data):
+    """Source and target may both carry name tables; ``iso_check`` adds
+    the bijectivity of each component."""
+    X = data.draw(st.sampled_from(BASES))
+    source = corrupt_sset(data, X) if data.draw(st.booleans()) else X
+    target = corrupt_sset(data, X) if data.draw(st.booleans()) else X
+    f = SimplicialMap(source, target, corrupt_map(data, X))
+    assert outcome(simplicial_map_violations, f) == \
+        outcome(reference_map_violations, f)
+    assert outcome(iso_check, f) == outcome(reference_iso_check, f)
 
 
 def test_corruptions_reach_every_identity():
