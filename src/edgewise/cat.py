@@ -10,7 +10,9 @@ Every category builder here, and the level groupoids of the
 S-construction, hand their morphism data and rules to one builder,
 ``tabulate_category``, which names the morphisms, tabulates their
 endpoints and identities, and asks the composition rule only of
-composable pairs.
+composable pairs.  ``nerve`` and ``bar`` build their sets of strings
+through one helper, ``_tabulate_strings``, a level at a time on
+positions.
 
 Partial monoids here satisfy the two-sided unit law and the strong
 associativity axiom: for any triple, definedness of one bracketing
@@ -25,10 +27,11 @@ from __future__ import annotations
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import count, repeat
+from operator import add, itemgetter, mul
 
 from .errors import InputError
-from .sset import SimplicialMap, TruncatedSSet, edgewise, tabulate
+from .sset import SimplicialMap, TruncatedSSet, _positions, edgewise
 
 __all__ = [
     "LawViolation",
@@ -236,43 +239,173 @@ def opposite_category(A: FinCategory) -> FinCategory:
         name=f"op({A.name})" if A.name else "op")
 
 
+def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
+                      label, *, gaps):
+    """A truncated simplicial set of strings, built a level at a time on
+    positions.
+
+    Level 0 holds the ``roots``.  A level-n cell, n >= 1, is its
+    parent, the level-(n-1) cell d_n, extended by a last letter, one of
+    ``letters``, and is named by its letters joined with "|".  A cell's
+    state decides how it extends.  A root's state is its name;
+    ``firsts`` lists the level-1 cells in level order as (root of d_1,
+    root of d_0, letter, state); ``moves(s)`` gives the (letter, state)
+    pairs that extend a cell in state s, in level order.  ``merge(a,
+    b)`` is the letter of a followed by b, or None, and ``unit(s)`` the
+    letter that a degeneracy inserts at a vertex in state s.
+
+    Each level keeps a child index, parent position and letter to
+    position, and most tables come from the level below: for i <= n - 2,
+    d_i(x) is the child of d_i(parent x) by the last letter of x, and
+    for i <= n - 1, s_i(x) is the child of s_i(parent x).  Only the
+    level-1 faces, d_{n-1} (the child of the grandparent by the merge
+    of the last two letters) and s_n (the child by the unit at the last
+    vertex) read letters.  These identities hold exactly for strings
+    whose prefixes are all cells, so an image is no cell exactly where
+    the recurrence finds no prefix or no child.  A table whose images
+    are all cells is kept as positions.  In any other, an image that is
+    no cell is named by its letters, as ``tabulate`` names it, or left
+    out of a face table if ``gaps``; the table is a dict of names unless
+    those names are all cells, which the constructor would read as
+    positions.
+    """
+    none = len(letters)         # the letter id of no letter
+    S = none + 1
+    lid = {a: k for k, a in enumerate(letters)}
+    spelled = ["|" + a for a in letters]
+    names, index = [list(roots)], [dict(zip(roots, count()))]
+    parent, letter, state = [()], [()], [list(roots)]
+    # child[n][p * S + l]: the level-(n+1) position of cell p extended by
+    # letter l, or len(level n+1), the dead position, where that is no
+    # cell; row len(level n) is all dead, so a dead position stays dead
+    child = []
+    work = {}       # (kind, n, i) -> positions, dead where no cell
+    merged, units, steps = {}, {}, {}
+    face, degeneracy = {}, {}
+
+    def at(n, cells, ids):
+        """Level-(n+1) positions of the given level-n cells extended by
+        the given letter ids."""
+        return tuple(map(child[n].__getitem__,
+                         map(add, map(mul, cells, repeat(S)), ids)))
+
+    def image(kind, n, i, x):
+        """The letters of cell x's image, or None where it has none."""
+        word, states = [], []
+        for k in range(n, 0, -1):
+            word.append(letters[letter[k][x]])
+            states.append(state[k][x])
+            x = parent[k][x]
+        word.reverse()
+        states.append(state[0][x])
+        states.reverse()
+        if kind == "degeneracy":
+            return word[:i] + [unit(states[i])] + word[i:]
+        if gaps:
+            return None
+        if i == 0 or i == n:
+            return word[1:] if i == 0 else word[:-1]
+        m = merge(word[i - 1], word[i])
+        return None if m is None else word[:i - 1] + [m] + word[i + 1:]
+
+    def keep(kind, n, i, positions):
+        """The stored form of a table computed as ``positions``."""
+        work[kind, n, i] = positions
+        target = n - 1 if kind == "face" else n + 1
+        dead = len(names[target])
+        if dead not in positions:
+            return positions
+        out = {}
+        for x, (cid, t) in enumerate(zip(names[n], positions)):
+            if t != dead:
+                out[cid] = names[target][t]
+            elif (d := image(kind, n, i, x)) is not None:
+                out[cid] = "|".join(d)
+        total = None
+        if len(out) == len(names[n]):
+            total = _positions(out, names[n], index[target])
+        return out if total is None else total
+
+    for n in range(1, truncation + 1):
+        if n == 1:
+            cells = [(index[0][r], lid[a], s) for r, _, a, s in firsts]
+        else:
+            for s in dict.fromkeys(state[n - 1]):
+                if s not in steps:
+                    steps[s] = [(lid[a], t) for a, t in moves(s)]
+            cells = [(p, k, t) for p, s in enumerate(state[n - 1])
+                     for k, t in steps[s]]
+        par, let, st = zip(*cells) if cells else ((), (), ())
+        names.append(list(map(add, map(names[n - 1].__getitem__, par),
+                              map(spelled.__getitem__, let)))
+                     if n > 1 else [letters[k] for k in let])
+        parent.append(par)
+        letter.append(let)
+        state.append(st)
+        index.append(dict(zip(names[n], count())))
+        address = dict(zip(map(add, map(mul, par, repeat(S)), let), count()))
+        child.append(list(map(address.get,
+                              range((len(names[n - 1]) + 1) * S),
+                              repeat(len(par)))))
+
+        if n == 1:
+            face[1, 0] = keep("face", 1, 0, tuple(
+                index[0][r] for _, r, _, _ in firsts))
+        else:
+            for i in range(n - 1):
+                face[n, i] = keep("face", n, i, at(
+                    n - 2, map(work["face", n - 1, i].__getitem__, par), let))
+            pairs = list(map(add, map(mul, map(letter[n - 1].__getitem__,
+                                               par), repeat(S)), let))
+            for k in dict.fromkeys(pairs):
+                if k not in merged:
+                    merged[k] = lid.get(
+                        merge(letters[k // S], letters[k % S]), none)
+            face[n, n - 1] = keep("face", n, n - 1, at(
+                n - 2, map(parent[n - 1].__getitem__, par),
+                map(merged.__getitem__, pairs)))
+        face[n, n] = keep("face", n, n, tuple(par))
+
+        m = n - 1       # the degeneracies into level n
+        for i in range(m):
+            degeneracy[m, i] = keep("degeneracy", m, i, at(
+                m, map(work["degeneracy", m - 1, i].__getitem__, parent[m]),
+                letter[m]))
+        for s in dict.fromkeys(state[m]):
+            if s not in units:
+                units[s] = lid.get(unit(s), none)
+        degeneracy[m, m] = keep("degeneracy", m, m, at(
+            m, range(len(names[m])), map(units.__getitem__, state[m])))
+    return TruncatedSSet._of_tables(truncation, names, tuple(index), face,
+                                    degeneracy, label)
+
+
 def nerve(A: FinCategory, truncation: int) -> TruncatedSSet:
     """Composable strings of A as a truncated simplicial set.
 
     Level n cells are pipe-joined strings of n composable morphisms
     (objects at level 0); inner faces compose adjacent entries, outer
-    faces drop an end, degeneracies insert identities.  A cell's data
-    is its first object with its tuple of morphisms.
+    faces drop an end, degeneracies insert identities.  The tables are
+    built by ``_tabulate_strings``: the letters are the morphisms, a
+    string's state is the object it ends at, so only the level-1 faces,
+    the last inner face (which composes the last two morphisms) and the
+    last degeneracy (which appends an identity) read the category; every
+    other face and degeneracy comes from the level below.
     """
     _check_names(A.objects, "|", "object")
     _check_names(A.morphisms, "|", "morphism")
     if truncation < 0:
         raise InputError("negative truncation")
-    src, tgt, ident = A.src, A.tgt, A.identity
-    cells = [[(x, ()) for x in A.objects],
-             [(src[f], (f,)) for f in A.morphisms]][:truncation + 1]
-    for n in range(2, truncation + 1):
-        cells.append([(x, fs + (f,)) for x, fs in cells[n - 1]
-                      for f in A.morphisms if src[f] == tgt[fs[-1]]])
-
-    def face(n, i):
-        if i == 0:
-            return lambda c: (tgt[c[1][0]], c[1][1:])
-        if i == n:
-            return lambda c: (c[0], c[1][:-1])
-        return lambda c: (c[0], c[1][:i - 1] +
-                          (A.composite(c[1][i], c[1][i - 1]),) + c[1][i + 1:])
-
-    def degeneracy(n, i):
-        # the identity of the i-th object the string visits
-        if i == 0:
-            return lambda c: (c[0], (ident[c[0]],) + c[1])
-        return lambda c: (c[0], c[1][:i] + (ident[tgt[c[1][i - 1]]],) +
-                          c[1][i:])
-
-    return tabulate(cells, face, degeneracy,
-                    lambda c: "|".join(c[1]) or c[0],
-                    label=f"nerve({A.name or 'category'})")
+    src, tgt = A.src, A.tgt
+    out_of = {x: [] for x in A.objects}
+    for f in A.morphisms:
+        out_of[src[f]].append((f, tgt[f]))
+    return _tabulate_strings(
+        truncation, A.objects, [(src[f], tgt[f], f, tgt[f])
+                                for f in A.morphisms],
+        A.morphisms, out_of.__getitem__, lambda f, g: A.composite(g, f),
+        A.identity.__getitem__, f"nerve({A.name or 'category'})",
+        gaps=False)
 
 
 def _escape(part):
@@ -373,31 +506,35 @@ def validate_partial_monoid(M: PartialMonoid):
     agree.  This is deliberately stricter than requiring agreement only
     when both sides happen to exist; the bar construction needs it.
     """
-    out = []
-    e = M.unit
-    for a in M.elements:
-        if M.multiply(e, a) != a:
-            out.append(LawViolation("unit", (e, a), f"{M.multiply(e, a)!r}"))
-        if M.multiply(a, e) != a:
-            out.append(LawViolation("unit", (a, e), f"{M.multiply(a, e)!r}"))
-    for a in M.elements:
-        for b in M.elements:
-            ab = M.multiply(a, b)
-            for c in M.elements:
-                bc = M.multiply(b, c)
-                left = M.multiply(ab, c) if ab is not None else None
-                right = M.multiply(a, bc) if bc is not None else None
+    return list(_monoid_violations(M.elements, M.unit, M.product))
+
+
+def _monoid_violations(elements, e, product):
+    """``validate_partial_monoid`` of a product dict, one violation at a
+    time, in its order."""
+    multiply = product.get
+    for a in elements:
+        if multiply((e, a)) != a:
+            yield LawViolation("unit", (e, a), f"{multiply((e, a))!r}")
+        if multiply((a, e)) != a:
+            yield LawViolation("unit", (a, e), f"{multiply((a, e))!r}")
+    for a in elements:
+        for b in elements:
+            ab = multiply((a, b))
+            for c in elements:
+                bc = multiply((b, c))
+                left = multiply((ab, c)) if ab is not None else None
+                right = multiply((a, bc)) if bc is not None else None
                 left_def = ab is not None and left is not None
                 right_def = bc is not None and right is not None
                 if left_def != right_def:
-                    out.append(LawViolation(
+                    yield LawViolation(
                         "strong-associativity", (a, b, c),
-                        "left defined" if left_def else "right defined"))
+                        "left defined" if left_def else "right defined")
                 elif left_def and left != right:
-                    out.append(LawViolation(
+                    yield LawViolation(
                         "associativity-value", (a, b, c),
-                        f"{left!r} != {right!r}"))
-    return out
+                        f"{left!r} != {right!r}")
 
 
 def _progressive_tuples(M: PartialMonoid, length: int):
@@ -426,35 +563,25 @@ def bar(M: PartialMonoid, truncation: int) -> TruncatedSSet:
     Inner faces multiply adjacent entries; with strong associativity the
     results stay progressively defined, so the tables come out total.
     Without it, entries whose products do not exist are simply omitted
-    and ``validate`` on the result reports them.
+    and ``validate`` on the result reports them.  The tables are built
+    by ``_tabulate_strings``: the letters are the elements, a tuple's
+    state is its running product, so only the level-1 faces, the last
+    inner face (which multiplies the last two entries) and the last
+    degeneracy (which appends the unit) read the product; every other
+    face and degeneracy comes from the level below.
     """
     _check_names(M.elements, "|", "element")
     if truncation < 0:
         raise InputError("negative truncation")
-    cells = [[t for t, _ in _progressive_tuples(M, n)]
-             for n in range(truncation + 1)]
-    members = [set(lv) for lv in cells]
 
-    def face(n, i):
-        below = members[n - 1]
+    def moves(run):
+        return [(m, p) for m in M.elements
+                if (p := M.multiply(run, m)) is not None]
 
-        def rule(t):
-            if i == 0:
-                d = t[1:]
-            elif i == n:
-                d = t[:-1]
-            else:
-                prod = M.multiply(t[i - 1], t[i])
-                d = None if prod is None else t[:i - 1] + (prod,) + t[i + 1:]
-            # record only entries that land on existing cells; validation
-            # surfaces the gaps for defective inputs
-            return d if d in below else None
-        return rule
-
-    return tabulate(cells, face,
-                    lambda n, i: lambda t: t[:i] + (M.unit,) + t[i:],
-                    lambda t: "|".join(t) or "*",
-                    label=f"bar({M.name or 'monoid'})")
+    return _tabulate_strings(
+        truncation, ("*",), [("*", "*", m, m) for m in M.elements],
+        M.elements, moves, M.multiply, lambda s: M.unit,
+        f"bar({M.name or 'monoid'})", gaps=True)
 
 
 def span_category(M: PartialMonoid) -> FinCategory:

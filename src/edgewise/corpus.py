@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .cat import (
     FinCategory,
     PartialMonoid,
+    _monoid_violations,
     bar,
     chain_poset,
     cyclic_monoid,
@@ -25,7 +27,6 @@ from .cat import (
     product_category,
     truncated_free_monoid,
     twisted_arrow,
-    validate_partial_monoid,
 )
 from .errors import GenerationError, InputError
 from .sset import TruncatedSSet, tabulate
@@ -66,7 +67,9 @@ def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
     """Rejection-sample a strongly associative partial product table.
 
     Unit rows are forced; other pairs are left undefined with weight 2
-    or sent to a random element.  Sizes up to 5 are practical.
+    or sent to a random element.  Sizes up to 5 are practical.  A draw
+    is rejected at its first law violation, and the monoid is built
+    only for the draw that has none.
     """
     if not 1 <= size <= 5:
         raise InputError("size must be between 1 and 5")
@@ -81,16 +84,15 @@ def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
                 pick = rng.randrange(size + 2)
                 if pick < size:
                     product[(a, b)] = elements[pick]
-        M = PartialMonoid(elements, "e", product,
-                          name=f"rpm{size}-s{seed}")
-        last = validate_partial_monoid(M)
-        if not last:
-            return M
+        last = next(_monoid_violations(elements, "e", product), None)
+        if last is None:
+            return PartialMonoid(elements, "e", product,
+                                 name=f"rpm{size}-s{seed}")
     raise GenerationError(
         f"no strongly associative table of size {size} within "
         f"{_MONOID_DRAWS} tries",
         seed=seed, size=size, attempts=_MONOID_DRAWS,
-        last_violation=str(last[0]) if last else "")
+        last_violation="" if last is None else str(last))
 
 
 def _random_poset(rng, max_objects):
@@ -139,6 +141,15 @@ def random_category(seed: int, max_objects: int = 4,
                 len(A.morphisms) <= max_morphisms:
             return A
     raise GenerationError("no category within the size bounds", seed=seed)
+
+
+def _picker(positions):
+    """A function taking a tuple to the tuple of its entries at
+    ``positions``."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda t: (t[p],)
+    return itemgetter(*positions) if positions else lambda t: ()
 
 
 def coskeletal_from_graph(vertices, edges, truncation,
@@ -197,20 +208,22 @@ def coskeletal_from_graph(vertices, edges, truncation,
     def face(n, i):
         keep = [p for p in range(n + 1) if p != i]
         prs = pairs(n)
-        sel = [prs.index((keep[p], keep[q])) for p, q in pairs(n - 1)]
-        return lambda c: (tuple(c[0][p] for p in keep),
-                          tuple(c[1][s] for s in sel))
+        on_vertices = _picker(keep)
+        on_edges = _picker([prs.index((keep[p], keep[q]))
+                            for p, q in pairs(n - 1)])
+        return lambda c: (on_vertices(c[0]), on_edges(c[1]))
 
     def degeneracy(n, i):
-        # duplicate vertex i; the new adjacent pair takes the loop
+        # duplicate vertex i; the new adjacent pair takes the loop, read
+        # from one past the end of the cell's edges
         expand = [p if p <= i else p - 1 for p in range(n + 2)]
         prs = pairs(n)
-        picks = [None if (p, q) == (i, i + 1)
-                 else prs.index((expand[p], expand[q]))
-                 for p, q in pairs(n + 1)]
-        return lambda c: (tuple(c[0][p] for p in expand),
-                          tuple(loop_of[c[0][i]] if s is None else c[1][s]
-                                for s in picks))
+        on_vertices = _picker(expand)
+        on_edges = _picker([len(prs) if (p, q) == (i, i + 1)
+                            else prs.index((expand[p], expand[q]))
+                            for p, q in pairs(n + 1)])
+        return lambda c: (on_vertices(c[0]),
+                          on_edges(c[1] + (loop_of[c[0][i]],)))
 
     return tabulate(cell_data, face, degeneracy, cell_id.__getitem__,
                     label=name or "coskeletal")

@@ -493,7 +493,10 @@ def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
     table is a dict of names that shares the levels' strings, where an
     image that is not a cell still gets its name, so ``validate``
     reports it.  Face tables are built for each (n, i) in order, then
-    the degeneracy tables.
+    the degeneracy tables.  Every table asks its rule of every cell;
+    ``nerve`` and ``bar`` avoid that, building most tables from the
+    level below (``cat._tabulate_strings``), so that only their level-1
+    faces, last inner face and last degeneracy read the cells' letters.
     """
     N = len(cells) - 1
     levels = [list(map(name, lv)) for lv in cells]
@@ -578,7 +581,7 @@ class Pullback:
     Nothing is enumerated up front: ``positions()`` runs a hash join
     over g bucketed by value and yields the pairs as positions,
     iterating yields them by name, and ``pairs`` keeps that enumeration
-    on first use.  ``size()`` multiplies value counts and ``in``
+    on first use.  ``size()`` multiplies value counts, once, and ``in``
     compares the two legs, so neither enumerates a pair.  Two pullbacks
     are equal when their ``pairs`` are.
     """
@@ -619,6 +622,10 @@ class Pullback:
         return tuple(self)
 
     def size(self) -> int:
+        return self._size
+
+    @cached_property
+    def _size(self) -> int:
         counts = Counter(self.g)
         return sum(k * counts[v] for v, k in Counter(self.f).items())
 
