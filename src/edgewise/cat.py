@@ -31,7 +31,7 @@ from itertools import count, repeat
 from operator import add, itemgetter, mul
 
 from .errors import InputError
-from .sset import SimplicialMap, TruncatedSSet, _positions, edgewise
+from .sset import SimplicialMap, TruncatedSSet, _gather, _positions, edgewise
 
 __all__ = [
     "LawViolation",
@@ -286,8 +286,7 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
     def at(n, cells, ids):
         """Level-(n+1) positions of the given level-n cells extended by
         the given letter ids."""
-        return tuple(map(child[n].__getitem__,
-                         map(add, map(mul, cells, repeat(S)), ids)))
+        return _gather(child[n], map(add, map(mul, cells, repeat(S)), ids))
 
     def image(kind, n, i, x):
         """The letters of cell x's image, or None where it has none."""
@@ -336,8 +335,8 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
             cells = [(p, k, t) for p, s in enumerate(state[n - 1])
                      for k, t in steps[s]]
         par, let, st = zip(*cells) if cells else ((), (), ())
-        names.append(list(map(add, map(names[n - 1].__getitem__, par),
-                              map(spelled.__getitem__, let)))
+        names.append(list(map(add, _gather(names[n - 1], par),
+                              _gather(spelled, let)))
                      if n > 1 else [letters[k] for k in let])
         parent.append(par)
         letter.append(let)
@@ -354,28 +353,27 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
         else:
             for i in range(n - 1):
                 face[n, i] = keep("face", n, i, at(
-                    n - 2, map(work["face", n - 1, i].__getitem__, par), let))
-            pairs = list(map(add, map(mul, map(letter[n - 1].__getitem__,
-                                               par), repeat(S)), let))
+                    n - 2, _gather(work["face", n - 1, i], par), let))
+            pairs = list(map(add, map(mul, _gather(letter[n - 1], par),
+                                      repeat(S)), let))
             for k in dict.fromkeys(pairs):
                 if k not in merged:
                     merged[k] = lid.get(
                         merge(letters[k // S], letters[k % S]), none)
             face[n, n - 1] = keep("face", n, n - 1, at(
-                n - 2, map(parent[n - 1].__getitem__, par),
-                map(merged.__getitem__, pairs)))
+                n - 2, _gather(parent[n - 1], par), _gather(merged, pairs)))
         face[n, n] = keep("face", n, n, tuple(par))
 
         m = n - 1       # the degeneracies into level n
         for i in range(m):
             degeneracy[m, i] = keep("degeneracy", m, i, at(
-                m, map(work["degeneracy", m - 1, i].__getitem__, parent[m]),
+                m, _gather(work["degeneracy", m - 1, i], parent[m]),
                 letter[m]))
         for s in dict.fromkeys(state[m]):
             if s not in units:
                 units[s] = lid.get(unit(s), none)
         degeneracy[m, m] = keep("degeneracy", m, m, at(
-            m, range(len(names[m])), map(units.__getitem__, state[m])))
+            m, range(len(names[m])), _gather(units, state[m])))
     return TruncatedSSet._of_tables(truncation, names, tuple(index), face,
                                     degeneracy, label)
 

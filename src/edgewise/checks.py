@@ -26,8 +26,8 @@ from .delta import (
 )
 from .errors import GenerationError, InputError
 # act and strict_pullback are bound here too, for tracers that wrap them
-from .sset import (Pullback, TruncatedSSet, act, act_positions, edgewise,
-                   op_reverse, strict_pullback)
+from .sset import (Pullback, TruncatedSSet, _gather, act, act_positions,
+                   edgewise, op_reverse, strict_pullback)
 
 __all__ = [
     "Semantics",
@@ -83,9 +83,8 @@ class Comparison:
     @cached_property
     def table(self) -> dict:
         P = self.pullback
-        return dict(zip(self.domain,
-                        zip(map(P.left.__getitem__, self.outer),
-                            map(P.right.__getitem__, self.inner))))
+        return dict(zip(self.domain, zip(_gather(P.left, self.outer),
+                                         _gather(P.right, self.inner))))
 
 
 def _compare(kind, indices, domain, outer, inner, pullback) -> Comparison:
@@ -100,8 +99,7 @@ def _compare(kind, indices, domain, outer, inner, pullback) -> Comparison:
     the first collision or else the first uncovered pair.
     """
     f, g = pullback.f, pullback.g
-    agree = list(map(f.__getitem__, outer)) == \
-        list(map(g.__getitem__, inner))
+    agree = _gather(f, outer) == _gather(g, inner)
     if agree and len(domain) == pullback.size() == len(set(
             map(add, map(mul, outer, repeat(len(g))), inner))):
         witness = None
@@ -440,11 +438,12 @@ class RetractResult:
 
 def _carry(count, path):
     """Positions 0..count-1, each carried through the tables of ``path``
-    in turn."""
-    cells = range(count)
+    in turn, as a tuple (whatever the path's length, so that two
+    carries compare equal exactly when they agree)."""
+    cells = tuple(range(count))
     for table in path:
-        cells = map(table.__getitem__, cells)
-    return list(cells)
+        cells = _gather(table, cells)
+    return cells
 
 
 def _first_failure(count, lhs, rhs):

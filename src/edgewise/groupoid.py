@@ -20,8 +20,8 @@ from .cat import FinCategory, LawViolation, tabulate_category, \
 from .checks import Semantics
 from .delta import SimplexMap, epi_mono_factorize
 from .errors import InputError
-from .sset import (SimplicialTables, TruncatedSSet, Violation, along,
-                   identities, subdivide)
+from .sset import (SimplicialTables, TruncatedSSet, Violation, _gather,
+                   along, identities, subdivide)
 
 __all__ = [
     "FinGroupoid",
@@ -659,7 +659,7 @@ def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
 
 def _pcompose(g, f):
     # index -1 of g extended by the basepoint is the basepoint
-    return tuple(map((g + (-1,)).__getitem__, f))
+    return _gather(g + (-1,), f)
 
 
 def _pidentity(s):

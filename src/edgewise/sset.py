@@ -27,6 +27,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import itemgetter
 
 from .delta import (
     SimplexMap,
@@ -150,12 +151,28 @@ def _not_a_map(kind, n, i):
         f"level {n + _SHIFT[kind]}; input tables are not simplicial")
 
 
+def _gather(table, positions):
+    """``tuple(table[p] for p in positions)``, gathered in C.
+
+    One ``operator.itemgetter`` over all the positions does the lookups
+    without a Python-level call per entry.  ``positions`` is any
+    iterable; no positions give ``()`` and one gives a 1-tuple, where
+    ``itemgetter`` would raise or return the bare entry.  A bad position
+    raises what ``table[p]`` raises: ``IndexError`` out of range,
+    ``KeyError`` for a missing key, ``TypeError`` for an unhashable one.
+    """
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)(table)
+    return (table[positions[0]],) if positions else ()
+
+
 def _positions(table, cells, index):
     """A name table as positions in a level, in the order of ``cells``;
     None unless it sends every cell to a key of ``index``, the level's
     name-to-position dict."""
     try:
-        return tuple(map(index.__getitem__, map(table.__getitem__, cells)))
+        return _gather(index, _gather(table, cells))
     except (KeyError, TypeError):
         return None
 
@@ -259,7 +276,7 @@ class TruncatedSSet(SimplicialTables):
         index; the tables are taken as they are."""
         return TruncatedSSet._of_tables(
             len(picked) - 1, tuple(map(self.level, picked)),
-            tuple(map(self._index.__getitem__, picked)), face, degeneracy,
+            _gather(self._index, picked), face, degeneracy,
             name)
 
     def _as_positions(self, table, kind, n, i):
@@ -289,8 +306,7 @@ class TruncatedSSet(SimplicialTables):
         """A stored table as a dict of names (name tables as they are)."""
         if isinstance(table, Mapping):
             return table
-        return dict(zip(self.levels[n],
-                        map(self.levels[target].__getitem__, table)))
+        return dict(zip(self.levels[n], _gather(self.levels[target], table)))
 
     def _store(self, kind):
         return self._tables[kind]
@@ -375,13 +391,13 @@ def _position_disagreements(out, identity, n, indices, cells, lhs, rhs,
 def _composite(steps, size):
     """Position tables applied in turn, as one position tuple: each
     pass maps the next table through the tuple composed so far, from
-    the last table back.  No tables is the identity on ``size``
-    cells."""
+    the last table back, as one C gather (``_gather``) whose length is
+    that table's.  No tables is the identity on ``size`` cells."""
     if not steps:
         return tuple(range(size))
     table = steps[-1]
     for step in reversed(steps[:-1]):
-        table = tuple(map(table.__getitem__, step))
+        table = _gather(table, step)
     return table
 
 
@@ -504,7 +520,7 @@ def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
 
     def table(n, rule, target):
         try:
-            return tuple(map(where[target].__getitem__, map(rule, cells[n])))
+            return _gather(where[target], map(rule, cells[n]))
         except KeyError:
             pass
         # an image that is no cell, or none at all: a table of names
@@ -554,10 +570,12 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     Face and degeneracy tables are composed along the epi-mono
     factorization of alpha, from the last generator back: each pass
     maps the position tuple of its generator through the tuple composed
-    so far, so the cost is about the sum of the level sizes the
-    generators read rather than the number of generators times the size
-    of level m.  A table on the way that is not a total map into its
-    target level (input that fails ``validate``) raises ``InputError``.
+    so far, as one C gather (``_gather``).  So the cost is one gather
+    per generator but the last, each as long as the level its generator
+    starts from: about the sum of the level sizes the generators read,
+    with no Python-level call per entry.  A table on the way that is
+    not a total map into its target level (input that fails
+    ``validate``) raises ``InputError``.
     """
     n, m = alpha.dom_dim, alpha.cod_dim
     if m > X.truncation or n > X.truncation:

@@ -1,7 +1,8 @@
 """The four table builders against their direct forms.
 
-``standard_simplex``, ``nerve``, ``bar`` and ``coskeletal_from_graph``
-all hand their cell data and rules to ``sset.tabulate``.  The references
+``standard_simplex`` and ``coskeletal_from_graph`` hand their cell data
+and rules to ``sset.tabulate``; ``nerve`` and ``bar`` build their tables
+a level at a time through ``cat._tabulate_strings``.  The references
 below build the same tables directly, one string per entry.  On random
 and defective inputs both must give the same saved bytes, table key
 order and violations, or raise the same error.  The builders must also
