@@ -17,12 +17,13 @@ from typing import Callable
 
 from .cat import bar, nerve
 from .delta import (
-    SimplexMap,
+    _ints,
     retract_retraction,
     retract_section,
     induced_subset_map,
     segal_inclusions,
     two_segal_inclusions,
+    vertex,
 )
 from .errors import GenerationError, InputError
 # act and strict_pullback are bound here too, for tracers that wrap them
@@ -147,10 +148,6 @@ def witness_re_verifies(comp: Comparison) -> bool:
     return False
 
 
-def _vertex(i: int, n: int) -> SimplexMap:
-    return SimplexMap((i,), n + 1)
-
-
 @dataclass(frozen=True)
 class Semantics:
     """The Segal and 2-Segal comparisons, for one meaning of equivalence.
@@ -172,13 +169,14 @@ class Semantics:
         The first factor is the front j-face, the second the back
         (m-j)-face; the legs evaluate at the shared vertex j.
         """
+        _ints("segal_map", m, j)
         if not 1 <= j <= m:
             raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
         if m > X.truncation:
             raise InputError(f"level {m} beyond truncation {X.truncation}")
         front, back = segal_inclusions(m, j)
-        return self.compare("segal", (m, j), X, front, back, _vertex(j, j),
-                            _vertex(0, m - j), _vertex(j, m))
+        return self.compare("segal", (m, j), X, front, back, vertex(j, j),
+                            vertex(0, m - j), vertex(j, m))
 
     def two_segal_map(self, X, n: int, i: int, j: int):
         """The comparison into the outer-polygon and inner-polygon fibers.
@@ -187,6 +185,7 @@ class Semantics:
         {0..i, j..n} and {i..j}; the legs restrict both to the edge
         {i, j}.
         """
+        _ints("two_segal_map", n, i, j)
         if n > X.truncation:
             raise InputError(f"level {n} beyond truncation {X.truncation}")
         data = two_segal_inclusions(n, i, j)
@@ -224,6 +223,7 @@ class Semantics:
         comparison sits at level 2m+1 with indices (m-j, m+j+1); None
         when that level lies beyond the truncation.
         """
+        _ints("beta_gamma", m, j)
         if not 1 <= j <= m:
             raise InputError(f"need 1 <= j <= m, got ({m}, {j})")
         if 2 * m + 1 > X.truncation:
@@ -469,6 +469,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     the vertical maps of both squares are induced on the polygon
     factors by the section and retraction.
     """
+    _ints("retract_verify", n, k)
     if not (n >= 3 and 1 < k < n):
         raise InputError(f"need n >= 3 and 1 < k < n, got ({n}, {k})")
     if 2 * n - 1 > X.truncation:
@@ -521,6 +522,7 @@ def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     simplicial set, where the plain retract applies; the transport is
     itself checked by table equality before the result is relabeled.
     """
+    _ints("retract_verify_reversed", n, k)
     if not (n >= 3 and 0 < k < n - 1):
         raise InputError(f"need n >= 3 and 0 < k < n - 1, got ({n}, {k})")
     if 2 * n - 1 > X.truncation:

@@ -16,11 +16,24 @@ Conventions fixed here and used everywhere else:
   reversed copy of [n] followed by an ordinary copy.  The closed formula
   is certified in the tests against ``edgewise_join_oracle``, which
   builds the concatenated ordering literally and transports the map.
+
+The checks ask for the same few maps again and again, for every set
+they check, so the constructors they call are memoized for the life of
+the process (``_memo``): ``coface``, ``codegeneracy``, ``vertex``,
+``segal_inclusions``, ``two_segal_inclusions``, ``edgewise_on_map``,
+``retract_section``, ``retract_retraction``, ``induced_subset_map`` and
+``generator_path``.  They are keyed by ints and ``SimplexMap``s only
+and hold Δ data only: what they keep depends on the indices and maps
+asked for, never on the sets they are asked for.  To keep them small,
+maps use slots and paths share their generators' tuples (``_step``).
+Indices and sizes must be ``int`` exactly; anything else, ``bool`` and
+``float`` included, raises ``InputError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, wraps
 from itertools import combinations_with_replacement
 
 from .errors import InputError
@@ -31,7 +44,9 @@ __all__ = [
     "compose",
     "coface",
     "codegeneracy",
+    "vertex",
     "epi_mono_factorize",
+    "generator_path",
     "recompose",
     "all_monotone_maps",
     "edgewise_on_map",
@@ -46,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexMap:
     """A monotone map between finite ordinals.
 
@@ -63,11 +78,12 @@ class SimplexMap:
             object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) == 0:
             raise InputError("empty domain ordinal")
+        _ints("SimplexMap", self.cod_size, *self.values)
         if self.cod_size < 1:
             raise InputError("empty codomain ordinal")
         prev = 0
         for v in self.values:
-            if not isinstance(v, int) or not 0 <= v < self.cod_size:
+            if not 0 <= v < self.cod_size:
                 raise InputError(
                     f"value {v!r} outside codomain of size {self.cod_size}")
             if v < prev:
@@ -102,8 +118,39 @@ class SimplexMap:
         return f"SimplexMap({list(self.values)} -> [{self.cod_dim}])"
 
 
+def _ints(where, *values):
+    """``InputError`` unless every value is an ``int`` exactly, as in a
+    table key of ``TruncatedSSet``: a ``bool``, or a ``float`` such as
+    2.0, is refused."""
+    for v in values:
+        if type(v) is not int:
+            raise InputError(f"{where}: {v!r} is not an int")
+
+
+def _memo(fn):
+    """``fn``, computed once per process for each tuple of arguments.
+
+    Each argument must be an ``int`` exactly or a ``SimplexMap``, and
+    is refused with ``InputError`` before the memo is read: 2.0 and
+    True hash and compare equal to 2 and 1, so they would share the int
+    entries.  A call that raises is not memoized.
+    """
+    memo = cache(fn)
+
+    @wraps(fn)
+    def checked(*args):
+        for a in args:
+            if type(a) is not int and type(a) is not SimplexMap:
+                raise InputError(
+                    f"{fn.__name__}: {a!r} is not an int or a SimplexMap")
+        return memo(*args)
+
+    return checked
+
+
 def identity(n: int) -> SimplexMap:
     """The identity of [n]."""
+    _ints("identity", n)
     if n < 0:
         raise InputError("negative dimension")
     return SimplexMap(tuple(range(n + 1)), n + 1)
@@ -117,6 +164,7 @@ def compose(g: SimplexMap, f: SimplexMap) -> SimplexMap:
     return SimplexMap(tuple(g.values[v] for v in f.values), g.cod_size)
 
 
+@_memo
 def coface(i: int, n: int) -> SimplexMap:
     """The injection [n-1] -> [n] that misses i, for 0 <= i <= n, n >= 1."""
     if n < 1 or not 0 <= i <= n:
@@ -124,12 +172,21 @@ def coface(i: int, n: int) -> SimplexMap:
     return SimplexMap(tuple(k if k < i else k + 1 for k in range(n)), n + 1)
 
 
+@_memo
 def codegeneracy(i: int, n: int) -> SimplexMap:
     """The surjection [n+1] -> [n] that hits i twice, for 0 <= i <= n."""
     if n < 0 or not 0 <= i <= n:
         raise InputError(f"codegeneracy({i}, {n}) out of range")
     return SimplexMap(
         tuple(k if k <= i else k - 1 for k in range(n + 2)), n + 1)
+
+
+@_memo
+def vertex(i: int, n: int) -> SimplexMap:
+    """The map [0] -> [n] picking vertex i, for 0 <= i <= n."""
+    if not 0 <= i <= n:
+        raise InputError(f"vertex({i}, {n}) out of range")
+    return SimplexMap((i,), n + 1)
 
 
 def epi_mono_factorize(alpha: SimplexMap):
@@ -146,6 +203,36 @@ def epi_mono_factorize(alpha: SimplexMap):
     duplicated = tuple(j for j in range(alpha.dom_size - 1)
                        if alpha.values[j] == alpha.values[j + 1])
     return missed, duplicated
+
+
+@cache
+def _step(kind, level, index):
+    """The one (kind, level, index) tuple of a generator, shared by
+    every memoized path that has it."""
+    return kind, level, index
+
+
+@_memo
+def generator_path(alpha: SimplexMap) -> tuple:
+    """alpha's generators as (kind, level, index), in the order in
+    which their structure maps act on the cells of a simplicial object.
+
+    For alpha: [n] -> [m] with ``epi_mono_factorize(alpha)`` the path
+    starts at level m with one face per coface, the last coface first,
+    and goes on with one degeneracy per codegeneracy in increasing
+    order, each at the level the one before reached; it ends at level
+    n.  Every index is in range for its kind and level.
+    """
+    cofaces, codegens = epi_mono_factorize(alpha)
+    level = alpha.cod_dim
+    path = []
+    for i in reversed(cofaces):
+        path.append(_step("face", level, i))
+        level -= 1
+    for j in codegens:
+        path.append(_step("degeneracy", level, j))
+        level += 1
+    return tuple(path)
 
 
 def recompose(dom_dim: int, cofaces, codegeneracies) -> SimplexMap:
@@ -167,10 +254,12 @@ def recompose(dom_dim: int, cofaces, codegeneracies) -> SimplexMap:
 
 def all_monotone_maps(dom_dim: int, cod_dim: int):
     """All monotone maps [dom_dim] -> [cod_dim], lexicographically."""
+    _ints("all_monotone_maps", dom_dim, cod_dim)
     for vals in combinations_with_replacement(range(cod_dim + 1), dom_dim + 1):
         yield SimplexMap(vals, cod_dim + 1)
 
 
+@_memo
 def edgewise_on_map(alpha: SimplexMap) -> SimplexMap:
     """The subdivision functor on maps: [n] -> [m] becomes [2n+1] -> [2m+1].
 
@@ -203,12 +292,14 @@ def edgewise_join_oracle(alpha: SimplexMap) -> SimplexMap:
 
 def subset_inclusion(subset, n: int) -> SimplexMap:
     """The inclusion of a subset of [n], enumerated in increasing order."""
+    _ints("subset_inclusion", n)
     vals = tuple(sorted(subset))
     if len(set(vals)) != len(vals):
         raise InputError(f"subset {subset} has repeats")
     return SimplexMap(vals, n + 1)
 
 
+@_memo
 def segal_inclusions(m: int, j: int):
     """The two inclusions splitting [m] at vertex j, for 1 <= j <= m.
 
@@ -222,7 +313,7 @@ def segal_inclusions(m: int, j: int):
     return front, back
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoSegalInclusions:
     """Subset inclusions for the decomposition of [n] along the edge {i, j}.
 
@@ -241,6 +332,7 @@ class TwoSegalInclusions:
     edge_in_inner: SimplexMap
 
 
+@_memo
 def two_segal_inclusions(n: int, i: int, j: int) -> TwoSegalInclusions:
     """Decomposition data of [n] along {i, j}, for n >= 3, 0 <= i < j <= n."""
     if n < 3 or not 0 <= i < j <= n:
@@ -257,6 +349,7 @@ def two_segal_inclusions(n: int, i: int, j: int) -> TwoSegalInclusions:
         n, i, j, outer, inner, edge, edge_in_outer, edge_in_inner)
 
 
+@_memo
 def retract_section(n: int, k: int) -> SimplexMap:
     """The injection [n] -> [2n-1] with 0 at n-k and i at i+n-1 otherwise.
 
@@ -268,6 +361,7 @@ def retract_section(n: int, k: int) -> SimplexMap:
     return SimplexMap(vals, 2 * n)
 
 
+@_memo
 def retract_retraction(n: int, k: int) -> SimplexMap:
     """The surjection [2n-1] -> [n] collapsing the first n elements to 0."""
     if n < 3 or not 1 < k < n:
@@ -276,6 +370,7 @@ def retract_retraction(n: int, k: int) -> SimplexMap:
     return SimplexMap(vals, n + 1)
 
 
+@_memo
 def induced_subset_map(vert: SimplexMap, source_subset: SimplexMap,
                        target_subset: SimplexMap) -> SimplexMap:
     """Solve ``target_subset o result == vert o source_subset``.

@@ -9,7 +9,7 @@ so equal inputs yield identical bytes.
 
 from __future__ import annotations
 
-from .delta import SimplexMap
+from .delta import vertex
 from .errors import InputError
 from .sset import TruncatedSSet, act, edgewise, nondegenerate_cells, \
     standard_simplex
@@ -52,7 +52,7 @@ def emit_diagram(target) -> str:
     for n in range(2, X.truncation + 1):
         cells = nondegenerate_cells(X, n)
         lines.append(f"  // level {n}: {len(cells)} nondegenerate cells")
-        corners = [act(SimplexMap((j,), n + 1), X) for j in range(n + 1)]
+        corners = [act(vertex(j, n), X) for j in range(n + 1)]
         for c in cells:
             spots = ", ".join(table[c] for table in corners)
             lines.append(f'  // "{c}": {spots}')

@@ -18,6 +18,7 @@ from operator import itemgetter
 from .cat import FinCategory, LawViolation, tabulate_category, \
     validate_category
 from .checks import Semantics
+# epi_mono_factorize is bound here too, for tracers that wrap it
 from .delta import SimplexMap, epi_mono_factorize
 from .errors import InputError
 from .sset import (SimplicialTables, TruncatedSSet, Violation, _gather,
@@ -445,14 +446,18 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
 
 
 def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
-    """The structure functor of Y at a monotone map, contravariantly."""
+    """The structure functor of Y at a monotone map, contravariantly.
+
+    The face and degeneracy functors are composed along alpha's
+    generator path (``generator_maps``), which is cached per map: one
+    store lookup and one functor composition per generator.
+    """
     n, m = alpha.dom_dim, alpha.cod_dim
     if m > Y.truncation or n > Y.truncation:
         raise InputError(
             f"act needs levels {n} and {m} within truncation {Y.truncation}")
-    cofaces, codegens = epi_mono_factorize(alpha)
     out = identity_functor(Y.levels[m])
-    for F, _ in Y.generator_maps(m, cofaces, codegens):
+    for F, _ in Y.generator_maps(alpha):
         out = compose_functors(F, out)
     return out
 

@@ -35,7 +35,8 @@ from .delta import (
     codegeneracy,
     coface,
     edgewise_on_map,
-    epi_mono_factorize,
+    epi_mono_factorize,  # bound here too, for tracers that wrap it
+    generator_path,
 )
 from .errors import InputError
 
@@ -126,20 +127,23 @@ class SimplicialTables:
         return type(self)(len(picked) - 1, tuple(map(self.level, picked)),
                           face, degeneracy, name=name)
 
-    def generator_maps(self, m, cofaces, codegens):
-        """(stored map, (kind, level, index)) per generator, in the order
-        they apply.
+    def generator_maps(self, alpha):
+        """(stored map, (kind, level, index)) per generator of alpha, in
+        the order they apply.
 
-        The generators are an epi-mono factorization of a map into [m];
-        a generator's map is looked up when the iteration reaches it.
+        The generators are ``generator_path(alpha)``, which is cached
+        per map, so no call factorizes alpha.  The path's indices are
+        in range for its kinds and levels, and alpha's levels must be
+        within the truncation (the callers check that once), so the
+        cost is one store lookup per generator, made when the iteration
+        reaches it; a map not in the store raises ``InputError``.
         """
-        level = m
-        for i in reversed(cofaces):
-            yield self._map("face", level, i), ("face", level, i)
-            level -= 1
-        for j in codegens:
-            yield self._map("degeneracy", level, j), ("degeneracy", level, j)
-            level += 1
+        for step in generator_path(alpha):
+            kind, n, i = step
+            table = self._store(kind).get((n, i))
+            if table is None:
+                raise InputError(f"{kind} table ({n}, {i}) missing")
+            yield table, step
 
 
 _SHIFT = {"face": -1, "degeneracy": 1}
@@ -567,11 +571,12 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
 def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     """``act`` as a tuple of level-n positions in level-m order.
 
-    Face and degeneracy tables are composed along the epi-mono
-    factorization of alpha, from the last generator back: each pass
+    Face and degeneracy tables are composed along alpha's generator
+    path (``generator_maps``), from the last generator back: each pass
     maps the position tuple of its generator through the tuple composed
-    so far, as one C gather (``_gather``).  So the cost is one gather
-    per generator but the last, each as long as the level its generator
+    so far, as one C gather (``_gather``).  The path is cached per map,
+    so the cost is one store lookup per generator and one gather per
+    generator but the last, each as long as the level its generator
     starts from: about the sum of the level sizes the generators read,
     with no Python-level call per entry.  A table on the way that is
     not a total map into its target level (input that fails
@@ -582,7 +587,7 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
         raise InputError(
             f"act needs levels {n} and {m} within truncation {X.truncation}")
     steps = []
-    for step, (kind, k, i) in X.generator_maps(m, *epi_mono_factorize(alpha)):
+    for step, (kind, k, i) in X.generator_maps(alpha):
         if not isinstance(step, tuple):
             raise _not_a_map(kind, k, i)
         steps.append(step)
