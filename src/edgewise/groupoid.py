@@ -19,7 +19,7 @@ from .cat import FinCategory, LawViolation, tabulate_category, \
     validate_category
 from .checks import Semantics
 # epi_mono_factorize is bound here too, for tracers that wrap it
-from .delta import SimplexMap, epi_mono_factorize
+from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
 from .sset import (SimplicialTables, TruncatedSSet, Violation, _gather,
                    along, identities, subdivide)
@@ -660,6 +660,15 @@ def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
 # basepoint.  A level-n object is the full triangle {(i,j): i<=j<=n}
 # with horizontal injections and vertical surjections, every short
 # square bicartesian.
+#
+# A morphism phi: A -> B of arrays is a permutation phi_ij of each slot
+# commuting with every inj and surj, and it is fixed by its top row
+# p = phi_0n.  phi_0j is p restricted along inj(0,j,n), so p must carry
+# the image of A.inj(0,j,n) onto that of B.inj(0,j,n) for every j; and
+# for i >= 1, surj(0,i,j): A_0j -> A_ij is onto with fiber the image of
+# inj(0,i,j), one-to-one off it, so phi_ij is the map phi_0j induces on
+# that quotient.  Every such p gives a morphism, and composites and
+# inverses are those of the top rows.
 
 
 def _pcompose(g, f):
@@ -828,64 +837,85 @@ def _slots(n):
     return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
 
 
-def _commuting_families(A, B, slots):
-    """Slot permutations from A to B commuting with every inj and surj.
+def _top_row_families(A, B, slots):
+    """The morphisms of arrays from A to B, as (slot permutations, top
+    row) pairs in slot-lexicographic order of the permutations.
 
-    Families come in the order of the product of the permutation pools
-    (slot by slot, ``slots`` order).  Each square is checked as soon as
-    its last slot is chosen, so a failing prefix is never extended.
+    A permutation p of A_{0n} is the top row of a morphism exactly when
+    it carries the image of ``A.inj(0,j,n)`` onto that of
+    ``B.inj(0,j,n)`` for every j.  The rest of the family follows from
+    p: phi_{0j} is p restricted along ``inj(0,j,n)``, and phi_{ij} for
+    i >= 1 is induced on the quotient ``surj(0,i,j)``: A_{0j} -> A_{ij},
+    which is onto and one-to-one off its fiber.
     """
-    position = {s: t for t, s in enumerate(slots)}
-    squares = [[] for _ in slots]
-    # phi[left] . top == bottom . phi[right], phi of a diagonal slot ();
-    # a square on diagonal slots alone maps empty sets and commutes
-    for (i, j, k) in A.inj:
-        for left, right, top, bottom in (
-                ((i, k), (i, j), A.inj[(i, j, k)], B.inj[(i, j, k)]),
-                ((j, k), (i, k), A.surj[(i, j, k)], B.surj[(i, j, k)])):
-            last = max(position.get(left, -1), position.get(right, -1))
-            if last >= 0:
-                squares[last].append((left, right, top, bottom))
-    fam = {}
-
-    def extend(t):
-        if t == len(slots):
-            yield tuple(fam[s] for s in slots)
-            return
-        s = slots[t]
-        for perm in permutations(range(A.sizes[s])):
-            fam[s] = perm
-            if all(_pcompose(fam.get(left, ()), top) ==
-                   _pcompose(bottom, fam.get(right, ()))
-                   for left, right, top, bottom in squares[t]):
-                yield from extend(t + 1)
-
-    yield from extend(0)
+    n = A.n
+    rows = range(1, n + 1)
+    a_inj = [A.inj[(0, j, n)] for j in rows]
+    b_images = [set(B.inj[(0, j, n)]) for j in rows]
+    b_pos = [{v: x for x, v in enumerate(B.inj[(0, j, n)])} for j in rows]
+    # the one x of A_{0j} over each y of A_{ij}
+    a_lift = {}
+    for i, j in slots:
+        if i:
+            lift = a_lift[(i, j)] = [0] * A.sizes[(i, j)]
+            for x, y in enumerate(A.surj[(0, i, j)]):
+                if y != -1:
+                    lift[y] = x
+    out = []
+    for p in permutations(range(A.sizes[(0, n)])):
+        if any({p[x] for x in f} != im for f, im in zip(a_inj, b_images)):
+            continue
+        row = [()] + [_gather(pos, _gather(p, f))
+                      for f, pos in zip(a_inj, b_pos)]
+        out.append((tuple(
+            row[j] if i == 0 else
+            _gather(B.surj[(0, i, j)], _gather(row[j], a_lift[(i, j)]))
+            for i, j in slots), p))
+    out.sort()
+    return out
 
 
 def _level_groupoid(c, n, name):
+    """The level-n groupoid of coherent arrays of pointed sets.
+
+    A morphism phi: A -> B of arrays is fixed by its top row
+    p = phi_{0n} (see ``_top_row_families``), so the category is
+    tabulated on (source, target, top row) data: a composite is one
+    ``_pcompose`` of two top rows, and identities and inverses are read
+    off by top row.  Morphisms are numbered source by source, target by
+    target, then in slot-lexicographic order of their families;
+    ``mor_data`` and ``by_signature`` give each id its (source, target,
+    slot permutations) data, slots in ``_slots(n)`` order.
+    """
     arrays = list(_enumerate_arrays(c, n))
     objects = [f"x{idx}" for idx in range(len(arrays))]
     obj_id = {A.signature(): oid for oid, A in zip(objects, arrays)}
     by_obj = dict(zip(objects, arrays))
     slots = _slots(n)
-    # a morphism's data is (source, target, slot permutations)
-    data = [(o1, o2, fam) for o1, A in by_obj.items()
-            for o2, B in by_obj.items()
-            if all(A.sizes[s] == B.sizes[s] for s in slots)
-            for fam in _commuting_families(A, B, slots)]
-    by_signature = {key: f"m{p}" for p, key in enumerate(data)}
+    # the sizes along the top row fix every size, so they group the pairs
+    shape = {o: tuple(A.sizes[(0, j)] for j in range(n + 1))
+             for o, A in by_obj.items()}
+    alike = {}
+    for o in objects:
+        alike.setdefault(shape[o], []).append(o)
+    families = []
+    data = []
+    for o1, A in by_obj.items():
+        for o2 in alike[shape[o1]]:
+            for fam, p in _top_row_families(A, by_obj[o2], slots):
+                families.append((o1, o2, fam))
+                data.append((o1, o2, p))
+    by_top_row = {key: f"m{k}" for k, key in enumerate(data)}
     tables = tabulate_category(
-        objects, data, by_signature.__getitem__, itemgetter(0),
-        itemgetter(1),
-        lambda o: (o, o, tuple(_pidentity(by_obj[o].sizes[s])
-                               for s in slots)),
-        lambda g, f: (f[0], g[1], tuple(map(_pcompose, g[2], f[2]))))
-    mor_data = dict(zip(tables[1], data))
+        objects, data, by_top_row.__getitem__, itemgetter(0), itemgetter(1),
+        lambda o: (o, o, _pidentity(by_obj[o].sizes[(0, n)])),
+        lambda g, f: (f[0], g[1], _pcompose(g[2], f[2])))
+    mor_data = dict(zip(tables[1], families))
+    by_signature = dict(zip(families, tables[1]))
     inverse = {
-        m: by_signature[(ob, oa, tuple(
-            tuple(sorted(range(len(p)), key=p.__getitem__)) for p in fam))]
-        for m, (oa, ob, fam) in mor_data.items()}
+        m: by_top_row[(ob, oa, tuple(sorted(range(len(p)),
+                                            key=p.__getitem__)))]
+        for m, (oa, ob, p) in zip(tables[1], data)}
     G = FinGroupoid(*tables, name=name, inverse=inverse, copy=False)
     return G, by_obj, obj_id, mor_data, by_signature, slots
 
@@ -896,8 +926,12 @@ def s_construction(max_card: int, truncation: int) -> TruncatedSGpd:
     The universe is pointed sets of total cardinality at most
     ``max_card`` (basepoint included).  Faces delete an index of the
     triangle, degeneracies duplicate one; both are strict relabelings,
-    so the simplicial identities hold on the nose.
+    so the simplicial identities hold on the nose.  A morphism of
+    arrays is fixed by its top row, so a relabeling sends it to the
+    morphism whose top row is its permutation at the slot that the
+    relabeled top row comes from.  Both arguments must be ints.
     """
+    _ints("s_construction", max_card, truncation)
     if not 1 <= max_card <= 3:
         raise InputError("max_card must be between 1 and 3")
     if not 0 <= truncation <= 4:
@@ -905,24 +939,28 @@ def s_construction(max_card: int, truncation: int) -> TruncatedSGpd:
     built = [_level_groupoid(max_card, n, f"S{n}")
              for n in range(truncation + 1)]
     levels = tuple(b[0] for b in built)
+    # level n's top row is its slot (0, n), at position n - 1
+    by_top_row = [{(o1, o2, fam[n - 1] if n else ()): mid
+                   for (o1, o2, fam), mid in b[4].items()}
+                  for n, b in enumerate(built)]
 
     def transport(n, values, m):
         """Functor level n -> level m reindexing along [m] -> [n]."""
         G, by_obj, _, mor_data, _, slots = built[n]
-        _, _, t_obj_id, _, t_by_signature, t_slots = built[m]
+        t_obj_id = built[m][2]
         on_objects = {}
         for o, A in by_obj.items():
             on_objects[o] = t_obj_id[_array_pullback(A, values, m)
                                      .signature()]
-        on_morphisms = {}
-        for mid, (o1, o2, fams) in mor_data.items():
-            fam = dict(zip(slots, fams))
-            new_fam = tuple(
-                (fam[(values[i], values[j])]
-                 if values[i] != values[j] else ())
-                for (i, j) in t_slots)
-            key = (on_objects[o1], on_objects[o2], new_fam)
-            on_morphisms[mid] = t_by_signature[key]
+        # the new top row is the slot (values[0], values[m]), empty
+        # where the two meet
+        top = (values[0], values[m])
+        at = slots.index(top) if top[0] != top[1] else None
+        t_by_top_row = by_top_row[m]
+        on_morphisms = {
+            mid: t_by_top_row[(on_objects[o1], on_objects[o2],
+                               () if at is None else fams[at])]
+            for mid, (o1, o2, fams) in mor_data.items()}
         return Functor(G, built[m][0], on_objects, on_morphisms,
                        name=f"S({values})")
 

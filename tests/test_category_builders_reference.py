@@ -12,7 +12,13 @@ ending where g starts, in morphism order.  The references for twisted
 arrows, spans, monoids and level groupoids list their keys in that
 order too; the poset reference lists them in the iteration order of a
 set, and the product reference pairs up the factors' compose tables.
+The level-groupoid reference also finds its morphisms the long way: a
+backtracking search over every slot's permutations, keeping the
+families that commute with every square, where the builder derives
+each family from its top row.
 """
+
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,9 +30,9 @@ from edgewise.cat import (FinCategory, _check_names, _triple_id,
 from edgewise.corpus import (diamond_poset, idempotent_monoid,
                              random_category, random_partial_monoid)
 from edgewise.errors import InputError
-from edgewise.groupoid import (FinGroupoid, _commuting_families,
-                               _enumerate_arrays, _level_groupoid,
-                               _pcompose, _pidentity, _slots)
+from edgewise.groupoid import (FinGroupoid, _enumerate_arrays,
+                               _level_groupoid, _pcompose, _pidentity,
+                               _slots)
 
 from test_builders_reference import _corrupt_category, _partial_monoid
 
@@ -161,6 +167,41 @@ def reference_product_category(A, B):
             compose[(f"{g1}*{g2}", f"{f1}*{f2}")] = f"{h1}*{h2}"
     return FinCategory(objects, morphisms, src, tgt, identity, compose,
                        name=f"{A.name}x{B.name}")
+
+
+def _commuting_families(A, B, slots):
+    """Slot permutations from A to B commuting with every inj and surj.
+
+    Families come in the order of the product of the permutation pools
+    (slot by slot, ``slots`` order).  Each square is checked as soon as
+    its last slot is chosen, so a failing prefix is never extended.
+    """
+    position = {s: t for t, s in enumerate(slots)}
+    squares = [[] for _ in slots]
+    # phi[left] . top == bottom . phi[right], phi of a diagonal slot ();
+    # a square on diagonal slots alone maps empty sets and commutes
+    for (i, j, k) in A.inj:
+        for left, right, top, bottom in (
+                ((i, k), (i, j), A.inj[(i, j, k)], B.inj[(i, j, k)]),
+                ((j, k), (i, k), A.surj[(i, j, k)], B.surj[(i, j, k)])):
+            last = max(position.get(left, -1), position.get(right, -1))
+            if last >= 0:
+                squares[last].append((left, right, top, bottom))
+    fam = {}
+
+    def extend(t):
+        if t == len(slots):
+            yield tuple(fam[s] for s in slots)
+            return
+        s = slots[t]
+        for perm in permutations(range(A.sizes[s])):
+            fam[s] = perm
+            if all(_pcompose(fam.get(left, ()), top) ==
+                   _pcompose(bottom, fam.get(right, ()))
+                   for left, right, top, bottom in squares[t]):
+                yield from extend(t + 1)
+
+    yield from extend(0)
 
 
 def reference_level_groupoid(c, n, name):
@@ -335,7 +376,7 @@ def test_product_category_matches_the_reference(data):
 
 
 def test_level_groupoids_match_the_reference():
-    for c, n in ((1, 2), (2, 0), (2, 3), (3, 1), (3, 2), (3, 3)):
+    for c, n in product(range(1, 4), range(4)):
         got = _level_groupoid(c, n, f"S{n}")
         want = reference_level_groupoid(c, n, f"S{n}")
         G, H = got[0], want[0]

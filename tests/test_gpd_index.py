@@ -2,12 +2,13 @@
 
 ``FinCategory.hom`` reads a (src, tgt) index, ``iso_comma`` pairs
 morphisms only across matched source objects and computes composites
-on lookup, ``_level_groupoid`` enumerates only commuting families and
-composes only morphisms that meet, the comparison functors' composites
-are checked on their components, and ``validate_category`` walks only
-composable strings.  Each is compared here with the plain nested-loop
-build it replaces, order included, and the S-construction outputs are
-pinned byte for byte.
+on lookup, ``_level_groupoid`` derives each morphism of arrays from
+its top row and composes only morphisms that meet, the comparison
+functors' composites are checked on their components, and
+``validate_category`` walks only composable strings.  Each is compared
+here with the plain nested-loop build it replaces, order included; the
+S-construction outputs are pinned byte for byte, and at truncation 4
+every level's morphism families are checked against every square.
 """
 
 import dataclasses
@@ -535,3 +536,40 @@ def test_s_construction_bytes_are_pinned(S3):
         "two_segal": "e584590a356b7ab2b76bee5d1ca54240"
                      "fe22c7f6db56f85c7bf1a8e94ebe2da5",
     }
+
+
+@pytest.fixture(scope="module")
+def S4_levels():
+    """``s_construction(3, 4)``, built once, with the level data that
+    ``_level_groupoid`` handed it."""
+    built = []
+    real = groupoid._level_groupoid
+
+    def keep(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupoid, "_level_groupoid", keep)
+        Y = s_construction(3, 4)
+    return Y, built
+
+
+def test_s_construction_at_truncation_four_is_pinned(S4_levels):
+    Y, _ = S4_levels
+    assert [(len(G.objects), len(G.morphisms), len(G.compose))
+            for G in Y.levels] == [(1, 1, 1), (3, 4, 6), (9, 23, 75),
+                                   (30, 232, 2700), (127, 4777, 271501)]
+    assert _sha(io.save_sgpd(Y)) == \
+        "0a386d4d9480710d1ee817e96d05cdc9917cbc95b4972705e9c4fc78aea2dc7b"
+
+
+def test_truncation_four_families_commute_with_every_square(S4_levels):
+    Y, built = S4_levels
+    assert [id(b[0]) for b in built] == list(map(id, Y.levels))
+    for G, by_obj, _, mor_data, by_signature, slots in built:
+        assert list(mor_data) == list(G.morphisms)
+        for m, (o1, o2, fam) in mor_data.items():
+            assert by_signature[(o1, o2, fam)] == m
+            assert family_commutes(by_obj[o1], by_obj[o2],
+                                   dict(zip(slots, fam))), m

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from edgewise import io
+from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph
@@ -268,8 +268,19 @@ def test_array_level_counts_and_bounds():
     assert len(S31.level(1).objects) == 3
     assert len(S31.level(1).morphisms) == 4
     assert validate_sgpd(s_construction(3, 2)) == []
-    for bad in ((0, 2), (4, 2), (2, 5), (2, -1)):
+    for bad in ((0, 2), (4, 2), (2, 5), (2, -1), (2.0, 3), (3, 2.0),
+                ("3", 2), (True, 2)):
         with pytest.raises(InputError):
+            s_construction(*bad)
+
+
+def test_s_construction_refuses_non_ints_before_any_level(monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(groupoid, "_level_groupoid", no_level)
+    for bad in ((2.0, 3), (3, 2.0), ("3", 2), (True, 2)):
+        with pytest.raises(InputError, match="is not an int"):
             s_construction(*bad)
 
 
