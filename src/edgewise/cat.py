@@ -535,26 +535,6 @@ def _monoid_violations(elements, e, product):
                         f"{left!r} != {right!r}")
 
 
-def _progressive_tuples(M: PartialMonoid, length: int):
-    """Tuples whose left-nested products are defined at every step.
-
-    Yields (tuple, running product).  Length 0 gives the empty tuple
-    with the unit as its product.
-    """
-    if length == 0:
-        yield (), M.unit
-        return
-    for prefix, run in _progressive_tuples(M, length - 1):
-        if not prefix:
-            for m in M.elements:
-                yield (m,), m
-            return
-        for m in M.elements:
-            prod = M.multiply(run, m)
-            if prod is not None:
-                yield prefix + (m,), prod
-
-
 def bar(M: PartialMonoid, truncation: int) -> TruncatedSSet:
     """The bar construction: level n holds progressively defined tuples.
 

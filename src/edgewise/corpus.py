@@ -155,6 +155,22 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda t: ()
 
 
+def _linked_tuples(vertices, by_pair, length):
+    """The ``length``-tuples of vertices with an edge from each entry to
+    every later one, in ``product(vertices, repeat=length)`` order; a
+    prefix grows only by vertices that each of its entries has an edge to.
+    """
+    def extend(prefix, allowed):
+        if len(prefix) + 1 == length:
+            for w in allowed:
+                yield prefix + (w,)
+            return
+        for w in allowed:
+            yield from extend(prefix + (w,),
+                              [x for x in allowed if by_pair[(w, x)]])
+    return extend((), vertices)
+
+
 def coskeletal_from_graph(vertices, edges, truncation,
                           name="", level_cap: int = 20000) -> TruncatedSSet:
     """Complete a reflexive multigraph coskeletally from its edges.
@@ -192,10 +208,8 @@ def coskeletal_from_graph(vertices, edges, truncation,
                  [((src[e], tgt[e]), (e,)) for e in edge_ids]]
     for n in range(2, truncation + 1):
         data = []
-        for vt in iproduct(vertices, repeat=n + 1):
+        for vt in _linked_tuples(vertices, by_pair, n + 1):
             pools = [by_pair[(vt[p], vt[q])] for p, q in pairs(n)]
-            if any(not pool for pool in pools):
-                continue
             for et in iproduct(*pools):
                 data.append((vt, et))
                 if len(data) > level_cap:

@@ -14,10 +14,10 @@ from itertools import product as iproduct
 from hypothesis import given, settings, strategies as st
 
 from edgewise import io
-from edgewise.cat import (FinCategory, PartialMonoid, _check_names,
-                          _progressive_tuples, bar, chain_poset,
-                          cyclic_monoid, nerve, truncated_free_monoid,
-                          twisted_arrow, validate_partial_monoid)
+from edgewise.cat import (FinCategory, PartialMonoid, _check_names, bar,
+                          chain_poset, cyclic_monoid, nerve,
+                          truncated_free_monoid, twisted_arrow,
+                          validate_partial_monoid)
 from edgewise.corpus import coskeletal_from_graph, diamond_poset, \
     random_category
 from edgewise.delta import all_monotone_maps
@@ -97,6 +97,26 @@ def reference_nerve(A, truncation):
                     for s in by_tuple[n]}
     return TruncatedSSet(truncation, levels, face, degeneracy,
                          name=f"nerve({A.name or 'category'})")
+
+
+def _progressive_tuples(M, length):
+    """Tuples whose left-nested products are defined at every step.
+
+    Yields (tuple, running product).  Length 0 gives the empty tuple
+    with the unit as its product.
+    """
+    if length == 0:
+        yield (), M.unit
+        return
+    for prefix, run in _progressive_tuples(M, length - 1):
+        if not prefix:
+            for m in M.elements:
+                yield (m,), m
+            return
+        for m in M.elements:
+            prod = M.multiply(run, m)
+            if prod is not None:
+                yield prefix + (m,), prod
 
 
 def reference_bar(M, truncation):
@@ -318,6 +338,47 @@ def test_coskeletal_matches_the_reference(data):
                    name="g", level_cap=2000) == \
         outcome(reference_coskeletal_from_graph, vertices, edges, N,
                 name="g", level_cap=2000)
+
+
+def _sparse_graph(data):
+    """More vertices than edges, so most vertex tuples are not cells."""
+    vertices = tuple(f"v{i}" for i in range(data.draw(st.integers(4, 7))))
+    ends = st.sampled_from(vertices)
+    edges = [(f"e{i}", data.draw(ends), data.draw(ends))
+             for i in range(data.draw(st.integers(0, 6)))]
+    return vertices, edges, data.draw(st.integers(2, 4))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_coskeletal_on_sparse_graphs_matches_the_reference(data):
+    vertices, edges, N = _sparse_graph(data)
+    cap = data.draw(st.sampled_from((30, 20000)))
+    assert outcome(coskeletal_from_graph, vertices, edges, N,
+                   level_cap=cap) == \
+        outcome(reference_coskeletal_from_graph, vertices, edges, N,
+                level_cap=cap)
+
+
+def test_coskeletal_cap_fires_where_the_reference_fires():
+    # levels of 6, 12, 24, 60, 224 and 1316 cells around one 4-cycle
+    vertices = tuple("abcdef")
+    edges = [("e0", "a", "b"), ("e1", "a", "b"), ("e2", "b", "c"),
+             ("e3", "c", "d"), ("e4", "a", "c"), ("e5", "d", "a")]
+    fired = []
+    for cap in (30, 100, 1000, 2000):
+        raised = []
+        for build in (coskeletal_from_graph, reference_coskeletal_from_graph):
+            try:
+                X = build(vertices, edges, 5, level_cap=cap)
+            except GenerationError as exc:
+                raised.append((str(exc), exc.diagnostics))
+            else:
+                raised.append((io.save_sset(X), X.name))
+        assert raised[0] == raised[1], cap
+        fired.append(raised[0][1])
+    assert fired == [{"level": 3, "cap": 30}, {"level": 4, "cap": 100},
+                     {"level": 5, "cap": 1000}, "coskeletal"]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -34,6 +34,7 @@ from edgewise.groupoid import (FinGroupoid, _enumerate_arrays,
                                _level_groupoid, _pcompose, _pidentity,
                                _slots)
 
+from test_arrays_reference import signature
 from test_builders_reference import _corrupt_category, _partial_monoid
 
 # -- references -------------------------------------------------------------
@@ -210,7 +211,7 @@ def reference_level_groupoid(c, n, name):
     objects = []
     for idx, A in enumerate(arrays):
         oid = f"x{idx}"
-        obj_id[A.signature()] = oid
+        obj_id[signature(A)] = oid
         objects.append(oid)
     by_obj = dict(zip(objects, arrays))
     morphisms = []
@@ -385,7 +386,16 @@ def test_level_groupoids_match_the_reference():
             (H.objects, H.morphisms, H.src, H.tgt, H.identity,
              H.compose, list(H.compose), H.inverse)
         assert io.save_groupoid(G) == io.save_groupoid(H)
-        assert got[1:] == want[1:]
+        _, by_obj, obj_id, mor_data, by_top_row, slots = got
+        assert (by_obj, mor_data, slots) == (want[1], want[3], want[5])
+        # the builder finds each array by its generating data, the
+        # reference by all of its entries: both name the same arrays
+        assert len(obj_id) == len(want[2])
+        assert {signature(by_obj[o]): o for o in obj_id.values()} == want[2]
+        # a morphism's top row is its family at the slot (0, n)
+        top = slots.index((0, n)) if n else None
+        assert by_top_row == {(o1, o2, () if top is None else fam[top]): m
+                              for (o1, o2, fam), m in want[4].items()}
 
 
 def test_inputs_reach_the_errors_and_the_edge_cases():

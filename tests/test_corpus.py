@@ -94,6 +94,14 @@ def test_random_coskeletal_deterministic_and_valid():
     assert again == random_coskeletal_sset(2, 2, 4, 3)
 
 
+def test_sparse_graph_builds_only_its_cells():
+    # a build that walks all 9**7 vertex tuples of level 6 to keep
+    # 10,647 cells would spend nearly all its time on tuples it drops
+    X = random_coskeletal_sset(9, 9, 6, 0)
+    assert tuple(len(lv) for lv in X.levels) == \
+        (9, 18, 35, 78, 241, 1236, 10647)
+
+
 def test_random_coskeletal_exhausts_tries():
     # every draw puts three extra loops on the lone vertex
     with pytest.raises(GenerationError):

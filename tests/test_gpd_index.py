@@ -263,7 +263,7 @@ def family_commutes(A, B, fam):
 
 @pytest.mark.parametrize("c, n", [(2, 2), (3, 1), (3, 2), (3, 3)])
 def test_level_groupoid_equals_all_pairs(c, n):
-    G, by_obj, _, mor_data, by_signature, slots = _level_groupoid(c, n, "L")
+    G, by_obj, _, mor_data, by_top_row, slots = _level_groupoid(c, n, "L")
     families = []
     for o1, A in by_obj.items():
         for o2, B in by_obj.items():
@@ -275,13 +275,17 @@ def test_level_groupoid_equals_all_pairs(c, n):
                     families.append((o1, o2, perms))
     assert list(mor_data.values()) == families
     assert list(G.morphisms) == [f"m{i}" for i in range(len(families))]
+    by_family = {key: m for m, key in mor_data.items()}
+    top = slots.index((0, n))
+    assert by_top_row == {(o1, o2, fam[top]): m
+                          for m, (o1, o2, fam) in mor_data.items()}
     compose = {}
     for m2 in G.morphisms:
         o2a, o2b, fam2 = mor_data[m2]
         for m1 in G.morphisms:
             o1a, o1b, fam1 = mor_data[m1]
             if o1b == o2a:
-                compose[(m2, m1)] = by_signature[(o1a, o2b, tuple(
+                compose[(m2, m1)] = by_family[(o1a, o2b, tuple(
                     pcompose(f2, f1) for f2, f1 in zip(fam2, fam1)))]
     assert list(G.compose.items()) == list(compose.items())
     assert [G.src[m] for m in G.morphisms] == \
@@ -567,9 +571,11 @@ def test_s_construction_at_truncation_four_is_pinned(S4_levels):
 def test_truncation_four_families_commute_with_every_square(S4_levels):
     Y, built = S4_levels
     assert [id(b[0]) for b in built] == list(map(id, Y.levels))
-    for G, by_obj, _, mor_data, by_signature, slots in built:
+    for n, (G, by_obj, _, mor_data, by_top_row, slots) in enumerate(built):
         assert list(mor_data) == list(G.morphisms)
+        assert len(by_top_row) == len(mor_data)
+        top = slots.index((0, n)) if n else None
         for m, (o1, o2, fam) in mor_data.items():
-            assert by_signature[(o1, o2, fam)] == m
+            assert by_top_row[(o1, o2, () if top is None else fam[top])] == m
             assert family_commutes(by_obj[o1], by_obj[o2],
                                    dict(zip(slots, fam))), m
