@@ -30,8 +30,10 @@ from functools import cached_property
 from itertools import count, repeat
 from operator import add, itemgetter, mul
 
+from .delta import _ints
 from .errors import InputError
-from .sset import SimplicialMap, TruncatedSSet, _gather, _positions, edgewise
+from .sset import (_SHIFT, SimplicialMap, TruncatedSSet, _gather, _stored,
+                   edgewise)
 
 __all__ = [
     "LawViolation",
@@ -264,10 +266,10 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
     whose prefixes are all cells, so an image is no cell exactly where
     the recurrence finds no prefix or no child.  A table whose images
     are all cells is kept as positions.  In any other, an image that is
-    no cell is named by its letters, as ``tabulate`` names it, or left
-    out of a face table if ``gaps``; the table is a dict of names unless
-    those names are all cells, which the constructor would read as
-    positions.
+    no cell is named by its letters joined with "|", as a cell would
+    be, or left out of a face table if ``gaps``; the table is kept in
+    the form ``sset._stored`` gives it, so a dict of names that are all
+    cells is still kept as positions.
     """
     none = len(letters)         # the letter id of no letter
     S = none + 1
@@ -310,7 +312,7 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
     def keep(kind, n, i, positions):
         """The stored form of a table computed as ``positions``."""
         work[kind, n, i] = positions
-        target = n - 1 if kind == "face" else n + 1
+        target = n + _SHIFT[kind]
         dead = len(names[target])
         if dead not in positions:
             return positions
@@ -320,10 +322,7 @@ def _tabulate_strings(truncation, roots, firsts, letters, moves, merge, unit,
                 out[cid] = names[target][t]
             elif (d := image(kind, n, i, x)) is not None:
                 out[cid] = "|".join(d)
-        total = None
-        if len(out) == len(names[n]):
-            total = _positions(out, names[n], index[target])
-        return out if total is None else total
+        return _stored(out, names[n], index[target])
 
     for n in range(1, truncation + 1):
         if n == 1:
@@ -390,6 +389,7 @@ def nerve(A: FinCategory, truncation: int) -> TruncatedSSet:
     last degeneracy (which appends an identity) read the category; every
     other face and degeneracy comes from the level below.
     """
+    _ints("nerve", truncation)
     _check_names(A.objects, "|", "object")
     _check_names(A.morphisms, "|", "morphism")
     if truncation < 0:
@@ -548,6 +548,7 @@ def bar(M: PartialMonoid, truncation: int) -> TruncatedSSet:
     degeneracy (which appends the unit) read the product; every other
     face and degeneracy comes from the level below.
     """
+    _ints("bar", truncation)
     _check_names(M.elements, "|", "element")
     if truncation < 0:
         raise InputError("negative truncation")
@@ -617,6 +618,7 @@ def canonical_partial_iso(M: PartialMonoid, truncation: int) -> SimplicialMap:
 
 def truncated_free_monoid(k: int) -> PartialMonoid:
     """Powers of one generator up to k; higher products are undefined."""
+    _ints("truncated_free_monoid", k)
     if k < 0:
         raise InputError("need k >= 0")
     names = ["e"] + ["a" if p == 1 else f"a{p}" for p in range(1, k + 1)]
@@ -630,6 +632,7 @@ def truncated_free_monoid(k: int) -> PartialMonoid:
 
 def cyclic_monoid(n: int) -> PartialMonoid:
     """The cyclic group of order n as a total partial monoid."""
+    _ints("cyclic_monoid", n)
     if n < 1:
         raise InputError("need n >= 1")
     names = ["e"] + ["g" if p == 1 else f"g{p}" for p in range(1, n)]
@@ -682,6 +685,7 @@ def poset_category(elements, leq, name="") -> FinCategory:
 
 def chain_poset(n: int) -> FinCategory:
     """The linear order 0 < 1 < ... < n as a category."""
+    _ints("chain_poset", n)
     elements = tuple(str(i) for i in range(n + 1))
     leq = {(str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)}
     return poset_category(elements, leq, name=f"chain{n}")

@@ -666,6 +666,7 @@ def fuzz_theorem(count: int, seed: int,
     """
     from .corpus import (random_category, random_coskeletal_sset,
                          random_partial_monoid)
+    _ints("fuzz_theorem", count)
     if count < 0:
         raise InputError("count must be nonnegative")
     if not mix:

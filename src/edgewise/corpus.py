@@ -28,6 +28,7 @@ from .cat import (
     truncated_free_monoid,
     twisted_arrow,
 )
+from .delta import _ints
 from .errors import GenerationError, InputError
 from .sset import TruncatedSSet, tabulate
 
@@ -74,6 +75,7 @@ def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
     monoid, and every other seed uses up its 20,000 draws and raises
     ``GenerationError``.
     """
+    _ints("random_partial_monoid", size)
     if not 1 <= size <= 5:
         raise InputError("size must be between 1 and 5")
     rng = random.Random(seed)
@@ -181,6 +183,7 @@ def coskeletal_from_graph(vertices, edges, truncation,
     every level is determined by the 1-truncated data and validation
     holds by construction.
     """
+    _ints("coskeletal_from_graph", truncation)
     vertices = tuple(vertices)
     if truncation < 1:
         raise InputError("coskeletal completion needs truncation >= 1")
@@ -256,6 +259,7 @@ def random_coskeletal_sset(num_vertices: int, num_edges: int,
     useful as non-2-Segal controls.  Graphs whose completion overflows
     the level cap are redrawn, up to ``_GRAPH_DRAWS`` times.
     """
+    _ints("random_coskeletal_sset", num_vertices, num_edges, truncation)
     if num_vertices < 1:
         raise InputError("need at least one vertex")
     if num_edges < 0:

@@ -22,8 +22,9 @@ from .checks import Semantics
 # epi_mono_factorize is bound here too, for tracers that wrap it
 from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
-from .sset import (SimplicialTables, TruncatedSSet, Violation, _gather,
-                   along, identities, subdivide)
+from .sset import (_SHIFT, SimplicialTables, TruncatedSSet, Violation,
+                   _comap, _gather, _tables, along, identities,
+                   structure_maps, subdivide)
 
 __all__ = [
     "FinGroupoid",
@@ -409,17 +410,14 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
     for n, G in enumerate(Y.levels):
         for v in validate_groupoid(G):
             out.append(Violation("groupoid", n, (), str(v.witness), v.law))
-    expected = {(n, i) for n in range(1, N + 1) for i in range(n + 1)}
-    if set(Y.face) != expected:
-        return out + [Violation("shape", N, (), "", "face keys wrong")]
-    expected = {(n, i) for n in range(N) for i in range(n + 1)}
-    if set(Y.degeneracy) != expected:
-        return out + [Violation("shape", N, (), "", "degeneracy keys wrong")]
-    for kind, functors, shift in (("face", Y.face, -1),
-                                  ("degeneracy", Y.degeneracy, 1)):
-        for (n, i), F in functors.items():
+    for kind in _SHIFT:
+        expected = {(n, i) for k, n, i in structure_maps(N) if k == kind}
+        if set(Y._store(kind)) != expected:
+            return out + [Violation("shape", N, (), "", f"{kind} keys wrong")]
+    for kind in _SHIFT:
+        for (n, i), F in Y._store(kind).items():
             if F.source is not Y.levels[n] or \
-                    F.target is not Y.levels[n + shift]:
+                    F.target is not Y.levels[n + _SHIFT[kind]]:
                 out.append(Violation("shape", n, (i,), "",
                                      f"{kind} endpoints"))
             out += [Violation("functor", n, (i,), str(v.witness),
@@ -451,14 +449,13 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
 
     The face and degeneracy functors are composed along alpha's
     generator path (``generator_maps``), which is cached per map: one
-    store lookup and one functor composition per generator.
+    store lookup and one functor composition per generator.  The path
+    is walked first, so a map beyond the truncation raises the
+    ``InputError`` that ``act_positions`` raises.
     """
-    n, m = alpha.dom_dim, alpha.cod_dim
-    if m > Y.truncation or n > Y.truncation:
-        raise InputError(
-            f"act needs levels {n} and {m} within truncation {Y.truncation}")
-    out = identity_functor(Y.levels[m])
-    for F, _ in Y.generator_maps(alpha):
+    functors = [F for F, _ in Y.generator_maps(alpha)]
+    out = identity_functor(Y.levels[alpha.cod_dim])
+    for F in functors:
         out = compose_functors(F, out)
     return out
 
@@ -484,17 +481,14 @@ def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
     levels = tuple(_discrete_groupoid(X.level(n), f"{X.name}[{n}]")
                    for n in range(X.truncation + 1))
 
-    def lift(table, source, target):
+    def lift(kind, n, i):
+        source, target = levels[n], levels[n + _SHIFT[kind]]
+        table = X._names(kind, n, i)
         return Functor(source, target, dict(table),
                        {source.identity[c]: target.identity[v]
                         for c, v in table.items()})
 
-    face = {(n, i): lift(X.face_map(n, i), levels[n], levels[n - 1])
-            for n in range(1, X.truncation + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): lift(X.degeneracy_map(n, i), levels[n],
-                               levels[n + 1])
-                  for n in range(X.truncation) for i in range(n + 1)}
-    return TruncatedSGpd(X.truncation, levels, face, degeneracy,
+    return TruncatedSGpd(X.truncation, levels, *_tables(X.truncation, lift),
                          name=f"disc({X.name})" if X.name else "disc")
 
 
@@ -877,8 +871,10 @@ def s_construction(max_card: int, truncation: int) -> TruncatedSGpd:
              for n in range(truncation + 1)]
     levels = tuple(b[0] for b in built)
 
-    def transport(n, values, m):
-        """Functor level n -> level m reindexing along [m] -> [n]."""
+    def transport(kind, n, i):
+        """The (kind, n, i) functor, level n -> level m, reindexing
+        along the map [m] -> [n] of Δ whose action it is."""
+        values, m = _comap(kind, n, i).values, n + _SHIFT[kind]
         G, by_obj, _, mor_data, _, slots = built[n]
         H, _, t_obj_id, _, t_by_top_row, _ = built[m]
         on_objects = {o: t_obj_id[_key(A, values)]
@@ -894,15 +890,5 @@ def s_construction(max_card: int, truncation: int) -> TruncatedSGpd:
         return Functor(G, H, on_objects, on_morphisms,
                        name=f"S({values})")
 
-    face = {}
-    degeneracy = {}
-    for n in range(1, truncation + 1):
-        for i in range(n + 1):
-            keep = tuple(v for v in range(n + 1) if v != i)
-            face[(n, i)] = transport(n, keep, n - 1)
-    for n in range(truncation):
-        for i in range(n + 1):
-            values = tuple(v if v <= i else v - 1 for v in range(n + 2))
-            degeneracy[(n, i)] = transport(n, values, n + 1)
-    return TruncatedSGpd(truncation, levels, face, degeneracy,
+    return TruncatedSGpd(truncation, levels, *_tables(truncation, transport),
                          name=f"s_construction({max_card})")

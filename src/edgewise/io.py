@@ -27,7 +27,7 @@ from .cat import FinCategory, PartialMonoid
 from .checks import CheckEntry, CheckReport
 from .errors import InputError
 from .groupoid import FinGroupoid, Functor, TruncatedSGpd
-from .sset import TruncatedSSet, _positions
+from .sset import _SHIFT, TruncatedSSet, _in_range, _stored
 
 __all__ = [
     "canonical_json",
@@ -102,8 +102,7 @@ def _parse_index(key: str, what: str):
 def _check_index(key: str, what: str, truncation: int):
     """Reject a structure map index outside the truncation."""
     n, i = _parse_index(key, what)
-    lo, hi = (1, truncation) if what == "face" else (0, truncation - 1)
-    if not (lo <= n <= hi and 0 <= i <= n):
+    if not _in_range(what, n, i, truncation):
         raise InputError(f"{what} index {key!r} out of range")
     return n, i
 
@@ -166,15 +165,16 @@ def save_sset(X: TruncatedSSet) -> str:
         return chain(chain.from_iterable(zip(heads[n], names)),
                      ("\n    }",))
 
-    def store(kind, shift):
+    def store(kind):
         tables = sorted(X._store(kind).items(),
                         key=lambda item: _index_key(*item[0]))
-        return _object([(f'"{_index_key(n, i)}"', value(table, n, n + shift))
+        return _object([(f'"{_index_key(n, i)}"',
+                         value(table, n, n + _SHIFT[kind]))
                         for (n, i), table in tables], "  ")
 
     return "".join(chain(_object([
-        ('"degeneracy"', store("degeneracy", 1)),
-        ('"face"', store("face", -1)),
+        ('"degeneracy"', store("degeneracy")),
+        ('"face"', store("face")),
         ('"levels"', (_nested(canonical_json(X.levels), "  "),)),
         ('"truncation"', (str(X.truncation),))], ""), "\n"))
 
@@ -193,21 +193,19 @@ def _level_index(levels):
 
 
 def _sset_tables(tables: dict, kind: str, levels, index):
-    """The tables of one kind, keyed by (n, i): a table that is a total
-    map from level n into its target level as a position tuple, read
-    through ``index`` in one pass, and any other checked by
+    """The tables of one kind, keyed by (n, i): a table at an index in
+    range for the levels, in the form ``_stored`` gives it through
+    ``index``, so a total map from level n into its target level is a
+    position tuple read in one pass; any other table is checked by
     ``_string_table`` and kept as it is."""
-    shift = -1 if kind == "face" else 1
     out = {}
     for key, table in tables.items():
         n, i = _parse_index(key, kind)
-        positions = None
         if index is not None and isinstance(table, dict) and \
-                0 <= n < len(levels) and 0 <= n + shift < len(levels) and \
-                len(table) == len(levels[n]):
-            positions = _positions(table, levels[n], index[n + shift])
-        out[n, i] = _string_table(table, f"{kind} {key}") \
-            if positions is None else positions
+                _in_range(kind, n, i, len(levels) - 1):
+            table = _stored(table, levels[n], index[n + _SHIFT[kind]])
+        out[n, i] = table if isinstance(table, tuple) else \
+            _string_table(table, f"{kind} {key}")
     return out
 
 

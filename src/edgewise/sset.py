@@ -31,6 +31,7 @@ from operator import itemgetter
 
 from .delta import (
     SimplexMap,
+    _ints,
     all_monotone_maps,
     codegeneracy,
     coface,
@@ -45,6 +46,7 @@ __all__ = [
     "SimplicialTables",
     "TruncatedSSet",
     "validate",
+    "structure_maps",
     "identities",
     "along",
     "tabulate",
@@ -85,6 +87,17 @@ class Violation:
             else f"[{self.identity}] {where}"
 
 
+# the level a structure map of each kind goes to, from level n
+_SHIFT = {"face": -1, "degeneracy": 1}
+
+
+def _in_range(kind, n, i, N):
+    """Whether (n, i) indexes a ``kind`` map of an object truncated at
+    N: levels n and n + ``_SHIFT[kind]`` are both in 0..N, and
+    0 <= i <= n."""
+    return 0 <= n <= N and 0 <= n + _SHIFT[kind] <= N and 0 <= i <= n
+
+
 class SimplicialTables:
     """Range-checked levels and structure maps, for sets and groupoids.
 
@@ -102,13 +115,8 @@ class SimplicialTables:
     def _store(self, kind):
         return getattr(self, kind)
 
-    def _in_range(self, kind, n, i):
-        low, high = (1, self.truncation) if kind == "face" else \
-            (0, self.truncation - 1)
-        return low <= n <= high and 0 <= i <= n
-
     def _map(self, kind, n, i):
-        if not self._in_range(kind, n, i):
+        if not _in_range(kind, n, i, self.truncation):
             raise InputError(f"{kind} index ({n}, {i}) out of range")
         try:
             return self._store(kind)[(n, i)]
@@ -131,22 +139,24 @@ class SimplicialTables:
         """(stored map, (kind, level, index)) per generator of alpha, in
         the order they apply.
 
-        The generators are ``generator_path(alpha)``, which is cached
-        per map, so no call factorizes alpha.  The path's indices are
-        in range for its kinds and levels, and alpha's levels must be
-        within the truncation (the callers check that once), so the
-        cost is one store lookup per generator, made when the iteration
-        reaches it; a map not in the store raises ``InputError``.
+        alpha's levels must be within the truncation; otherwise the
+        iteration raises ``InputError`` before it yields a map.  The
+        generators are ``generator_path(alpha)``, which is cached per
+        map, so no call factorizes alpha, and their indices are in range
+        for their kinds and levels.  So the cost is one store lookup per
+        generator, made when the iteration reaches it; a map not in the
+        store raises ``InputError``.
         """
+        n, m = alpha.dom_dim, alpha.cod_dim
+        if m > self.truncation or n > self.truncation:
+            raise InputError(f"act needs levels {n} and {m} within "
+                             f"truncation {self.truncation}")
         for step in generator_path(alpha):
             kind, n, i = step
             table = self._store(kind).get((n, i))
             if table is None:
                 raise InputError(f"{kind} table ({n}, {i}) missing")
             yield table, step
-
-
-_SHIFT = {"face": -1, "degeneracy": 1}
 
 
 def _not_a_map(kind, n, i):
@@ -171,14 +181,17 @@ def _gather(table, positions):
     return (table[positions[0]],) if positions else ()
 
 
-def _positions(table, cells, index):
-    """A name table as positions in a level, in the order of ``cells``;
-    None unless it sends every cell to a key of ``index``, the level's
-    name-to-position dict."""
-    try:
-        return _gather(index, _gather(table, cells))
-    except (KeyError, TypeError):
-        return None
+def _stored(table, cells, index):
+    """A name table in its stored form: positions in the target level,
+    in the order of ``cells``, if its keys are exactly ``cells`` and it
+    sends each to a key of ``index``, the target level's
+    name-to-position dict; otherwise the table unchanged."""
+    if len(table) == len(cells):
+        try:
+            return _gather(index, _gather(table, cells))
+        except (KeyError, TypeError):
+            pass
+    return table
 
 
 def _shape(truncation, levels):
@@ -270,7 +283,7 @@ class TruncatedSSet(SimplicialTables):
                 raise InputError(f"{kind} index {key!r} is not a pair of "
                                  "ints")
             n, i = key
-            if not self._in_range(kind, n, i):
+            if not _in_range(kind, n, i, self.truncation):
                 raise InputError(f"{kind} index '{n},{i}' out of range")
             out[key] = stored(table, kind, n, i)
         return out
@@ -293,11 +306,7 @@ class TruncatedSSet(SimplicialTables):
         range."""
         target = n + _SHIFT[kind]
         if isinstance(table, Mapping):
-            if len(table) != len(self.levels[n]):
-                return table
-            positions = _positions(table, self.levels[n],
-                                   self._index[target])
-            return table if positions is None else positions
+            return _stored(table, self.levels[n], self._index[target])
         if isinstance(table, tuple) and \
                 len(table) == len(self.levels[n]) and \
                 set(map(type, table)) <= {int} and \
@@ -327,11 +336,14 @@ class TruncatedSSet(SimplicialTables):
         return {(n, i): self._as_names(t, n, n + _SHIFT[kind])
                 for (n, i), t in self._tables[kind].items()}
 
+    def _names(self, kind, n, i):
+        return self._as_names(self._map(kind, n, i), n, n + _SHIFT[kind])
+
     def face_map(self, n, i):
-        return self._as_names(self._map("face", n, i), n, n - 1)
+        return self._names("face", n, i)
 
     def degeneracy_map(self, n, i):
-        return self._as_names(self._map("degeneracy", n, i), n, n + 1)
+        return self._names("degeneracy", n, i)
 
     def level_set(self, n):
         self.level(n)
@@ -405,6 +417,33 @@ def _composite(steps, size):
     return table
 
 
+def structure_maps(N):
+    """Every face and degeneracy map of an object truncated at N, as
+    (kind, n, i): the faces d_i: X_n -> X_(n-1), 1 <= n <= N, then the
+    degeneracies s_i: X_n -> X_(n+1), 0 <= n < N, each by level and
+    then index."""
+    for kind in _SHIFT:
+        for n in range(N + 1):
+            for i in range(n + 1):
+                if _in_range(kind, n, i, N):
+                    yield kind, n, i
+
+
+def _tables(N, rule):
+    """The face and degeneracy stores of an object truncated at N: each
+    (kind, n, i) of ``structure_maps(N)`` keyed by (n, i), in that
+    order, with ``rule(kind, n, i)`` as its map."""
+    stores = {kind: {} for kind in _SHIFT}
+    for kind, n, i in structure_maps(N):
+        stores[kind][n, i] = rule(kind, n, i)
+    return stores["face"], stores["degeneracy"]
+
+
+def _comap(kind, n, i):
+    """The map of Δ whose action is the structure map (kind, n, i)."""
+    return (coface if kind == "face" else codegeneracy)(i, n)
+
+
 def identities(N):
     """Every simplicial identity up to truncation N, each stated once.
 
@@ -461,22 +500,19 @@ def validate(X: TruncatedSSet):
     out = []
     N = X.truncation
     stored = X._store
-    for kind, levels, shift in (("face", range(1, N + 1), -1),
-                                ("degeneracy", range(N), 1)):
-        for n in levels:
-            for i in range(n + 1):
-                t = stored(kind).get((n, i))
-                if t is None:
-                    out.append(Violation("totality", n, (i,), "",
-                                         f"{kind} table ({n}, {i}) missing"))
-                elif not isinstance(t, tuple):
-                    _totality(out, n, (i,), t, X.level(n),
-                              X.level_set(n + shift), kind,
-                              f"{kind} value {{!r}} not a cell")
-                    cellset = X.level_set(n)
-                    out.extend(Violation("stray-entry", n, (i,), c,
-                                         f"{kind} key is not a cell")
-                               for c in t if c not in cellset)
+    for kind, n, i in structure_maps(N):
+        t = stored(kind).get((n, i))
+        if t is None:
+            out.append(Violation("totality", n, (i,), "",
+                                 f"{kind} table ({n}, {i}) missing"))
+        elif not isinstance(t, tuple):
+            _totality(out, n, (i,), t, X.level(n),
+                      X.level_set(n + _SHIFT[kind]), kind,
+                      f"{kind} value {{!r}} not a cell")
+            cellset = X.level_set(n)
+            out.extend(Violation("stray-entry", n, (i,), c,
+                                 f"{kind} key is not a cell")
+                       for c in t if c not in cellset)
 
     # a missing table was reported above; through it nothing is defined
     @cache
@@ -506,14 +542,12 @@ def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
 
     ``cells[n]`` lists the hashable data of the level-n cells in level
     order, and ``name(c)`` gives a cell's id.  ``face(n, i)`` and
-    ``degeneracy(n, i)`` each return a function carrying a level-n
-    cell's data to its image's data; where it returns None the entry is
-    left out.  Each id is computed once per cell.  A table whose images
-    are all cells comes out as positions in the target level; any other
-    table is a dict of names that shares the levels' strings, where an
-    image that is not a cell still gets its name, so ``validate``
-    reports it.  Face tables are built for each (n, i) in order, then
-    the degeneracy tables.  Every table asks its rule of every cell;
+    ``degeneracy(n, i)`` each return a rule that carries each level-n
+    cell's data to the data of a cell of the target level; an image
+    that is no such cell, None included, raises ``InputError`` naming
+    the map and the cell.  Each id is computed once per cell, and each
+    table comes out as positions in the target level, in
+    ``structure_maps`` order.  Every table asks its rule of every cell;
     ``nerve`` and ``bar`` avoid that, building most tables from the
     level below (``cat._tabulate_strings``), so that only their level-1
     faces, last inner face and last degeneracy read the cells' letters.
@@ -521,30 +555,29 @@ def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
     N = len(cells) - 1
     levels = [list(map(name, lv)) for lv in cells]
     where = [{c: p for p, c in enumerate(lv)} for lv in cells]
+    rules = {"face": face, "degeneracy": degeneracy}
 
-    def table(n, rule, target):
+    def table(kind, n, i):
+        rule, target = rules[kind](n, i), where[n + _SHIFT[kind]]
         try:
-            return _gather(where[target], map(rule, cells[n]))
-        except KeyError:
-            pass
-        # an image that is no cell, or none at all: a table of names
-        out = {}
-        for c, cid in zip(cells[n], levels[n]):
-            d = rule(c)
-            if d is not None:
-                t = where[target].get(d)
-                out[cid] = name(d) if t is None else levels[target][t]
-        return out
+            return _gather(target, map(rule, cells[n]))
+        except (KeyError, TypeError):
+            for c in cells[n]:
+                d = rule(c)
+                try:
+                    target[d]
+                except (KeyError, TypeError):
+                    raise InputError(
+                        f"{kind} ({n}, {i}) sends cell {name(c)!r} to "
+                        f"{d!r}, which is no cell") from None
+            raise
 
-    faces = {(n, i): table(n, face(n, i), n - 1)
-             for n in range(1, N + 1) for i in range(n + 1)}
-    degeneracies = {(n, i): table(n, degeneracy(n, i), n + 1)
-                    for n in range(N) for i in range(n + 1)}
-    return TruncatedSSet(N, levels, faces, degeneracies, name=label)
+    return TruncatedSSet(N, levels, *_tables(N, table), name=label)
 
 
 def standard_simplex(k: int, truncation: int) -> TruncatedSSet:
     """The k-simplex: level n holds all monotone maps [n] -> [k]."""
+    _ints("standard_simplex", k, truncation)
     if k < 0 or truncation < 0:
         raise InputError("standard_simplex needs k >= 0 and truncation >= 0")
     # digit strings up to [9], dot-separated beyond, fixed by k for the
@@ -582,16 +615,12 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     not a total map into its target level (input that fails
     ``validate``) raises ``InputError``.
     """
-    n, m = alpha.dom_dim, alpha.cod_dim
-    if m > X.truncation or n > X.truncation:
-        raise InputError(
-            f"act needs levels {n} and {m} within truncation {X.truncation}")
     steps = []
     for step, (kind, k, i) in X.generator_maps(alpha):
         if not isinstance(step, tuple):
             raise _not_a_map(kind, k, i)
         steps.append(step)
-    return _composite(steps, len(X.level(m)))
+    return _composite(steps, len(X.level(alpha.cod_dim)))
 
 
 class Pullback:
@@ -694,10 +723,8 @@ def subdivide(X, act):
     if X.truncation < 1:
         raise InputError("edgewise needs truncation >= 1")
     M = (X.truncation - 1) // 2
-    face = {(n, i): act(edgewise_on_map(coface(i, n)), X)
-            for n in range(1, M + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): act(edgewise_on_map(codegeneracy(i, n)), X)
-                  for n in range(M) for i in range(n + 1)}
+    face, degeneracy = _tables(M, lambda kind, n, i: act(
+        edgewise_on_map(_comap(kind, n, i)), X))
     return X._on_levels(range(1, 2 * M + 2, 2), face, degeneracy,
                         f"esd({X.name})" if X.name else "esd")
 
@@ -717,10 +744,8 @@ def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
 
     It has X's levels and shares X's tables.
     """
-    face = {(n, i): X._map("face", n, n - i)
-            for n in range(1, X.truncation + 1) for i in range(n + 1)}
-    degeneracy = {(n, i): X._map("degeneracy", n, n - i)
-                  for n in range(X.truncation) for i in range(n + 1)}
+    face, degeneracy = _tables(
+        X.truncation, lambda kind, n, i: X._map(kind, n, n - i))
     return X._on_levels(range(X.truncation + 1), face, degeneracy,
                         f"rev({X.name})" if X.name else "rev")
 
@@ -744,51 +769,32 @@ class SimplicialMap:
     components: tuple
     name: str = ""
 
-    def component(self, n):
-        return self.components[n]
-
 
 def simplicial_map_violations(f: SimplicialMap):
     """Totality and naturality failures of f; empty means f is simplicial.
 
-    Each component that sends every cell to a target cell is taken as a
-    position tuple once; a naturality square whose tables and
-    components are all position tuples is checked by composing them,
-    and any other square on name tables.
+    The components are dicts of names, so every naturality square is
+    checked on name tables, each structure map read as ``face_map`` and
+    ``degeneracy_map`` read it; a square is checked only at the cells
+    where both of its composites are defined.
     """
     out = []
-    X, Y = f.source, f.target
+    X, Y, comps = f.source, f.target, f.components
     if X.truncation != Y.truncation:
         return [Violation("shape", -1, (), "",
                           f"truncations {X.truncation} != {Y.truncation}")]
-    if len(f.components) != X.truncation + 1:
+    if len(comps) != X.truncation + 1:
         return [Violation("shape", -1, (), "",
                           f"expected {X.truncation + 1} components")]
-    positions = []
-    for n, comp in enumerate(f.components):
-        positions.append(_positions(comp, X.level(n), Y._index[n]))
-        if positions[n] is None:
-            _totality(out, n, (), comp, X.level(n), Y.level_set(n),
-                      "component", "image {!r} not a cell of the target")
-    for kind, levels in (("face", range(1, X.truncation + 1)),
-                         ("degeneracy", range(X.truncation))):
-        for n in levels:
-            cells, t = X.level(n), n + _SHIFT[kind]
-            for i in range(n + 1):
-                x, y = X._map(kind, n, i), Y._map(kind, n, i)
-                lhs, rhs = [x, positions[t]], [positions[n], y]
-                if all(isinstance(s, tuple) for s in lhs + rhs):
-                    _position_disagreements(
-                        out, f"naturality-{kind}", n, (i,), cells,
-                        _composite(lhs, len(cells)),
-                        _composite(rhs, len(cells)), Y.level(t))
-                else:
-                    _disagreements(
-                        out, f"naturality-{kind}", n, (i,), cells,
-                        _through(cells, X._as_names(x, n, t),
-                                 f.components[t]),
-                        _through(cells, f.components[n],
-                                 Y._as_names(y, n, t)))
+    for n, comp in enumerate(comps):
+        _totality(out, n, (), comp, X.level(n), Y.level_set(n),
+                  "component", "image {!r} not a cell of the target")
+    for kind, n, i in structure_maps(X.truncation):
+        cells = X.level(n)
+        _disagreements(out, f"naturality-{kind}", n, (i,), cells,
+                       _through(cells, X._names(kind, n, i),
+                                comps[n + _SHIFT[kind]]),
+                       _through(cells, comps[n], Y._names(kind, n, i)))
     return out
 
 
@@ -803,12 +809,8 @@ def iso_check(f: SimplicialMap):
         return out
     X, Y = f.source, f.target
     for n in range(X.truncation + 1):
-        comp, cells = f.components[n], X.level(n)
-        if len(cells) == len(Y.level(n)) == \
-                len(set(map(comp.__getitem__, cells))):
-            continue    # a bijection: nothing collides or is uncovered
-        seen = {}
-        for c in cells:
+        comp, seen = f.components[n], {}
+        for c in X.level(n):
             v = comp[c]
             if v in seen:
                 out.append(Violation("bijectivity", n, (), c,

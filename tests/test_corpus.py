@@ -6,8 +6,10 @@ import pytest
 
 from edgewise import io
 
-from edgewise.cat import validate_category, validate_partial_monoid
-from edgewise.checks import segal_check, two_segal_check
+from edgewise.cat import (bar, chain_poset, cyclic_monoid, nerve,
+                          truncated_free_monoid, validate_category,
+                          validate_partial_monoid)
+from edgewise.checks import fuzz_theorem, segal_check, two_segal_check
 from edgewise.corpus import (
     coskeletal_from_graph,
     diamond_poset,
@@ -18,7 +20,7 @@ from edgewise.corpus import (
     standard_corpus,
 )
 from edgewise.errors import GenerationError, InputError
-from edgewise.sset import validate
+from edgewise.sset import standard_simplex, validate
 
 
 TRI = [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "a", "c")]
@@ -157,3 +159,35 @@ def test_standard_corpus_contract():
     tfm1_bars = [inst for inst in corpus
                  if inst.kind == "bar" and "tfm1" in inst.name]
     assert tfm1_bars and tfm1_bars[0].sset.truncation >= 7
+
+
+# -- sizes and truncations must be ints -------------------------------------
+
+NON_INT_BUILDERS = {
+    "nerve": lambda v: nerve(chain_poset(1), v),
+    "bar": lambda v: bar(cyclic_monoid(2), v),
+    "standard_simplex-k": lambda v: standard_simplex(v, 1),
+    "standard_simplex-truncation": lambda v: standard_simplex(1, v),
+    "coskeletal_from_graph": lambda v: coskeletal_from_graph(
+        ("a", "b"), PAR2, v),
+    "random_coskeletal_sset-vertices": lambda v: random_coskeletal_sset(
+        v, 1, 2, 0),
+    "random_coskeletal_sset-edges": lambda v: random_coskeletal_sset(
+        2, v, 2, 0),
+    "random_coskeletal_sset-truncation": lambda v: random_coskeletal_sset(
+        2, 1, v, 0),
+    "chain_poset": chain_poset,
+    "truncated_free_monoid": truncated_free_monoid,
+    "cyclic_monoid": cyclic_monoid,
+    "random_partial_monoid": lambda v: random_partial_monoid(v, 0),
+    "fuzz_theorem": lambda v: fuzz_theorem(v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("builder", sorted(NON_INT_BUILDERS))
+def test_builders_refuse_sizes_that_are_not_ints(builder, value):
+    build = NON_INT_BUILDERS[builder]
+    build(2)        # the int twin builds
+    with pytest.raises(InputError, match="is not an int"):
+        build(value)

@@ -1,4 +1,5 @@
-"""Names used from outside the package: benchmark hooks and demos.
+"""Names used from outside the package: exports, benchmark hooks and
+demos.
 
 ``perfbench/layertrace.py`` wraps the functions it names wherever they
 are bound, and the demos import from the public modules; both break
@@ -9,10 +10,13 @@ import glob
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import edgewise
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,6 +43,14 @@ def test_rebound_names_are_the_originals():
     assert checks.strict_pullback is sset.strict_pullback
     assert checks.edgewise is sset.edgewise
     assert groupoid.epi_mono_factorize is delta.epi_mono_factorize
+
+
+@pytest.mark.parametrize("module", ["edgewise"] + sorted(
+    f"edgewise.{m.name}" for m in pkgutil.iter_modules(edgewise.__path__)))
+def test_every_exported_name_resolves(module):
+    owner = importlib.import_module(module)
+    assert [name for name in getattr(owner, "__all__", ())
+            if not hasattr(owner, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,17 @@
+import re
+from functools import cache
+
 import pytest
 
 from edgewise.delta import SimplexMap, all_monotone_maps, coface, compose, identity
 from edgewise.errors import InputError
+from edgewise.groupoid import act_gpd, discrete_sgpd, s_construction
 from edgewise.sset import (
     SimplicialMap,
     TruncatedSSet,
+    _in_range,
     act,
+    act_positions,
     edgewise,
     edgewise_map,
     iso_check,
@@ -14,6 +20,8 @@ from edgewise.sset import (
     simplicial_map_violations,
     standard_simplex,
     strict_pullback,
+    structure_maps,
+    tabulate,
     validate,
 )
 
@@ -169,3 +177,102 @@ def test_subdivision_and_reversal_share_the_level_index():
     assert all(R._store("face")[(n, i)] is X._store("face")[(n, n - i)]
                for n, i in R._store("face"))
     assert E == TruncatedSSet(E.truncation, E.levels, E.face, E.degeneracy)
+
+
+# -- the index set of the structure maps ------------------------------------
+
+
+@cache
+def _s_construction(truncation):
+    return s_construction(2, truncation)
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_structure_maps_list_faces_then_degeneracies_in_store_order(N):
+    faces = [(n, i) for n in range(1, N + 1) for i in range(n + 1)]
+    degeneracies = [(n, i) for n in range(N) for i in range(n + 1)]
+    assert len(faces) == N * (N + 3) // 2
+    assert len(degeneracies) == N * (N + 1) // 2
+    assert list(structure_maps(N)) == \
+        [("face", n, i) for n, i in faces] + \
+        [("degeneracy", n, i) for n, i in degeneracies]
+    X = standard_simplex(3, N)
+    assert list(X.face) == faces and list(X.degeneracy) == degeneracies
+    M = min(N, 4)
+    S = _s_construction(M)
+    assert [("face", *key) for key in S.face] + \
+        [("degeneracy", *key) for key in S.degeneracy] == \
+        list(structure_maps(M))
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_in_range_is_membership_in_the_index_set(N):
+    maps = set(structure_maps(N))
+    for kind in ("face", "degeneracy"):
+        for n in range(-1, N + 2):
+            for i in range(-1, N + 2):
+                assert _in_range(kind, n, i, N) == ((kind, n, i) in maps), \
+                    (kind, n, i)
+
+
+# -- tabulate ---------------------------------------------------------------
+
+
+def _simplex_rules(bad=None, image=None):
+    """The rules of ``standard_simplex``, except that the rule of the
+    structure map ``bad``, a (kind, n, i), sends the cell (0, 1) to
+    ``image``."""
+    def rules(kind, rule):
+        def at(n, i):
+            good = rule(n, i)
+            if (kind, n, i) != bad:
+                return good
+            return lambda c: image if c == (0, 1) else good(c)
+        return at
+
+    return (rules("face", lambda n, i: lambda c: c[:i] + c[i + 1:]),
+            rules("degeneracy", lambda n, i: lambda c: c[:i + 1] + c[i:]))
+
+
+def _digits(c):
+    return "".join(map(str, c))
+
+
+@pytest.mark.parametrize("bad, image", [
+    (("face", 1, 1), None),
+    (("face", 1, 0), (7,)),
+    (("degeneracy", 1, 0), None),
+    (("degeneracy", 1, 1), [0, 1, 1]),
+])
+def test_tabulate_refuses_an_image_that_is_no_cell(bad, image):
+    cells = [[a.values for a in all_monotone_maps(n, 1)] for n in range(3)]
+    assert tabulate(cells, *_simplex_rules(), _digits) == \
+        standard_simplex(1, 2)
+    kind, n, i = bad
+    with pytest.raises(InputError, match=re.escape(
+            f"{kind} ({n}, {i}) sends cell '01' to {image!r}, which is no "
+            "cell")):
+        tabulate(cells, *_simplex_rules(bad, image), _digits)
+
+
+# -- act beyond the truncation ----------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [
+    SimplexMap((0, 1, 2, 3), 4),      # [3] -> [3]
+    SimplexMap((0,), 4),              # [0] -> [3]
+    SimplexMap((0, 0, 0, 0), 1),      # [3] -> [0]
+    SimplexMap((0, 1, 2), 4),         # [2] -> [3]
+])
+def test_both_tiers_refuse_a_map_beyond_the_truncation_alike(alpha):
+    X = standard_simplex(1, 2)
+    Y = discrete_sgpd(X)
+    message = (f"act needs levels {alpha.dom_dim} and {alpha.cod_dim} "
+               "within truncation 2")
+    for call in (lambda: act_positions(alpha, X), lambda: act(alpha, X),
+                 lambda: act_gpd(alpha, Y),
+                 lambda: next(X.generator_maps(alpha)),
+                 lambda: next(Y.generator_maps(alpha))):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
