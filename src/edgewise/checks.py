@@ -158,6 +158,9 @@ class Semantics:
     face into each factor, and of that face into [n]; it acts X on the
     ones it needs, forms the pullback of the legs and decides the
     level-n comparison into it.  ``name`` labels the tier's reports.
+    The set tier acts once on a row where one factor and its leg are
+    identities and the other factor is the other leg (see
+    ``_bijection``), and four times on every other row.
     """
 
     name: str
@@ -208,7 +211,13 @@ class Semantics:
 
         Full mode sweeps every 0 <= i < j <= n, adjacent and long-edge
         pairs included (those are reported as trivially bijective rather
-        than skipped); reduced mode keeps only i = 0 or j = n.
+        than skipped); reduced mode keeps only i = 0 or j = n.  In an
+        adjacent row (n, i, i+1) the outer factor is the identity of [n],
+        in a long-edge row (n, 0, n) the inner one, and its leg is the
+        identity of [1].  So the comparison is the graph of the other
+        factor's act table t: its images lie in the pullback, they are
+        distinct, and the pullback has one pair per cell.  The set tier
+        decides these rows with that one act.
         """
         if mode not in ("full", "reduced"):
             raise InputError(f"unknown mode {mode!r}")
@@ -235,7 +244,47 @@ class Semantics:
 def _bijection(kind, indices, X, first, second, leg_first, leg_second,
                shared) -> Comparison:
     """Set semantics: the table into the strict pullback of the legs,
-    all of it on positions."""
+    all of it on positions.
+
+    When one factor is the identity of [n], its leg is the identity and
+    the other factor is the other leg (the adjacent 2-Segal rows
+    (n, i, i+1), the long-edge rows (n, 0, n) and the Segal rows
+    (m, m)), the comparison is the graph x -> (x, t[x]) of the act
+    table t of that other factor, decided by one act:
+    - one leg is t itself and the other is the identity of its codomain,
+      so every image lies in the pullback, whatever the tables;
+    - the images are distinct, since one coordinate is x;
+    - the pullback has exactly one pair (x, t[x]) per cell x.
+    So it passes, and its pullback has |X_n| pairs, recorded without
+    counting.  The one act reads the same tables, in the same order, as
+    the first act of the counting path that reads any (the identity's
+    act reads none), so invalid tables raise the same error.  Every
+    other comparison acts four times and is decided by ``_compare``.
+    """
+    if second == leg_first and first.is_identity() and \
+            leg_second.is_identity():
+        flip = False
+    elif first == leg_second and second.is_identity() and \
+            leg_first.is_identity():
+        flip = True
+    else:
+        return _counted(kind, indices, X, first, second, leg_first,
+                        leg_second)
+    t = act_positions(first if flip else second, X)
+    domain = X.level(first.cod_dim)
+    cells = tuple(range(len(domain)))
+    faces = tuple(range(len(X.level(shared.dom_dim))))
+    f, g = (faces, t) if flip else (t, faces)
+    P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
+                              X.level(leg_second.cod_dim))
+    P._size = len(domain)       # the graph's pairs, one per cell
+    outer, inner = (t, cells) if flip else (cells, t)
+    return Comparison(kind, tuple(indices), tuple(domain), outer, inner, P,
+                      "pass", None)
+
+
+def _counted(kind, indices, X, first, second, leg_first, leg_second):
+    """The comparison decided by counting, after four acts."""
     outer = act_positions(first, X)
     inner = act_positions(second, X)
     f, g = act_positions(leg_first, X), act_positions(leg_second, X)

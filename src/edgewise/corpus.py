@@ -131,6 +131,7 @@ _MONOID_MAKERS = (
 def random_category(seed: int, max_objects: int = 4,
                     max_morphisms: int = 24) -> FinCategory:
     """A small category drawn from posets, monoids, and their products."""
+    _ints("random_category", max_objects, max_morphisms)
     rng = random.Random(seed)
     for _ in range(50):
         roll = rng.random()

@@ -752,12 +752,11 @@ def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
 
 def nondegenerate_cells(X: TruncatedSSet, n: int):
     """Level-n cells that are not degeneracy images; all of level 0."""
-    if n == 0:
-        return X.level(0)
+    cells = X.level(n)
     degenerate = set()
     for i in range(n):
         degenerate.update(X.degeneracy_map(n - 1, i).values())
-    return tuple(c for c in X.level(n) if c not in degenerate)
+    return tuple(c for c in cells if c not in degenerate)
 
 
 @dataclass
@@ -776,7 +775,8 @@ def simplicial_map_violations(f: SimplicialMap):
     The components are dicts of names, so every naturality square is
     checked on name tables, each structure map read as ``face_map`` and
     ``degeneracy_map`` read it; a square is checked only at the cells
-    where both of its composites are defined.
+    where both of its composites are defined.  A component that is not
+    a ``Mapping`` raises ``InputError`` naming its level.
     """
     out = []
     X, Y, comps = f.source, f.target, f.components
@@ -787,6 +787,9 @@ def simplicial_map_violations(f: SimplicialMap):
         return [Violation("shape", -1, (), "",
                           f"expected {X.truncation + 1} components")]
     for n, comp in enumerate(comps):
+        if not isinstance(comp, Mapping):
+            raise InputError(f"component at level {n} must be a mapping of "
+                             f"cells, not {type(comp).__name__}")
         _totality(out, n, (), comp, X.level(n), Y.level_set(n),
                   "component", "image {!r} not a cell of the target")
     for kind, n, i in structure_maps(X.truncation):

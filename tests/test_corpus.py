@@ -181,10 +181,12 @@ NON_INT_BUILDERS = {
     "cyclic_monoid": cyclic_monoid,
     "random_partial_monoid": lambda v: random_partial_monoid(v, 0),
     "fuzz_theorem": lambda v: fuzz_theorem(v, 0),
+    "random_category-objects": lambda v: random_category(1, v),
+    "random_category-morphisms": lambda v: random_category(1, 4, v),
 }
 
 
-@pytest.mark.parametrize("value", [2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "3"], ids=repr)
 @pytest.mark.parametrize("builder", sorted(NON_INT_BUILDERS))
 def test_builders_refuse_sizes_that_are_not_ints(builder, value):
     build = NON_INT_BUILDERS[builder]

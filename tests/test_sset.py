@@ -135,6 +135,32 @@ def test_nondegenerate_edges_of_triangle():
         ("01", "02", "12")
 
 
+@pytest.mark.parametrize("n", [3, 4, -1])
+def test_nondegenerate_cells_refuse_a_level_outside_the_truncation(n):
+    X = standard_simplex(1, 2)
+    assert nondegenerate_cells(X, 2) == ()
+    with pytest.raises(InputError) as caught:
+        nondegenerate_cells(X, n)
+    assert str(caught.value) == f"level {n} beyond truncation 2"
+
+
+@pytest.mark.parametrize("components, level, kind", [
+    (((), (), ()), 0, "tuple"),
+    ((5, {}, {}), 0, "int"),
+    (({"0": "0", "1": "1"}, 7, {}), 1, "int"),
+    (({"0": "0", "1": "1"}, {}, ()), 2, "tuple"),
+])
+def test_simplicial_map_refuses_components_that_are_not_mappings(
+        components, level, kind):
+    X = standard_simplex(1, 2)
+    f = SimplicialMap(X, X, components)
+    for check in (simplicial_map_violations, iso_check):
+        with pytest.raises(InputError) as caught:
+            check(f)
+        assert str(caught.value) == (f"component at level {level} must be "
+                                     f"a mapping of cells, not {kind}")
+
+
 def edge_inclusion_map(values):
     # the simplicial map of an edge of the triangle, built by naming
     alpha = SimplexMap(values, 3)
