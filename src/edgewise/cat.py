@@ -447,22 +447,30 @@ def canonical_tw_iso(A: FinCategory, truncation: int) -> SimplicialMap:
     """
     source = edgewise(nerve(A, 2 * truncation + 1))
     target = nerve(twisted_arrow(A), truncation)
+    return SimplicialMap(source, target, _outward(
+        source, lambda u, g, v: (_triple_id(g, u, v),
+                                 A.compose[(v, A.compose[(g, u)])])),
+        name=f"tw-comparison({A.name})")
+
+
+def _outward(source, step):
+    """The components of a comparison out of a subdivision: a level-n
+    string of 2n+1 letters is read outward from its middle letter g, and
+    the letters u, v i places either side give ``step(u, g, v)``: the
+    image's i-th letter and the next g."""
     comps = [{c: c for c in source.level(0)}]
-    for n in range(1, truncation + 1):
+    for n in range(1, source.truncation + 1):
         comp = {}
         for c in source.level(n):
-            fs = c.split("|")
-            mid = fs[n]
+            letters = c.split("|")
+            g = letters[n]
             entries = []
-            g = mid
             for i in range(1, n + 1):
-                u, v = fs[n - i], fs[n + i]
-                entries.append(_triple_id(g, u, v))
-                g = A.compose[(v, A.compose[(g, u)])]
+                entry, g = step(letters[n - i], g, letters[n + i])
+                entries.append(entry)
             comp[c] = "|".join(entries)
         comps.append(comp)
-    return SimplicialMap(source, target, tuple(comps),
-                         name=f"tw-comparison({A.name})")
+    return tuple(comps)
 
 
 class PartialMonoid:
@@ -599,21 +607,10 @@ def canonical_partial_iso(M: PartialMonoid, truncation: int) -> SimplicialMap:
     """
     source = edgewise(bar(M, 2 * truncation + 1))
     target = nerve(span_category(M), truncation)
-    comps = [{c: c for c in source.level(0)}]
-    for n in range(1, truncation + 1):
-        comp = {}
-        for c in source.level(n):
-            ms = c.split("|")
-            entries = []
-            g = ms[n]
-            for i in range(1, n + 1):
-                m1, m2 = ms[n - i], ms[n + i]
-                entries.append(_triple_id(m1, g, m2))
-                g = M.multiply(M.multiply(m1, g), m2)
-            comp[c] = "|".join(entries)
-        comps.append(comp)
-    return SimplicialMap(source, target, tuple(comps),
-                         name=f"span-comparison({M.name})")
+    return SimplicialMap(source, target, _outward(
+        source, lambda m1, g, m2: (_triple_id(m1, g, m2),
+                                   M.multiply(M.multiply(m1, g), m2))),
+        name=f"span-comparison({M.name})")
 
 
 def truncated_free_monoid(k: int) -> PartialMonoid:

@@ -9,6 +9,7 @@ which levels the truncated data certifies.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -27,8 +28,8 @@ from .delta import (
 )
 from .errors import GenerationError, InputError
 # act and strict_pullback are bound here too, for tracers that wrap them
-from .sset import (Pullback, TruncatedSSet, _gather, act, act_positions,
-                   edgewise, op_reverse, strict_pullback)
+from .sset import (Pullback, TruncatedSSet, _composite, _gather, act,
+                   act_positions, edgewise, op_reverse, strict_pullback)
 
 __all__ = [
     "Semantics",
@@ -206,23 +207,22 @@ class Semantics:
                    for m, j in _segal_indices(X.truncation)]
         return _report(self.name, X, entries, "segal", 1)
 
-    def two_segal_check(self, X, mode, two_segal_map) -> CheckReport:
-        """All polygon-subdivision comparisons for 3 <= n <= truncation.
-
-        Full mode sweeps every 0 <= i < j <= n, adjacent and long-edge
-        pairs included (those are reported as trivially bijective rather
-        than skipped); reduced mode keeps only i = 0 or j = n.  In an
-        adjacent row (n, i, i+1) the outer factor is the identity of [n],
-        in a long-edge row (n, 0, n) the inner one, and its leg is the
-        identity of [1].  So the comparison is the graph of the other
-        factor's act table t: its images lie in the pullback, they are
-        distinct, and the pullback has one pair per cell.  The set tier
-        decides these rows with that one act.
-        """
+    def two_segal_rows(self, X, mode, two_segal_map):
+        """The polygon-subdivision comparisons for 3 <= n <= truncation,
+        made one at a time in report order by ``two_segal_map``, the
+        tier's public binding, so a wrapper on that name sees each row.
+        Full mode has every 0 <= i < j <= n, reduced mode only i = 0 or
+        j = n; ``mode`` is checked when this is called."""
         if mode not in ("full", "reduced"):
             raise InputError(f"unknown mode {mode!r}")
-        entries = [_entry(two_segal_map(X, n, i, j))
-                   for n, i, j in _two_segal_indices(X.truncation, mode)]
+        return (two_segal_map(X, n, i, j)
+                for n, i, j in _two_segal_indices(X.truncation, mode))
+
+    def two_segal_check(self, X, mode, two_segal_map) -> CheckReport:
+        """The report of ``two_segal_rows``; the adjacent and long-edge
+        rows are reported as trivially bijective rather than skipped."""
+        entries = [_entry(comp)
+                   for comp in self.two_segal_rows(X, mode, two_segal_map)]
         return _report(self.name, X, entries, "two_segal", 3, mode=mode)
 
     def beta_gamma(self, X, m: int, j: int, subdivide):
@@ -485,44 +485,31 @@ class RetractResult:
     witness: tuple | None = None
 
 
-def _carry(count, path):
-    """Positions 0..count-1, each carried through the tables of ``path``
-    in turn, as a tuple (whatever the path's length, so that two
-    carries compare equal exactly when they agree)."""
-    cells = tuple(range(count))
-    for table in path:
-        cells = _gather(table, cells)
-    return cells
-
-
 def _first_failure(count, lhs, rhs):
     """The first position below ``count`` whose two composites differ,
     or None.
 
-    Each side lists paths of position tables, and its value at x is the
-    tuple of x carried along each path.  Whole levels are compared
-    first; only when they differ is the first differing position sought.
+    Each side lists paths of position tables; its value at x is the tuple
+    of x carried along each path (``_composite``).  Whole levels are
+    compared first, and only if they differ is a position sought.
     """
-    left = [_carry(count, p) for p in lhs]
-    right = [_carry(count, p) for p in rhs]
+    left = [_composite(p, count) for p in lhs]
+    right = [_composite(p, count) for p in rhs]
     if left == right:
         return None
     return next(x for x, (a, b) in enumerate(zip(zip(*left), zip(*right)))
                 if a != b)
 
 
-def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
-    """Verify the retract presentation of the edge-{0,k} comparison.
+_BigRow = namedtuple("_BigRow", "verdict outer inner")
 
-    The big comparison lives at level 2n-1 with indices (n-k, n+k-1);
-    the vertical maps of both squares are induced on the polygon
-    factors by the section and retraction.
-    """
-    _ints("retract_verify", n, k)
-    if not (n >= 3 and 1 < k < n):
-        raise InputError(f"need n >= 3 and 1 < k < n, got ({n}, {k})")
-    if 2 * n - 1 > X.truncation:
-        return RetractResult(n, k, False, "out_of_truncation")
+
+def _retract(X, n, k, rows) -> RetractResult:
+    """The retract check of X's edge-{0,k} comparison at level n.
+
+    The section and retraction act first; then ``rows()`` gives the
+    small comparison (n, 0, k) and the big one (2n-1, n-k, n+k-1), or
+    the ``_BigRow`` of what is read of it: its verdict and tables."""
     sec = retract_section(n, k)
     ret = retract_retraction(n, k)
     down = act_positions(sec, X)       # level 2n-1 -> level n
@@ -530,8 +517,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     cells, big_cells = X.level(n), X.level(2 * n - 1)
     identity = _first_failure(len(cells), [(up, down)], [()])
 
-    small = two_segal_map(X, n, 0, k)
-    big = two_segal_map(X, 2 * n - 1, n - k, n + k - 1)
+    small, big = rows()
     small_inc = two_segal_inclusions(n, 0, k)
     big_inc = two_segal_inclusions(2 * n - 1, n - k, n + k - 1)
 
@@ -564,6 +550,23 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
                          big.verdict, small.verdict, witness)
 
 
+def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
+    """Verify the retract presentation of the edge-{0,k} comparison.
+
+    The big comparison lives at level 2n-1 with indices (n-k, n+k-1);
+    the vertical maps of both squares are induced on the polygon
+    factors by the section and retraction.
+    """
+    _ints("retract_verify", n, k)
+    if not (n >= 3 and 1 < k < n):
+        raise InputError(f"need n >= 3 and 1 < k < n, got ({n}, {k})")
+    if 2 * n - 1 > X.truncation:
+        return RetractResult(n, k, False, "out_of_truncation")
+    return _retract(X, n, k, lambda: (
+        two_segal_map(X, n, 0, k),
+        two_segal_map(X, 2 * n - 1, n - k, n + k - 1)))
+
+
 def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     """The edge-{k,n} comparison, handled through order reversal.
 
@@ -576,19 +579,20 @@ def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
         raise InputError(f"need n >= 3 and 0 < k < n - 1, got ({n}, {k})")
     if 2 * n - 1 > X.truncation:
         return RetractResult(n, k, True, "out_of_truncation")
-    return _retract_reversed(X, op_reverse(X), n, k)
+    return _retract_reversed(op_reverse(X), n, k, two_segal_map(X, n, k, n))
 
 
-def _retract_reversed(X, rev, n, k) -> RetractResult:
-    """``retract_verify_reversed`` with ``rev = op_reverse(X)`` given;
-    rev has X's levels, so positions compare as names do."""
-    direct = two_segal_map(X, n, k, n)
+def _retract_reversed(rev, n, k, direct) -> RetractResult:
+    """The reversed family's check of X's comparison ``direct`` at
+    (n, k, n), with ``rev = op_reverse(X)`` (X's levels, so positions
+    compare as names do); the transported row is the small one on rev."""
     transported = two_segal_map(rev, n, 0, n - k)
     transport_ok = direct.outer == transported.outer and \
         direct.inner == transported.inner and \
         _same_pairs(direct.pullback, transported.pullback) and \
         direct.verdict == transported.verdict
-    inner = retract_verify(rev, n, n - k)
+    inner = _retract(rev, n, n - k, lambda: (
+        transported, two_segal_map(rev, 2 * n - 1, k, 2 * n - 1 - k)))
     ok = transport_ok and inner.verdict == "pass"
     witness = None if transport_ok else ("transport", (n, k))
     return RetractResult(n, k, True, "pass" if ok else "fail",
@@ -601,85 +605,65 @@ def _retract_reversed(X, rev, n, k) -> RetractResult:
 def theorem_verify(X: TruncatedSSet) -> CheckReport:
     """Check the equivalence: 2-Segal exactly when the subdivision is Segal.
 
-    Runs both checkers, matches their verdicts index-by-index through
-    the factor-swap identification, and verifies the retract argument
-    in both the plain and the reversed family.  The subdivision is
-    built once, and each matched pair of comparisons is computed once
-    and serves both the verdict match and the beta-gamma check; the
-    entries are those of ``segal_check`` on the subdivision followed by
-    those of ``two_segal_check``.  Level-n polygon
-    verdicts count as certified by subdivision data only when
-    2n-1 <= truncation, and the summary says so.
+    ``segal_check`` on the subdivision E runs first, then one pass over
+    X's ``two_segal_rows`` (so the first ``InputError`` is the one the
+    two sweeps, run in turn, meet first); the entries are theirs.  At
+    each matched row (2m+1, m-j, m+j+1) the pass computes E's (m, j)
+    row again for the verdict match and the beta-gamma check, whose
+    witnesses are the least failing [m, j].  It keeps the rows of levels
+    n with 2n-1 <= truncation, the levels the summary certifies, for the
+    retract families; of a big row they read the entry's verdict and
+    act the two tables again.
     """
     if X.truncation < 3:
         raise InputError("theorem checking needs truncation >= 3")
     E = edgewise(X)
-    M = E.truncation
-    esd_entries = []
-    matched = {}        # polygon indices -> entry of the matched gamma
-
-    matched_agree = True
-    matched_witness = None
-    bg_failures = 0
-    bg_witness = None
-    try:
-        for m, j in _segal_indices(M):
-            beta = segal_map(E, m, j)
-            gamma = two_segal_map(X, 2 * m + 1, m - j, m + j + 1)
-            esd_entries.append(_entry(beta))
-            matched[gamma.indices] = _entry(gamma)
+    esd_report = segal_check(E)
+    hi = (X.truncation + 1) // 2      # the levels n with 2n-1 <= truncation
+    entries, kept, mismatched, bg_failed = [], {}, [], []
+    for gamma in SET.two_segal_rows(X, "full", two_segal_map):
+        entries.append(_entry(gamma))
+        n, i, j = gamma.indices
+        if n % 2 and i + j == n and j - i >= 3:
+            m, k = n // 2, (j - i - 1) // 2
+            beta = segal_map(E, m, k)
             if beta.verdict != gamma.verdict:
-                matched_agree = False
-                matched_witness = matched_witness or [m, j]
-            if _beta_gamma_match(m, j, beta, gamma).verdict != "pass":
-                bg_failures += 1
-                bg_witness = bg_witness or [m, j]
-            del beta, gamma     # one matched pair alive at a time
-        ts_entries = [matched.get(idx) or _entry(two_segal_map(X, *idx))
-                      for idx in _two_segal_indices(X.truncation, "full")]
-    except InputError:
-        # raise the error that the two sweeps, run in turn, meet first
-        segal_check(E)
-        two_segal_check(X, "full")
-        raise
-    esd_report = _report(SET.name, E, esd_entries, "segal", 1)
-    ts_report = _report(SET.name, X, ts_entries, "two_segal", 3, mode="full")
+                mismatched.append([m, k])
+            if _beta_gamma_match(m, k, beta, gamma).verdict != "pass":
+                bg_failed.append([m, k])
+            del beta
+        if n <= hi:
+            kept[n, i, j] = gamma
+        del gamma           # one row alive at a time
+    ts_report = _report(SET.name, X, entries, "two_segal", 3, mode="full")
 
-    retract_failures = 0
-    retract_witness = None
-    retract_results = []
-    rev = None          # built once, where the reversed family first needs it
-    n = 3
-    while 2 * n - 1 <= X.truncation:
+    retracts, rev = [], None    # rev: built where first needed
+    for n in range(3, hi + 1):
         for k in range(2, n):
-            retract_results.append(retract_verify(X, n, k))
+            big = two_segal_inclusions(2 * n - 1, n - k, n + k - 1)
+            retracts.append(_retract(X, n, k, lambda: (kept[n, 0, k], _BigRow(
+                ts_report.entry("two_segal", (big.n, big.i, big.j)).verdict,
+                act_positions(big.outer, X), act_positions(big.inner, X)))))
         rev = rev or op_reverse(X)
         for k in range(1, n - 1):
-            retract_results.append(_retract_reversed(X, rev, n, k))
-        n += 1
-    for r in retract_results:
-        if r.verdict != "pass":
-            retract_failures += 1
-            if retract_witness is None:
-                retract_witness = [r.n, r.k, bool(r.reversed_family)]
+            retracts.append(_retract_reversed(rev, n, k, kept[n, k, n]))
+    retract_failed = [[r.n, r.k, r.reversed_family] for r in retracts
+                      if r.verdict != "pass"]
 
-    hi = (X.truncation + 1) // 2
-    certified = [3, hi] if hi >= 3 else []
-    overall = "pass" if (matched_agree and bg_failures == 0
-                         and retract_failures == 0) else "fail"
     summary = {
         "check": "theorem",
-        "overall": overall,
-        "two_segal_overall": ts_report.summary["overall"],
-        "esd_segal_overall": esd_report.summary["overall"],
-        "esd_truncation": M,
-        "matched_agree": matched_agree,
-        "matched_witness": matched_witness,
-        "beta_gamma_failures": bg_failures,
-        "beta_gamma_witness": bg_witness,
-        "retract_failures": retract_failures,
-        "retract_witness": retract_witness,
-        "certified_levels": certified,
+        "overall": "fail" if mismatched or bg_failed or retract_failed
+        else "pass",
+        "two_segal_overall": ts_report.overall,
+        "esd_segal_overall": esd_report.overall,
+        "esd_truncation": E.truncation,
+        "matched_agree": not mismatched,
+        "matched_witness": min(mismatched, default=None),
+        "beta_gamma_failures": len(bg_failed),
+        "beta_gamma_witness": min(bg_failed, default=None),
+        "retract_failures": len(retract_failed),
+        "retract_witness": retract_failed[0] if retract_failed else None,
+        "certified_levels": [3, hi] if hi >= 3 else [],
     }
     entries = esd_report.entries + ts_report.entries
     return CheckReport(X.name or "anonymous", "set", entries, summary)
@@ -751,10 +735,8 @@ def fuzz_theorem(count: int, seed: int,
         checked += 1
         if report.overall != "pass":
             violations.append((X.name, dict(report.summary)))
-        if kind == "bar" and _genuinely_partial(M):
-            level2 = [e for e in segal_check(X).entries
-                      if e.indices[0] == 2]
-            if all(e.verdict == "pass" for e in level2):
-                partial_level2 += 1
+        if kind == "bar" and _genuinely_partial(M) and all(
+                segal_map(X, 2, j).verdict == "pass" for j in (1, 2)):
+            partial_level2 += 1
     return FuzzSummary(count, seed, checked, generation_failures,
                        kind_counts, tuple(violations), partial_level2)

@@ -132,10 +132,17 @@ def random_category(seed: int, max_objects: int = 4,
                     max_morphisms: int = 24) -> FinCategory:
     """A small category drawn from posets, monoids, and their products."""
     _ints("random_category", max_objects, max_morphisms)
+    for name, size in (("max_objects", max_objects),
+                       ("max_morphisms", max_morphisms)):
+        if size < 1:
+            raise InputError(f"random_category: {name} must be >= 1, "
+                             f"got {size}")
     rng = random.Random(seed)
     for _ in range(50):
         roll = rng.random()
         if roll < 0.45:
+            if max_objects < 2:
+                continue        # posets have two objects or more
             A = _random_poset(rng, max_objects)
         elif roll < 0.75:
             A = monoid_category(rng.choice(_MONOID_MAKERS)())

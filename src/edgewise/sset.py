@@ -24,7 +24,7 @@ report on.  Constructors only enforce basic shape.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter
@@ -372,14 +372,24 @@ def _totality(out, n, indices, table, cells, targets, kind, bad_value):
         if v is None:
             out.append(Violation("totality", n, indices, c,
                                  f"{kind} entry missing"))
-        elif v not in targets:
+        elif not _hashable(v) or v not in targets:
             out.append(Violation("totality", n, indices, c,
                                  bad_value.format(v)))
 
 
+def _hashable(v):
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
 def _through(cells, *tables):
-    """Each cell carried through the tables in turn (None once missing)."""
+    """Each cell carried through the tables (None once missing or no cell)."""
     for table in tables:
+        if not _hashable(tuple(table.values())):    # one pass, in C
+            table = {c: v for c, v in table.items() if _hashable(v)}
         cells = map(table.get, cells)
     return cells
 
@@ -775,14 +785,17 @@ def simplicial_map_violations(f: SimplicialMap):
     The components are dicts of names, so every naturality square is
     checked on name tables, each structure map read as ``face_map`` and
     ``degeneracy_map`` read it; a square is checked only at the cells
-    where both of its composites are defined.  A component that is not
-    a ``Mapping`` raises ``InputError`` naming its level.
+    where both of its composites are defined.  Components that are not
+    a sequence, or one that is not a ``Mapping``, raise ``InputError``.
     """
     out = []
     X, Y, comps = f.source, f.target, f.components
     if X.truncation != Y.truncation:
         return [Violation("shape", -1, (), "",
                           f"truncations {X.truncation} != {Y.truncation}")]
+    if not isinstance(comps, Sequence):
+        raise InputError("components must be a sequence, one mapping per "
+                         f"level, not {type(comps).__name__}")
     if len(comps) != X.truncation + 1:
         return [Violation("shape", -1, (), "",
                           f"expected {X.truncation + 1} components")]

@@ -1,6 +1,7 @@
 import pytest
 
 from edgewise.cat import (
+    _triple_id,
     FinCategory,
     PartialMonoid,
     bar,
@@ -19,8 +20,10 @@ from edgewise.cat import (
     validate_category,
     validate_partial_monoid,
 )
+from edgewise.corpus import standard_corpus
 from edgewise.errors import InputError
-from edgewise.sset import SimplicialMap, iso_check, op_reverse, validate
+from edgewise.sset import (SimplicialMap, edgewise, iso_check, op_reverse,
+                           validate)
 
 
 def weak_only_monoid():
@@ -203,3 +206,63 @@ def test_fin_category_copies_given_tables_unless_told_not_to():
         (kept.src, kept.tgt, kept.identity, kept.compose), tables))
     with pytest.raises(InputError):
         FinCategory(A.objects, A.morphisms, {}, *tables[1:], copy=False)
+
+
+# -- the two canonical comparisons against their own loops --------------------
+
+
+def reference_tw_components(A, truncation):
+    """``canonical_tw_iso``'s components as its own loop built them."""
+    source = edgewise(nerve(A, 2 * truncation + 1))
+    comps = [{c: c for c in source.level(0)}]
+    for n in range(1, truncation + 1):
+        comp = {}
+        for c in source.level(n):
+            fs = c.split("|")
+            mid = fs[n]
+            entries = []
+            g = mid
+            for i in range(1, n + 1):
+                u, v = fs[n - i], fs[n + i]
+                entries.append(_triple_id(g, u, v))
+                g = A.compose[(v, A.compose[(g, u)])]
+            comp[c] = "|".join(entries)
+        comps.append(comp)
+    return tuple(comps)
+
+
+def reference_partial_components(M, truncation):
+    """``canonical_partial_iso``'s components as its own loop built them."""
+    source = edgewise(bar(M, 2 * truncation + 1))
+    comps = [{c: c for c in source.level(0)}]
+    for n in range(1, truncation + 1):
+        comp = {}
+        for c in source.level(n):
+            ms = c.split("|")
+            entries = []
+            g = ms[n]
+            for i in range(1, n + 1):
+                m1, m2 = ms[n - i], ms[n + i]
+                entries.append(_triple_id(m1, g, m2))
+                g = M.multiply(M.multiply(m1, g), m2)
+            comp[c] = "|".join(entries)
+        comps.append(comp)
+    return tuple(comps)
+
+
+def test_canonical_comparisons_match_their_own_loops():
+    seen = set()
+    for ci in standard_corpus():
+        t = (ci.sset.truncation - 1) // 2
+        if ci.kind == "nerve":
+            f = canonical_tw_iso(ci.origin, t)
+            want = reference_tw_components(ci.origin, t)
+        elif ci.kind == "bar":
+            f = canonical_partial_iso(ci.origin, t)
+            want = reference_partial_components(ci.origin, t)
+        else:
+            continue
+        seen.add(ci.kind)
+        assert f.components == want, ci.name
+        assert [list(c) for c in f.components] == [list(c) for c in want]
+    assert seen == {"nerve", "bar"}

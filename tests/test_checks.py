@@ -2,8 +2,11 @@
 
 import pytest
 
+from edgewise import checks, corpus
 from edgewise.cat import bar, chain_poset, nerve, truncated_free_monoid
 from edgewise.checks import (
+    CheckReport,
+    _genuinely_partial,
     beta_gamma_equality,
     fuzz_theorem,
     retract_verify,
@@ -209,3 +212,38 @@ def test_failing_entries_reverify_against_rebuilt_comparisons():
         assert comp.verdict == e.verdict
         assert comp.witness == e.witness
         assert witness_re_verifies(comp)
+
+
+def _level2_passes_by_full_sweep(X):
+    return all(e.verdict == "pass" for e in segal_check(X).entries
+               if e.indices[0] == 2)
+
+
+def test_fuzz_counts_level2_passes_as_the_full_sweep(monkeypatch):
+    bars = []           # [M, bar(M, 5)] of each bar instance checked
+    draw = corpus.random_partial_monoid
+
+    def recording_draw(*args):
+        bars.append([draw(*args)])
+        return bars[-1][0]
+
+    def recording_check(X):     # the count reads no theorem report
+        if bars and len(bars[-1]) == 1:
+            bars[-1].append(X)
+        return CheckReport("", "set", (), {"overall": "pass"})
+
+    monkeypatch.setattr(corpus, "random_partial_monoid", recording_draw)
+    monkeypatch.setattr(checks, "theorem_verify", recording_check)
+    summary = fuzz_theorem(200, 11)
+    assert summary.checked == 200 and len(bars) > 50
+    assert summary.partial_bar_level2_passes == sum(
+        _genuinely_partial(M) and _level2_passes_by_full_sweep(X)
+        for M, X in bars)
+    # the two level-2 rows decide as the full sweep does on every bar
+    # instance, partial product or not
+    outcomes = set()
+    for M, X in bars:
+        two_rows = all(segal_map(X, 2, j).verdict == "pass" for j in (1, 2))
+        assert two_rows == _level2_passes_by_full_sweep(X)
+        outcomes.add((two_rows, _genuinely_partial(M)))
+    assert outcomes == {(True, False), (False, True)}

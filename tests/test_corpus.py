@@ -139,6 +139,28 @@ def test_random_category_valid_and_bounded():
     assert random_category(2).morphisms == random_category(2).morphisms
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1, 0), "max_objects"), ((1, -1), "max_objects"),
+    ((1, 4, 0), "max_morphisms"), ((1, 1, -3), "max_morphisms")])
+def test_random_category_refuses_sizes_below_one(args, name):
+    with pytest.raises(InputError) as caught:
+        random_category(*args)
+    assert str(caught.value) == \
+        f"random_category: {name} must be >= 1, got {args[-1]}"
+
+
+def test_random_category_with_one_object_rejects_poset_rolls():
+    kinds = set()
+    for seed in range(12):
+        A = random_category(seed, 1)
+        assert len(A.objects) == 1 and validate_category(A) == []
+        kinds.add(A.name)
+    assert len(kinds) > 1
+    # every drawn monoid has two elements or more, so no draw fits
+    with pytest.raises(GenerationError):
+        random_category(1, 1, 1)
+
+
 def test_named_helpers_validate():
     assert validate_partial_monoid(idempotent_monoid()) == []
     assert validate_category(diamond_poset()) == []

@@ -1,8 +1,8 @@
 """The set tier's counting paths against plain reference versions.
 
 ``act`` composes from the last generator back, a comparison is decided
-by counting, and ``theorem_verify`` computes each matched comparison
-once.  The references below are the direct forms: composition one
+by counting, and ``theorem_verify`` makes one pass over the 2-Segal
+sweep.  The references below are the direct forms: composition one
 generator at a time over level m, a nested-loop pullback with an
 ordered scan, and the two checkers run separately.
 """
@@ -220,8 +220,8 @@ def test_theorem_entries_are_both_sweeps(X, digest):
 
 def test_theorem_raises_the_first_error_of_the_sweeps():
     # two broken faces: level 4 breaks the unmatched polygon comparison
-    # (4, 0, 2), level 7 the matched one at (7, 2, 5), which the
-    # interleaved matching reaches first
+    # (4, 0, 2), level 7 the matched one at (7, 2, 5); the 2-Segal sweep
+    # meets (4, 0, 2) first, and the subdivision's sweep meets neither
     X = bar(cyclic_monoid(2), 7)
     face = {k: dict(v) for k, v in X.face.items()}
     face[(4, 4)]["e|g|g|e"] = "e|e|e"

@@ -161,6 +161,49 @@ def test_simplicial_map_refuses_components_that_are_not_mappings(
                                      f"a mapping of cells, not {kind}")
 
 
+def test_simplicial_map_refuses_components_that_are_not_a_sequence():
+    X = standard_simplex(1, 2)
+    f = SimplicialMap(X, X, None)
+    for check in (simplicial_map_violations, iso_check):
+        with pytest.raises(InputError) as caught:
+            check(f)
+        assert str(caught.value) == ("components must be a sequence, one "
+                                     "mapping per level, not NoneType")
+
+
+def _with_face_value(X, value):
+    face = {k: dict(v) for k, v in X.face.items()}
+    face[(1, 0)]["01"] = value
+    return TruncatedSSet(X.truncation, X.levels, face, X.degeneracy)
+
+
+def test_validate_takes_an_unhashable_value_for_no_cell():
+    X = standard_simplex(1, 2)
+    got = [(v.identity, v.level, v.indices, v.cell, v.detail)
+           for v in validate(_with_face_value(X, ["x"]))]
+    # the identities through it take the cell as missing, as for None
+    assert got == [("totality", 1, (0,), "01", "face value ['x'] not a cell")]
+    assert [v.detail for v in validate(_with_face_value(X, None))] == \
+        ["face entry missing"]
+
+
+def test_simplicial_map_takes_an_unhashable_image_for_no_cell():
+    X = standard_simplex(1, 2)
+    comps = [{c: c for c in X.level(n)} for n in range(3)]
+    comps[1]["01"] = ["x"]
+    f = SimplicialMap(X, X, comps)
+    want = [("totality", 1, "01", "image ['x'] not a cell of the target")]
+    for check in (simplicial_map_violations, iso_check):
+        assert [(v.identity, v.level, v.cell, v.detail)
+                for v in check(f)] == want
+    # a source whose face sends a cell to an unhashable value: the
+    # naturality squares through it take that cell as missing
+    Y = _with_face_value(X, ["x"])
+    ident = SimplicialMap(Y, Y, [{c: c for c in X.level(n)}
+                                 for n in range(3)])
+    assert simplicial_map_violations(ident) == []
+
+
 def edge_inclusion_map(values):
     # the simplicial map of an edge of the triangle, built by naming
     alpha = SimplexMap(values, 3)
