@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import (combinations_with_replacement, permutations,
                        product as iproduct)
 from operator import itemgetter
@@ -23,7 +24,7 @@ from .checks import Semantics
 from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
 from .sset import (_SHIFT, SimplicialTables, TruncatedSSet, Violation,
-                   _comap, _gather, _tables, along, identities,
+                   _comap, _expect, _gather, _tables, along, identities,
                    structure_maps, subdivide)
 
 __all__ = [
@@ -256,7 +257,8 @@ class _IsoCommaCompose(Mapping):
     morphisms is missing; a composable pair whose components have no
     composite there raises ``InputError``.  Iterating lists each m1 in
     morphism order, then each m2 leaving its target, and ``len`` counts
-    those pairs without listing them.
+    those pairs without listing them; both read an index of the
+    morphisms by source object, built on first use.
     """
 
     def __init__(self, morphisms, mor_data, src, tgt, by_signature,
@@ -265,9 +267,13 @@ class _IsoCommaCompose(Mapping):
         self._src, self._tgt = src, tgt
         self._by_signature = by_signature
         self._first, self._second = first_compose, second_compose
-        self._by_src_obj = {}
-        for m in morphisms:
-            self._by_src_obj.setdefault(src[m], []).append(m)
+
+    @cached_property
+    def _by_src_obj(self):
+        index = {}
+        for m in self._morphisms:
+            index.setdefault(self._src[m], []).append(m)
+        return index
 
     def __getitem__(self, key):
         composite = self.get(key)
@@ -377,7 +383,8 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     compose = _IsoCommaCompose(morphisms, mor_data, src, tgt, by_signature,
                               F.source.compose, G.source.compose)
     H = FinGroupoid(tuple(objects), morphisms, src, tgt, identity, compose,
-                    name=f"({F.name})x^h({G.name})", inverse=inverse)
+                    name=f"({F.name})x^h({G.name})", inverse=inverse,
+                    copy=False)
     return IsoComma(H, obj_data, mor_data)
 
 
@@ -403,6 +410,7 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
     in the order of its first-applied functor's table, objects before
     morphisms.  Identities are listed by name, level and reversed indices.
     """
+    _expect(Y, TruncatedSGpd)
     out = []
     N = Y.truncation
     if len(Y.levels) != N + 1:
@@ -453,6 +461,7 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
     is walked first, so a map beyond the truncation raises the
     ``InputError`` that ``act_positions`` raises.
     """
+    _expect(Y, TruncatedSGpd)
     functors = [F for F, _ in Y.generator_maps(alpha)]
     out = identity_functor(Y.levels[alpha.cod_dim])
     for F in functors:
@@ -469,15 +478,15 @@ def _discrete_groupoid(cells, name):
     ident = {c: f"i({c})" for c in cells}
     morphisms = tuple(ident[c] for c in cells)
     src = {ident[c]: c for c in cells}
-    return FinGroupoid(tuple(cells), morphisms, dict(src), dict(src),
-                       dict(ident),
+    return FinGroupoid(tuple(cells), morphisms, src, src, ident,
                        {(ident[c], ident[c]): ident[c] for c in cells},
-                       name=name,
-                       inverse={ident[c]: ident[c] for c in cells})
+                       name=name, inverse={ident[c]: ident[c] for c in cells},
+                       copy=False)
 
 
 def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
     """View a simplicial set as a levelwise-discrete simplicial groupoid."""
+    _expect(X, TruncatedSSet)
     levels = tuple(_discrete_groupoid(X.level(n), f"{X.name}[{n}]")
                    for n in range(X.truncation + 1))
 

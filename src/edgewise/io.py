@@ -2,8 +2,9 @@
 
 Every format is JSON with sorted keys, two-space indentation, and a
 trailing newline; saving a loaded canonical file reproduces it byte for
-byte.  Unknown top-level fields are rejected so that typos fail loudly
-instead of being ignored.
+byte.  Each kind's top-level fields are stated once, in ``_KINDS``, which
+detection and the loaders read; unknown fields are rejected so that
+typos fail loudly instead of being ignored.
 
 Simplicial-set files stay on position tables both ways.  ``save_sset``
 writes each position table from pieces shared by every table (each
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -27,7 +29,8 @@ from .cat import FinCategory, PartialMonoid
 from .checks import CheckEntry, CheckReport
 from .errors import InputError
 from .groupoid import FinGroupoid, Functor, TruncatedSGpd
-from .sset import _SHIFT, TruncatedSSet, _in_range, _stored
+from .sset import (_SHIFT, TruncatedSSet, _expect, _in_range, _level_index,
+                   _stored, _truncation)
 
 __all__ = [
     "canonical_json",
@@ -74,6 +77,23 @@ def _require_keys(data: dict, keys, what: str):
             f"{what} file is missing fields {sorted(want - got)}")
 
 
+# each file kind: its top-level fields and its name in error texts.  A
+# simplicial groupoid file has a simplicial set's fields, with a groupoid
+# block per level; a report's fields are ``CheckReport``'s, and those of
+# each of its entries (``_ENTRY``) ``CheckEntry``'s.
+_LEVELED = ("truncation", "levels", "face", "degeneracy")
+_CATEGORY = ("objects", "morphisms", "identity", "compose")
+_KINDS = {
+    "sset": (_LEVELED, "simplicial set"),
+    "sgpd": (_LEVELED, "simplicial groupoid"),
+    "category": (_CATEGORY, "category"),
+    "groupoid": (_CATEGORY + ("inverse",), "groupoid"),
+    "partial_monoid": (("elements", "unit", "product"), "partial monoid"),
+    "report": (tuple(f.name for f in fields(CheckReport)), "report"),
+}
+_ENTRY = {f.name for f in fields(CheckEntry)}
+
+
 def _require_type(data: dict, keys, kind: type):
     for key in keys:
         if not isinstance(data[key], kind):
@@ -96,14 +116,6 @@ def _parse_index(key: str, what: str):
         raise InputError(f"bad {what} index key {key!r}") from None
     if key != _index_key(n, i):
         raise InputError(f"bad {what} index key {key!r}")
-    return n, i
-
-
-def _check_index(key: str, what: str, truncation: int):
-    """Reject a structure map index outside the truncation."""
-    n, i = _parse_index(key, what)
-    if not _in_range(what, n, i, truncation):
-        raise InputError(f"{what} index {key!r} out of range")
     return n, i
 
 
@@ -149,6 +161,7 @@ def save_sset(X: TruncatedSSet) -> str:
     tables, and the text is joined once from them.  Name tables and the
     levels are written by ``canonical_json``.
     """
+    _expect(X, TruncatedSSet)
     encoded = [list(map(encode_basestring_ascii, lv)) for lv in X.levels]
     order = [sorted(range(len(lv)), key=lv.__getitem__) for lv in X.levels]
     heads = [[f'{"," if j else "{"}\n      {names[p]}: '
@@ -179,19 +192,6 @@ def save_sset(X: TruncatedSSet) -> str:
         ('"truncation"', (str(X.truncation),))], ""), "\n"))
 
 
-def _level_index(levels):
-    """Each level's name-to-position dict; None unless every level lists
-    distinct strs."""
-    index = []
-    for lv in levels:
-        if not set(map(type, lv)) <= {str}:
-            return None
-        index.append(dict(zip(lv, range(len(lv)))))
-        if len(index[-1]) != len(lv):
-            return None
-    return tuple(index)
-
-
 def _sset_tables(tables: dict, kind: str, levels, index):
     """The tables of one kind, keyed by (n, i): a table at an index in
     range for the levels, in the form ``_stored`` gives it through
@@ -213,17 +213,19 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
     """The set of a file, with its tables as ``TruncatedSSet`` keeps
     them and the same ``InputError`` as the constructor gives on the
     tables as names.  When every level lists distinct strs, the tables
-    are read through one index of the levels that the set then keeps;
-    otherwise the constructor refuses the levels."""
+    are read through one index of the levels (``_level_index``) that
+    the set then keeps; otherwise the constructor refuses the levels."""
     data = _parse(text)
-    _require_keys(data, ("truncation", "levels", "face", "degeneracy"),
-                  "simplicial set")
+    _require_keys(data, *_KINDS["sset"])
     levels = data["levels"]
     if not isinstance(levels, list) or \
             not all(isinstance(lv, list) for lv in levels):
         raise InputError("levels must be an array of arrays")
     _require_type(data, ("face", "degeneracy"), dict)
-    index = _level_index(levels)
+    try:
+        index = _level_index(levels)
+    except InputError:
+        index = None
     face = _sset_tables(data["face"], "face", levels, index)
     degeneracy = _sset_tables(data["degeneracy"], "degeneracy", levels,
                               index)
@@ -278,8 +280,7 @@ def save_category(A: FinCategory) -> str:
 
 def load_category(text: str, name: str = "") -> FinCategory:
     data = _parse(text)
-    _require_keys(data, ("objects", "morphisms", "identity", "compose"),
-                  "category")
+    _require_keys(data, *_KINDS["category"])
     return FinCategory(*_category_parts(data), name=name)
 
 
@@ -288,8 +289,7 @@ def _groupoid_doc(G: FinGroupoid) -> dict:
 
 
 def _groupoid_from(data: dict, what: str, name: str) -> FinGroupoid:
-    _require_keys(data, ("objects", "morphisms", "identity", "compose",
-                         "inverse"), what)
+    _require_keys(data, _KINDS["groupoid"][0], what)
     inverse = _string_table(data["inverse"], "inverse")
     return FinGroupoid(*_category_parts(data), name=name, inverse=inverse)
 
@@ -312,7 +312,7 @@ def save_partial_monoid(M: PartialMonoid) -> str:
 
 def load_partial_monoid(text: str, name: str = "") -> PartialMonoid:
     data = _parse(text)
-    _require_keys(data, ("elements", "unit", "product"), "partial monoid")
+    _require_keys(data, *_KINDS["partial_monoid"])
     _require_type(data, ("elements",), list)
     _require_type(data, ("unit",), str)
     product = {_parse_pair(k, "product"): c
@@ -330,6 +330,7 @@ def _functor_doc(F: Functor) -> dict:
 
 
 def save_sgpd(Y: TruncatedSGpd) -> str:
+    _expect(Y, TruncatedSGpd)
     return canonical_json({
         "truncation": Y.truncation,
         "levels": [_groupoid_doc(Y.levels[n])
@@ -343,12 +344,9 @@ def save_sgpd(Y: TruncatedSGpd) -> str:
 
 def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
     data = _parse(text)
-    _require_keys(data, ("truncation", "levels", "face", "degeneracy"),
-                  "simplicial groupoid")
+    _require_keys(data, *_KINDS["sgpd"])
     truncation = data["truncation"]
-    if not isinstance(truncation, int) or isinstance(truncation, bool) \
-            or truncation < 0:
-        raise InputError(f"bad truncation {truncation!r}")
+    _truncation(truncation)
     if not isinstance(data["levels"], list) or \
             len(data["levels"]) != truncation + 1:
         raise InputError("levels must list one groupoid per level")
@@ -359,20 +357,22 @@ def load_sgpd(text: str, name: str = "") -> TruncatedSGpd:
         levels.append(_groupoid_from(block, f"level {n}", f"level{n}"))
     _require_type(data, ("face", "degeneracy"), dict)
 
-    def functor(key, doc, delta, what):
-        n, i = _check_index(key, what, truncation)
+    def functor(key, doc, kind):
+        n, i = _parse_index(key, kind)
+        if not _in_range(kind, n, i, truncation):
+            raise InputError(f"{kind} index {key!r} out of range")
         if not isinstance(doc, dict) or \
                 set(doc) != {"on_objects", "on_morphisms"}:
-            raise InputError(f"bad functor record at {what} {key!r}")
+            raise InputError(f"bad functor record at {kind} {key!r}")
         return (n, i), Functor(
-            levels[n], levels[n + delta],
+            levels[n], levels[n + _SHIFT[kind]],
             _string_table(doc["on_objects"], "on_objects"),
             _string_table(doc["on_morphisms"], "on_morphisms"),
-            name=f"{what}({n},{i})")
+            name=f"{kind}({n},{i})")
 
-    face = dict(functor(k, v, -1, "face") for k, v in data["face"].items())
-    degeneracy = dict(functor(k, v, +1, "degeneracy")
-                      for k, v in data["degeneracy"].items())
+    face, degeneracy = (dict(functor(k, v, kind)
+                             for k, v in data[kind].items())
+                        for kind in _SHIFT)
     return TruncatedSGpd(truncation, tuple(levels), face, degeneracy,
                          name=name)
 
@@ -386,78 +386,65 @@ def _tuplify(value):
     return value
 
 
+def _record(obj) -> dict:
+    """A report's or an entry's fields by name."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def save_report(report: CheckReport, header: dict | None = None) -> str:
-    doc = {
-        "subject": report.subject,
-        "semantics": report.semantics,
-        "entries": [{
-            "kind": e.kind,
-            "indices": list(e.indices),
-            "domain_size": e.domain_size,
-            "codomain_size": e.codomain_size,
-            "verdict": e.verdict,
-            "witness": e.witness,
-        } for e in report.entries],
-        "summary": report.summary,
-    }
-    if header is not None:
-        return canonical_json({"header": header, "report": doc})
-    return canonical_json(doc)
+    doc = dict(_record(report), entries=list(map(_record, report.entries)))
+    return canonical_json(doc if header is None else
+                          {"header": header, "report": doc})
+
+
+def _unwrap(data: dict):
+    """(header, payload) of a report wrapped with a header, else None."""
+    if data.keys() == {"header", "report"}:
+        return data["header"], data["report"]
+    return None
 
 
 def load_report(text: str) -> CheckReport:
     data = _parse(text)
-    if set(data) == {"header", "report"}:
-        data = data["report"]
+    wrapped = _unwrap(data)
+    if wrapped is not None:
+        data = wrapped[1]
         if not isinstance(data, dict):
             raise InputError("report payload must be an object")
-    _require_keys(data, ("subject", "semantics", "entries", "summary"),
-                  "report")
+    _require_keys(data, *_KINDS["report"])
     _require_type(data, ("entries",), list)
     _require_type(data, ("summary",), dict)
     entries = []
     for e in data["entries"]:
-        if not isinstance(e, dict) or set(e) != {
-                "kind", "indices", "domain_size", "codomain_size",
-                "verdict", "witness"}:
+        if not isinstance(e, dict) or e.keys() != _ENTRY:
             raise InputError(f"bad report entry {e!r}")
-        entries.append(CheckEntry(
-            e["kind"], _tuplify(e["indices"]), e["domain_size"],
-            e["codomain_size"], e["verdict"], _tuplify(e["witness"])))
-    return CheckReport(data["subject"], data["semantics"], tuple(entries),
-                       dict(data["summary"]))
+        entries.append(CheckEntry(**{k: _tuplify(v) for k, v in e.items()}))
+    return CheckReport(**dict(data, entries=tuple(entries),
+                              summary=dict(data["summary"])))
 
 
 def report_header(text: str) -> dict | None:
-    data = _parse(text)
-    if set(data) == {"header", "report"}:
-        return data["header"]
-    return None
+    wrapped = _unwrap(_parse(text))
+    return None if wrapped is None else wrapped[0]
 
 
 # -- detection and atomic output --------------------------------------------
 
-_FORMATS = {
-    frozenset(("truncation", "levels", "face", "degeneracy")): "sset",
-    frozenset(("objects", "morphisms", "identity", "compose")): "category",
-    frozenset(("objects", "morphisms", "identity", "compose",
-               "inverse")): "groupoid",
-    frozenset(("elements", "unit", "product")): "partial_monoid",
-    frozenset(("subject", "semantics", "entries", "summary")): "report",
-    frozenset(("header", "report")): "report",
-}
-
 
 def detect_format(text: str) -> str:
-    """Classify a file by its exact top-level field set."""
+    """Classify a file by its exact top-level field set: a wrapped report,
+    or the first kind in ``_KINDS`` with those fields, where a simplicial
+    set's fields with a groupoid block as level 0 are an sgpd file's."""
     data = _parse(text)
-    kind = _FORMATS.get(frozenset(data))
+    if _unwrap(data) is not None:
+        return "report"
+    kind = next((kind for kind, (keys, _) in _KINDS.items()
+                 if data.keys() == set(keys)), None)
     if kind is None:
         raise InputError(f"unrecognized field set {sorted(data)}")
-    if kind == "sset":
-        lv = data["levels"]
-        if isinstance(lv, list) and lv and isinstance(lv[0], dict):
-            return "sgpd"
+    lv = data["levels"] if kind == "sset" else None
+    if isinstance(lv, list) and lv and isinstance(lv[0], dict):
+        return "sgpd"
     return kind
 
 

@@ -27,6 +27,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import filterfalse
 from operator import itemgetter
 
 from .delta import (
@@ -159,6 +160,14 @@ class SimplicialTables:
             yield table, step
 
 
+def _expect(X, tier):
+    """``InputError`` unless X is a ``tier``; each tier calls it where it
+    first reads an object, so that the other tier's is refused."""
+    if not isinstance(X, tier):
+        raise InputError(f"expected a {tier.__name__}, got a "
+                         f"{type(X).__name__}")
+
+
 def _not_a_map(kind, n, i):
     return InputError(
         f"{kind} table ({n}, {i}) is not a map from level {n} into "
@@ -194,13 +203,28 @@ def _stored(table, cells, index):
     return table
 
 
+def _truncation(N):
+    """``InputError`` unless N is a natural number."""
+    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        raise InputError(f"bad truncation {N!r}")
+
+
+def _level_index(levels):
+    """Each level's name-to-position dict, built in C; ``InputError``
+    unless every level lists distinct strs, checked level by level."""
+    index = []
+    for n, lv in enumerate(levels):
+        for c in filterfalse(str.__instancecheck__, lv):
+            raise InputError(f"cell id {c!r} at level {n} is not str")
+        index.append(dict(zip(lv, range(len(lv)))))
+        if len(index[n]) != len(lv):
+            raise InputError(f"duplicate cell ids at level {n}")
+    return tuple(index)
+
+
 def _shape(truncation, levels):
-    """``levels`` as a tuple of tuples; ``InputError`` unless
-    ``truncation`` is a natural number and there is one level per n up
-    to it."""
-    if not isinstance(truncation, int) or isinstance(truncation, bool) \
-            or truncation < 0:
-        raise InputError(f"bad truncation {truncation!r}")
+    """``levels`` as a tuple of tuples, one per n up to the truncation."""
+    _truncation(truncation)
     levels = tuple(tuple(lv) for lv in levels)
     if len(levels) != truncation + 1:
         raise InputError(
@@ -232,16 +256,8 @@ class TruncatedSSet(SimplicialTables):
 
     def __init__(self, truncation, levels, face, degeneracy, name=""):
         levels = _shape(truncation, levels)
-        index = []
-        for n, lv in enumerate(levels):
-            for c in lv:
-                if not isinstance(c, str):
-                    raise InputError(f"cell id {c!r} at level {n} is not str")
-            index.append({c: p for p, c in enumerate(lv)})
-            if len(index[n]) != len(lv):
-                raise InputError(f"duplicate cell ids at level {n}")
-        self._take(truncation, levels, tuple(index), face, degeneracy, name,
-                   self._as_positions)
+        self._take(truncation, levels, _level_index(levels), face,
+                   degeneracy, name, self._as_positions)
 
     @classmethod
     def _of_tables(cls, truncation, levels, index, face, degeneracy,
@@ -507,6 +523,7 @@ def validate(X: TruncatedSSet):
     composing them, and cells are named only where the two sides
     differ; any other identity is checked on name tables.
     """
+    _expect(X, TruncatedSSet)
     out = []
     N = X.truncation
     stored = X._store
@@ -608,7 +625,8 @@ def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
     For alpha: [n] -> [m] the result maps level-m cells to level-n
     cells, keyed in level order: ``act_positions`` decoded to names.
     """
-    return X._as_names(act_positions(alpha, X), alpha.cod_dim, alpha.dom_dim)
+    positions = act_positions(alpha, X)     # refuses a groupoid first
+    return X._as_names(positions, alpha.cod_dim, alpha.dom_dim)
 
 
 def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
@@ -625,6 +643,7 @@ def act_positions(alpha: SimplexMap, X: TruncatedSSet) -> tuple:
     not a total map into its target level (input that fails
     ``validate``) raises ``InputError``.
     """
+    _expect(X, TruncatedSSet)
     steps = []
     for step, (kind, k, i) in X.generator_maps(alpha):
         if not isinstance(step, tuple):
@@ -762,6 +781,7 @@ def op_reverse(X: TruncatedSSet) -> TruncatedSSet:
 
 def nondegenerate_cells(X: TruncatedSSet, n: int):
     """Level-n cells that are not degeneracy images; all of level 0."""
+    _expect(X, TruncatedSSet)
     cells = X.level(n)
     degenerate = set()
     for i in range(n):

@@ -1,0 +1,77 @@
+"""Each tier refuses the other tier's object with one ``InputError``.
+
+The set tier reads ``TruncatedSSet`` position tables and the groupoid
+tier ``TruncatedSGpd`` functors.  Each tier checks the type where it
+first reads an object: its act, its validator, its saver,
+``discrete_sgpd`` and ``nondegenerate_cells``.  So every entry point
+that reaches one of those names both types instead of ending in an
+``AttributeError`` or a ``TypeError`` deep inside, or in a misleading
+"not simplicial" error.
+"""
+
+import pytest
+
+from edgewise import checks, groupoid, io
+from edgewise.delta import identity
+from edgewise.errors import InputError
+from edgewise.sset import (act, act_positions, edgewise, nondegenerate_cells,
+                           op_reverse, standard_simplex, subdivide, validate)
+
+X = standard_simplex(1, 3)
+Y = groupoid.discrete_sgpd(X)
+
+SET_TIER = {
+    "segal_check": checks.segal_check,
+    "two_segal_check": checks.two_segal_check,
+    "theorem_verify": checks.theorem_verify,
+    "beta_gamma_equality": lambda Z: checks.beta_gamma_equality(Z, 1, 1),
+    "edgewise": edgewise,
+    "validate": validate,
+    "act": lambda Z: act(identity(1), Z),
+    "nondegenerate_cells": lambda Z: nondegenerate_cells(Z, 1),
+    "discrete_sgpd": groupoid.discrete_sgpd,
+    "save_sset": io.save_sset,
+}
+
+GROUPOID_TIER = {
+    "sgpd_segal_check": groupoid.sgpd_segal_check,
+    "sgpd_two_segal_check": groupoid.sgpd_two_segal_check,
+    "sgpd_beta_gamma_equality":
+        lambda Z: groupoid.sgpd_beta_gamma_equality(Z, 1, 1),
+    "esd_gpd": groupoid.esd_gpd,
+    "act_gpd": lambda Z: groupoid.act_gpd(identity(1), Z),
+    "validate_sgpd": groupoid.validate_sgpd,
+    "save_sgpd": io.save_sgpd,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_TIER))
+def test_the_set_tier_refuses_a_groupoid(name):
+    with pytest.raises(InputError) as caught:
+        SET_TIER[name](Y)
+    assert str(caught.value) == \
+        "expected a TruncatedSSet, got a TruncatedSGpd"
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOID_TIER))
+def test_the_groupoid_tier_refuses_a_set(name):
+    with pytest.raises(InputError) as caught:
+        GROUPOID_TIER[name](X)
+    assert str(caught.value) == \
+        "expected a TruncatedSGpd, got a TruncatedSSet"
+
+
+def test_each_tier_still_takes_its_own():
+    for name, call in SET_TIER.items():
+        if name != "discrete_sgpd":
+            call(X)
+    for call in GROUPOID_TIER.values():
+        call(Y)
+    assert groupoid.discrete_sgpd(X).truncation == 3
+
+
+def test_reversal_and_subdivision_take_both_tiers():
+    assert op_reverse(X).levels == X.levels
+    assert op_reverse(Y).levels == Y.levels
+    assert subdivide(X, act_positions) == edgewise(X)
+    assert isinstance(subdivide(Y, groupoid.act_gpd), groupoid.TruncatedSGpd)
