@@ -12,7 +12,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import add, mul
 from typing import Callable
 
@@ -29,7 +29,8 @@ from .delta import (
 from .errors import GenerationError, InputError
 # act and strict_pullback are bound here too, for tracers that wrap them
 from .sset import (Pullback, TruncatedSSet, _composite, _gather, act,
-                   act_positions, edgewise, op_reverse, strict_pullback)
+                   act_positions, edgewise, identities, op_reverse,
+                   strict_pullback, structure_maps)
 
 __all__ = [
     "Semantics",
@@ -161,11 +162,15 @@ class Semantics:
     level-n comparison into it.  ``name`` labels the tier's reports.
     The set tier acts once on a row where one factor and its leg are
     identities and the other factor is the other leg (see
-    ``_bijection``), and four times on every other row.
+    ``_bijection``), and four times on every other row.  ``pastes(X)``,
+    where a tier has it, is the guard under which ``two_segal_rows``
+    infers passing rows from rows that pass (see ``_pastes``); a tier
+    without it computes every row.
     """
 
     name: str
     compare: Callable
+    pastes: Callable | None = None
 
     def segal_map(self, X, m: int, j: int):
         """The level-m comparison into X_j fibered with X_{m-j} over X_0.
@@ -207,20 +212,38 @@ class Semantics:
                    for m, j in _segal_indices(X.truncation)]
         return _report(self.name, X, entries, "segal", 1)
 
-    def two_segal_rows(self, X, mode, two_segal_map):
-        """The polygon-subdivision comparisons for 3 <= n <= truncation,
-        made one at a time in report order by ``two_segal_map``, the
-        tier's public binding, so a wrapper on that name sees each row.
-        Full mode has every 0 <= i < j <= n, reduced mode only i = 0 or
-        j = n; ``mode`` is checked when this is called."""
+    def two_segal_rows(self, X, mode, two_segal_map,
+                       reads=lambda n, i, j: False):
+        """The polygon-subdivision rows for 3 <= n <= truncation, in
+        report order.  Full mode has every 0 <= i < j <= n, reduced mode
+        only i = 0 or j = n; ``mode`` is checked when this is called.
+
+        Each row is computed at most once, by ``two_segal_map``, the
+        tier's public binding, so a wrapper on that name sees each
+        computed row.  When the truncation reaches level 4, the first
+        with rows that have premises (``_premises``), and the tier's
+        ``pastes(X)`` holds, a row whose three premises pass is inferred
+        to pass, unless ``reads(n, i, j)`` says the caller reads its
+        tables; it is given as the ``CheckEntry`` counting would give:
+        pass, both sizes |X_n|, no witness.  A level's premises are
+        decided first (the rows with j = n by i ascending, then the
+        rest by j descending), so one level is held at a time: the
+        comparisons of the rows ``reads`` names and the entries of the
+        rest.  Otherwise every row is computed in report order, one
+        alive at a time, so a table that is not simplicial raises its
+        ``InputError`` at the first row, in report order, that meets it.
+        """
         if mode not in ("full", "reduced"):
             raise InputError(f"unknown mode {mode!r}")
-        return (two_segal_map(X, n, i, j)
-                for n, i, j in _two_segal_indices(X.truncation, mode))
+        if self.pastes is None or X.truncation < 4 or not self.pastes(X):
+            return (two_segal_map(X, n, i, j)
+                    for n, i, j in _two_segal_indices(X.truncation, mode))
+        return _pasted_rows(X, mode, two_segal_map, reads)
 
     def two_segal_check(self, X, mode, two_segal_map) -> CheckReport:
-        """The report of ``two_segal_rows``; the adjacent and long-edge
-        rows are reported as trivially bijective rather than skipped."""
+        """The report of ``two_segal_rows``: no row is skipped, so the
+        adjacent and long-edge rows are reported as trivially bijective
+        and the rows pasting infers as passing."""
         entries = [_entry(comp)
                    for comp in self.two_segal_rows(X, mode, two_segal_map)]
         return _report(self.name, X, entries, "two_segal", 3, mode=mode)
@@ -293,7 +316,46 @@ def _counted(kind, indices, X, first, second, leg_first, leg_second):
     return _compare(kind, indices, X.level(first.cod_dim), outer, inner, P)
 
 
-SET = Semantics("set", _bijection)
+def _pastes(X) -> bool:
+    """Whether every face table of X is a position tuple and the face
+    identities d_i d_j = d_{j-1} d_i (i < j) hold at every level: the
+    guard of the set tier's pasting.
+
+    Why it suffices:
+    - the face identities present the semi-simplicial category, the
+      injective maps of Δ, so on such X ``act_positions`` of an
+      injective map does not depend on the path of faces it composes,
+      and acting is functorial on injective maps;
+    - every 2-Segal factor, shared edge and leg is injective, so its
+      generator path uses faces only, and degeneracies never enter a
+      2-Segal row;
+    - so the squares of two cuts of one polygon commute, strict
+      pullbacks paste, and base change keeps bijections: a row whose
+      ``_premises`` are bijections is one, with |X_n| pairs, the entry
+      counting writes.  Nor can its images leave the pullback, so
+      counting would raise nothing either.
+    The identities are the "dd" entries of ``sset.identities``, composed
+    by ``_composite`` as ``validate`` composes them; the check reads no
+    degeneracy table and costs about half of ``validate``.  Any other
+    object, groupoids included, is refused, and every row is computed.
+    """
+    if not isinstance(X, TruncatedSSet):
+        return False
+    faces = X._store("face")
+    if not all(isinstance(faces.get((n, i)), tuple)
+               for kind, n, i in structure_maps(X.truncation)
+               if kind == "face"):
+        return False
+    for _, n, _, lhs, rhs in takewhile(lambda law: law[0] == "dd",
+                                       identities(X.truncation)):
+        size = len(X.level(n))
+        if _composite([faces[k, i] for _, k, i in lhs], size) != \
+                _composite([faces[k, i] for _, k, i in rhs], size):
+            return False
+    return True
+
+
+SET = Semantics("set", _bijection, _pastes)
 
 
 def segal_map(X: TruncatedSSet, m: int, j: int) -> Comparison:
@@ -362,13 +424,58 @@ def segal_check(X: TruncatedSSet) -> CheckReport:
     return SET.segal_check(X, segal_map)
 
 
+def _two_segal_level(n, mode):
+    """The 2-Segal rows of level n, in report order."""
+    return [(n, i, j) for i in range(n) for j in range(i + 1, n + 1)
+            if mode == "full" or i == 0 or j == n]
+
+
 def _two_segal_indices(truncation, mode):
     for n in range(3, truncation + 1):
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                if mode == "reduced" and i != 0 and j != n:
-                    continue
-                yield n, i, j
+        yield from _two_segal_level(n, mode)
+
+
+def _premises(n, i, j):
+    """The rows whose passing makes row (n, i, j) pass by pasting, or ().
+
+    Row (n, i, j) cuts the (n+1)-gon along {i, j}; cut it also along the
+    coarser diagonal {i, j+1} when j < n, or {i-1, n} when j = n.  The
+    premises are the row of the coarser cut, the row cutting its inner
+    polygon along {i, j} and the row cutting the outer polygon of
+    {i, j} along the coarser diagonal.  Each lies below (n, i, j) in
+    the order ``_pasted_rows`` decides a level in, and rows with i = 0
+    or j = n have premises of that kind only.  The identity-factor rows
+    and (n, 0, n-1) and (n, 1, n) have none.
+    """
+    if j - i < 2 or (i, j) in ((0, n - 1), (0, n), (1, n)):
+        return ()
+    if j < n:
+        return (n, i, j + 1), (j - i + 1, 0, j - i), (n - j + i + 1, i, i + 2)
+    return (n, i - 1, n), (n - i + 1, 1, n - i + 1), (i + 1, i - 1, i + 1)
+
+
+def _pasted_rows(X, mode, two_segal_map, reads):
+    """``Semantics.two_segal_rows`` once its guard holds: each level
+    decided premises first, then given in report order."""
+    passed = set()
+    for n in range(3, X.truncation + 1):
+        size = len(X.level(n))
+        rows = _two_segal_level(n, mode)
+        level = {}
+        for idx in sorted(rows, key=lambda r: (r[2] < n, -r[2], r[1])):
+            read = reads(*idx)
+            premises = _premises(*idx)
+            if premises and not read and passed.issuperset(premises):
+                row = CheckEntry("two_segal", idx, size, size, "pass")
+            else:
+                row = two_segal_map(X, *idx)
+                if not read:
+                    row = _entry(row)
+            if row.verdict == "pass":
+                passed.add(idx)
+            level[idx] = row
+        for idx in rows:
+            yield level.pop(idx)
 
 
 def two_segal_check(X: TruncatedSSet, mode: str = "full") -> CheckReport:
@@ -602,6 +709,11 @@ def _retract_reversed(rev, n, k, direct) -> RetractResult:
                          witness or inner.witness)
 
 
+def _matched(n, i, j):
+    """Whether (n, i, j) is a matched row (2m+1, m-k, m+k+1), 1 <= k <= m."""
+    return n % 2 and i + j == n and j - i >= 3
+
+
 def theorem_verify(X: TruncatedSSet) -> CheckReport:
     """Check the equivalence: 2-Segal exactly when the subdivision is Segal.
 
@@ -613,7 +725,9 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
     witnesses are the least failing [m, j].  It keeps the rows of levels
     n with 2n-1 <= truncation, the levels the summary certifies, for the
     retract families; of a big row they read the entry's verdict and
-    act the two tables again.
+    act the two tables again.  The pass computes those two kinds of row,
+    whose tables it reads; the sweep may infer any other passing row
+    by pasting, so each row of X is computed at most once.
     """
     if X.truncation < 3:
         raise InputError("theorem checking needs truncation >= 3")
@@ -621,10 +735,14 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
     esd_report = segal_check(E)
     hi = (X.truncation + 1) // 2      # the levels n with 2n-1 <= truncation
     entries, kept, mismatched, bg_failed = [], {}, [], []
-    for gamma in SET.two_segal_rows(X, "full", two_segal_map):
+
+    def reads(n, i, j):             # the rows whose tables are read below
+        return n <= hi or _matched(n, i, j)
+
+    for gamma in SET.two_segal_rows(X, "full", two_segal_map, reads):
         entries.append(_entry(gamma))
         n, i, j = gamma.indices
-        if n % 2 and i + j == n and j - i >= 3:
+        if _matched(n, i, j):
             m, k = n // 2, (j - i - 1) // 2
             beta = segal_map(E, m, k)
             if beta.verdict != gamma.verdict:

@@ -57,13 +57,19 @@ __all__ = [
 
 
 class FinGroupoid(FinCategory):
-    """A finite category in which every morphism has a recorded inverse."""
+    """A finite category in which every morphism has a recorded inverse.
+
+    ``inverse`` is copied like the other tables: with ``copy=False`` it
+    is kept as given.
+    """
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
                  name="", inverse=None, *, copy=True):
         super().__init__(objects, morphisms, src, tgt, identity, compose,
                          name, copy=copy)
-        self.inverse = dict(inverse or {})
+        if inverse is None:
+            inverse = {}
+        self.inverse = dict(inverse) if copy else inverse
 
 
 def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:

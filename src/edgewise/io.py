@@ -414,13 +414,56 @@ def load_report(text: str) -> CheckReport:
     _require_keys(data, *_KINDS["report"])
     _require_type(data, ("entries",), list)
     _require_type(data, ("summary",), dict)
+    _require_type(data, ("subject", "semantics"), str)
     entries = []
     for e in data["entries"]:
         if not isinstance(e, dict) or e.keys() != _ENTRY:
             raise InputError(f"bad report entry {e!r}")
+        bad = _bad_entry_field(e)
+        if bad:
+            raise InputError(f"bad {bad} in report entry {e!r}")
         entries.append(CheckEntry(**{k: _tuplify(v) for k, v in e.items()}))
+    overall = data["summary"].get("overall")
+    if overall not in ("pass", "fail"):
+        raise InputError(f"report overall must be pass or fail, not "
+                         f"{overall!r}")
     return CheckReport(**dict(data, entries=tuple(entries),
                               summary=dict(data["summary"])))
+
+
+def _naturals(value, count):
+    """Whether value lists ``count`` natural numbers (no bools)."""
+    return isinstance(value, list) and len(value) == count and \
+        all(type(v) is int and v >= 0 for v in value)
+
+
+def _bad_entry_field(e: dict):
+    """The first field of a report entry that no check writes, or None.
+
+    A check writes a kind with its indices, (m, j) with 1 <= j <= m for
+    "segal" and (n, i, j) with i < j <= n for "two_segal"; two natural
+    sizes; and a witness, a tag and a list of names, exactly when the
+    verdict is "fail"."""
+    kind, indices, witness = e["kind"], e["indices"], e["witness"]
+    if kind not in ("segal", "two_segal"):
+        return "kind"
+    if kind == "segal":
+        ok = _naturals(indices, 2) and 1 <= indices[1] <= indices[0]
+    else:
+        ok = _naturals(indices, 3) and indices[1] < indices[2] <= indices[0]
+    if not ok:
+        return "indices"
+    if not _naturals([e["domain_size"], e["codomain_size"]], 2):
+        return "sizes"
+    if e["verdict"] not in ("pass", "fail"):
+        return "verdict"
+    if e["verdict"] == "pass":
+        return None if witness is None else "witness"
+    if not (isinstance(witness, list) and len(witness) == 2 and
+            isinstance(witness[0], str) and isinstance(witness[1], list)
+            and all(isinstance(c, str) for c in witness[1])):
+        return "witness"
+    return None
 
 
 def report_header(text: str) -> dict | None:

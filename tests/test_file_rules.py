@@ -7,14 +7,17 @@ are ``sset._truncation`` and ``sset._level_index``, which the
 constructor and both level loaders share.  The texts below are the ones
 the loaders gave before those rules were shared, so a file that breaks
 a rule meets the same ``InputError`` wherever the rule is checked.
+A report's values are checked as well as its fields: each entry's kind,
+indices, sizes, verdict and witness, and the summary's overall, so a
+report no check could write ends in ``InputError`` (exit 2).
 """
 
 import json
 
 import pytest
 
-from edgewise import io
-from edgewise.cat import chain_poset, truncated_free_monoid
+from edgewise import cli, io
+from edgewise.cat import bar, chain_poset, truncated_free_monoid
 from edgewise.checks import segal_check, theorem_verify, two_segal_check
 from edgewise.corpus import standard_corpus
 from edgewise.errors import InputError
@@ -122,6 +125,92 @@ def test_corpus_reports_round_trip():
                 assert back == report, inst.name
                 assert io.save_report(back, header=head) == text
                 assert io.report_header(text) == head
+
+
+# the file of a report with the right fields and none of the right values
+_VALUELESS = {
+    "entries": [{"kind": 5, "indices": "q", "domain_size": None,
+                 "codomain_size": 1, "verdict": [], "witness": None}],
+    "semantics": "set", "subject": "x", "summary": {},
+}
+
+
+def _failing_report_doc():
+    doc = json.loads(io.save_report(segal_check(bar(
+        truncated_free_monoid(1), 3))))
+    assert doc["summary"]["overall"] == "fail"
+    return doc
+
+
+@pytest.mark.parametrize("field, value, bad", [
+    ("kind", 5, "kind"),
+    ("kind", "theorem", "kind"),
+    ("kind", [], "kind"),
+    ("indices", "q", "indices"),
+    ("indices", [2], "indices"),
+    ("indices", [2, 1, 1], "indices"),
+    ("indices", [1, 2], "indices"),
+    ("indices", [2, 0], "indices"),
+    ("indices", [2, True], "indices"),
+    ("indices", [2, -1], "indices"),
+    ("domain_size", None, "sizes"),
+    ("codomain_size", 1.0, "sizes"),
+    ("domain_size", -1, "sizes"),
+    ("verdict", [], "verdict"),
+    ("verdict", "maybe", "verdict"),
+    ("witness", None, "witness"),
+    ("witness", ["collision"], "witness"),
+    ("witness", ["collision", "ab"], "witness"),
+    ("witness", [3, ["a", "b"]], "witness"),
+    ("witness", ["collision", ["a", 3]], "witness"),
+])
+def test_report_entry_values_are_checked(field, value, bad):
+    doc = _failing_report_doc()
+    entry = next(e for e in doc["entries"] if e["verdict"] == "fail")
+    entry[field] = value
+    assert _error(io.load_report, doc) == \
+        f"bad {bad} in report entry {entry!r}"
+
+
+def test_a_passing_entry_has_no_witness_and_two_segal_indices_rise():
+    doc = json.loads(io.save_report(two_segal_check(standard_simplex(1, 3))))
+    entry = doc["entries"][0]
+    assert entry["verdict"] == "pass"
+    entry["witness"] = ["collision", ["a", "b"]]
+    assert _error(io.load_report, doc).startswith("bad witness")
+    entry["witness"] = None
+    entry["indices"] = [3, 2, 1]
+    assert _error(io.load_report, doc).startswith("bad indices")
+
+
+@pytest.mark.parametrize("summary", [{}, {"overall": None},
+                                     {"overall": "maybe"},
+                                     {"overall": ["pass"]}])
+def test_report_overall_is_checked(summary):
+    doc = _failing_report_doc()
+    doc["summary"] = summary
+    assert _error(io.load_report, doc) == \
+        f"report overall must be pass or fail, not {summary.get('overall')!r}"
+
+
+@pytest.mark.parametrize("field", ["subject", "semantics"])
+def test_report_names_are_strings(field):
+    doc = _failing_report_doc()
+    doc[field] = 5
+    assert _error(io.load_report, doc) == f"{field} must be a string"
+
+
+def test_a_report_with_no_right_values_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_VALUELESS))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert "bad kind in report entry" in capsys.readouterr().err
+    entry = _VALUELESS["entries"][0]
+    fixed = dict(_VALUELESS, entries=[dict(entry, kind="segal",
+                                          indices=[1, 1], domain_size=1,
+                                          verdict="pass")])
+    assert _error(io.load_report, fixed) == \
+        "report overall must be pass or fail, not None"
 
 
 # -- the levels of a simplicial set -------------------------------------------

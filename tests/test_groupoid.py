@@ -69,6 +69,17 @@ def flip_plus_point():
         inverse={"ix": "ix", "s": "s", "iy": "iy"})
 
 
+def test_inverse_is_kept_as_given_without_copy():
+    inverse = {"i": "i"}
+    args = (("*",), ("i",), {"i": "*"}, {"i": "*"}, {"*": "i"},
+            {("i", "i"): "i"})
+    assert FinGroupoid(*args, inverse=inverse, copy=False).inverse \
+        is inverse
+    copied = FinGroupoid(*args, inverse=inverse)
+    assert copied.inverse == inverse and copied.inverse is not inverse
+    assert FinGroupoid(*args, copy=False).inverse == {}
+
+
 def test_groupoid_validation_and_inverse_laws():
     assert validate_groupoid(pair_groupoid()) == []
     assert validate_groupoid(flip_plus_point()) == []
