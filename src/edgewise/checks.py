@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat, takewhile
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Callable
 
 from .cat import bar, nerve
@@ -165,7 +165,8 @@ class Semantics:
     ``_bijection``), and four times on every other row.  ``pastes(X)``,
     where a tier has it, is the guard under which ``two_segal_rows``
     infers passing rows from rows that pass (see ``_pastes``); a tier
-    without it computes every row.
+    without it computes every row.  Rows are yielded as they are
+    decided; reports list entries by index.
     """
 
     name: str
@@ -214,31 +215,47 @@ class Semantics:
 
     def two_segal_rows(self, X, mode, two_segal_map,
                        reads=lambda n, i, j: False):
-        """The polygon-subdivision rows for 3 <= n <= truncation, in
-        report order.  Full mode has every 0 <= i < j <= n, reduced mode
-        only i = 0 or j = n; ``mode`` is checked when this is called.
+        """The polygon-subdivision rows for 3 <= n <= truncation, each
+        yielded as it is decided.  Full mode has every 0 <= i < j <= n,
+        reduced mode only i = 0 or j = n; ``mode`` is checked when this
+        is called.
 
         Each row is computed at most once, by ``two_segal_map``, the
         tier's public binding, so a wrapper on that name sees each
-        computed row.  When the truncation reaches level 4, the first
-        with rows that have premises (``_premises``), and the tier's
-        ``pastes(X)`` holds, a row whose three premises pass is inferred
-        to pass, unless ``reads(n, i, j)`` says the caller reads its
-        tables; it is given as the ``CheckEntry`` counting would give:
-        pass, both sizes |X_n|, no witness.  A level's premises are
-        decided first (the rows with j = n by i ascending, then the
-        rest by j descending), so one level is held at a time: the
-        comparisons of the rows ``reads`` names and the entries of the
-        rest.  Otherwise every row is computed in report order, one
-        alive at a time, so a table that is not simplicial raises its
-        ``InputError`` at the first row, in report order, that meets it.
+        computed row.  A level is walked in report order or, when the
+        truncation reaches level 4 and the tier's ``pastes(X)`` holds,
+        by i ascending and j descending, which puts the ``_premises`` of
+        a row at its level first.  Then a row whose three premises pass
+        is inferred to pass, unless ``reads(n, i, j)`` says the caller
+        reads its tables; it is the ``CheckEntry`` counting would give:
+        pass, both sizes |X_n|, no witness.  Unguarded, a table that is
+        not simplicial raises its ``InputError`` at the first row, in
+        report order, that meets it.
         """
         if mode not in ("full", "reduced"):
             raise InputError(f"unknown mode {mode!r}")
-        if self.pastes is None or X.truncation < 4 or not self.pastes(X):
-            return (two_segal_map(X, n, i, j)
-                    for n, i, j in _two_segal_indices(X.truncation, mode))
-        return _pasted_rows(X, mode, two_segal_map, reads)
+        pastes = self.pastes is not None and X.truncation >= 4 and \
+            self.pastes(X)
+
+        def rows():
+            passed = set()
+            for n in range(3, X.truncation + 1):
+                level = _two_segal_level(n, mode)
+                if pastes:
+                    level.sort(key=lambda r: (r[1], -r[2]))
+                for idx in level:
+                    premises = pastes and _premises(*idx)
+                    if premises and passed.issuperset(premises) and \
+                            not reads(*idx):
+                        size = len(X.level(n))
+                        row = CheckEntry("two_segal", idx, size, size, "pass")
+                    else:
+                        row = two_segal_map(X, *idx)
+                    if row.verdict == "pass":
+                        passed.add(idx)
+                    yield row
+                    del row     # one row alive at a time
+        return rows()
 
     def two_segal_check(self, X, mode, two_segal_map) -> CheckReport:
         """The report of ``two_segal_rows``: no row is skipped, so the
@@ -442,10 +459,10 @@ def _premises(n, i, j):
     coarser diagonal {i, j+1} when j < n, or {i-1, n} when j = n.  The
     premises are the row of the coarser cut, the row cutting its inner
     polygon along {i, j} and the row cutting the outer polygon of
-    {i, j} along the coarser diagonal.  Each lies below (n, i, j) in
-    the order ``_pasted_rows`` decides a level in, and rows with i = 0
-    or j = n have premises of that kind only.  The identity-factor rows
-    and (n, 0, n-1) and (n, 1, n) have none.
+    {i, j} along the coarser diagonal.  Each is yielded before (n, i, j)
+    by ``Semantics.two_segal_rows`` (i ascending, then j descending),
+    and rows with i = 0 or j = n have premises of that kind only.  The
+    identity-factor rows and (n, 0, n-1) and (n, 1, n) have none.
     """
     if j - i < 2 or (i, j) in ((0, n - 1), (0, n), (1, n)):
         return ()
@@ -454,37 +471,15 @@ def _premises(n, i, j):
     return (n, i - 1, n), (n - i + 1, 1, n - i + 1), (i + 1, i - 1, i + 1)
 
 
-def _pasted_rows(X, mode, two_segal_map, reads):
-    """``Semantics.two_segal_rows`` once its guard holds: each level
-    decided premises first, then given in report order."""
-    passed = set()
-    for n in range(3, X.truncation + 1):
-        size = len(X.level(n))
-        rows = _two_segal_level(n, mode)
-        level = {}
-        for idx in sorted(rows, key=lambda r: (r[2] < n, -r[2], r[1])):
-            read = reads(*idx)
-            premises = _premises(*idx)
-            if premises and not read and passed.issuperset(premises):
-                row = CheckEntry("two_segal", idx, size, size, "pass")
-            else:
-                row = two_segal_map(X, *idx)
-                if not read:
-                    row = _entry(row)
-            if row.verdict == "pass":
-                passed.add(idx)
-            level[idx] = row
-        for idx in rows:
-            yield level.pop(idx)
-
-
 def two_segal_check(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     """All polygon-subdivision comparisons, in full or reduced mode."""
     return SET.two_segal_check(X, mode, two_segal_map)
 
 
 def _report(semantics, X, entries, check, lowest, **mode) -> CheckReport:
-    """The report of a sweep; levels lowest..truncation are certified."""
+    """The report of a sweep, listed by index (a stable sort); levels
+    lowest..truncation are certified."""
+    entries = sorted(entries, key=attrgetter("indices"))
     levels = [lowest, X.truncation] if X.truncation >= lowest else []
     failures = sum(e.verdict != "pass" for e in entries)
     summary = {

@@ -166,13 +166,32 @@ def identity_functor(A: FinCategory) -> Functor:
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
-    """G after F; sources and targets must chain."""
+    """G after F; sources and targets must chain, and G's tables must
+    have an entry for every image of F."""
     if F.target is not G.source and F.target != G.source:
         raise InputError("functors do not chain")
-    return Functor(F.source, G.target,
-                   {a: G.on_objects[b] for a, b in F.on_objects.items()},
-                   {f: G.on_morphisms[g] for f, g in F.on_morphisms.items()},
-                   name=f"{G.name}.{F.name}")
+    return Functor(F.source, G.target, _after(G, F, "on_objects"),
+                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
+
+
+def _after(G: Functor, F: Functor, part: str) -> dict:
+    """G's ``part`` table after F's."""
+    table = getattr(G, part)
+    try:
+        return {a: table[b] for a, b in getattr(F, part).items()}
+    except KeyError as e:
+        raise _missing((f"{part} of {G.name or 'a functor'}", table,
+                        e.args[0])) from None
+
+
+def _missing(*lookups) -> InputError:
+    """The ``InputError`` for a ``KeyError`` raised by one of
+    ``lookups``, each (table name, table, key) in the order they were
+    made: it names the first whose table has no entry for its key, the
+    one that raised, since those before it succeeded."""
+    name, _, key = next(look for look in lookups if look[2] not in look[1])
+    return InputError(f"{name} has no entry {key!r}; input tables are "
+                      "not valid")
 
 
 def iso_classes(G: FinGroupoid) -> dict:
@@ -346,7 +365,13 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     obj_by_pair = {}
     for a in F.source.objects:
         for b in G.source.objects:
-            for gamma in C.hom(F.on_objects[a], G.on_objects[b]):
+            try:
+                isos = C.hom(F.on_objects[a], G.on_objects[b])
+            except KeyError:
+                raise _missing((f"on_objects of {F.name}", F.on_objects, a),
+                               (f"on_objects of {G.name}", G.on_objects,
+                                b)) from None
+            for gamma in isos:
                 oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
                 obj_data[oid] = (a, b, gamma)
@@ -362,13 +387,28 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     tgt = {}
     by_signature = {}
     for p in F.source.morphisms:
-        Fp_inv = C.inverse[F.on_morphisms[p]]
+        try:
+            Fp_inv = C.inverse[F.on_morphisms[p]]
+        except KeyError:
+            raise _missing((f"on_morphisms of {F.name}", F.on_morphisms, p),
+                           (f"inverse of {C.name}", C.inverse,
+                            F.on_morphisms.get(p))) from None
         a = F.source.src[p]
         for q in partners[a]:
-            Gq = G.on_morphisms[q]
+            try:
+                Gq = G.on_morphisms[q]
+            except KeyError:
+                raise _missing((f"on_morphisms of {G.name}", G.on_morphisms,
+                                q)) from None
             for oid in obj_by_pair[(a, G.source.src[q])]:
                 gamma = obj_data[oid][2]
-                gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
+                try:
+                    gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
+                except KeyError:
+                    raise _missing(
+                        (f"compose of {C.name}", C.compose, (Gq, gamma)),
+                        (f"compose of {C.name}", C.compose,
+                         (C.compose.get((Gq, gamma)), Fp_inv))) from None
                 mid = IsoComma.mor_id(p, q, gamma)
                 morphisms.append(mid)
                 mor_data[mid] = (p, q, gamma)
@@ -376,15 +416,33 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                 tgt[mid] = IsoComma.obj_id(F.source.tgt[p], G.source.tgt[q],
                                            gamma2)
                 by_signature[(p, q, oid)] = mid
+    # a signature is missing where the legs do not preserve endpoints
+    signatures = f"morphisms of ({F.name})x^h({G.name}) by signature"
     identity = {}
     for oid, (a, b, gamma) in obj_data.items():
-        identity[oid] = by_signature[(F.source.identity[a],
-                                      G.source.identity[b], oid)]
+        try:
+            identity[oid] = by_signature[(F.source.identity[a],
+                                          G.source.identity[b], oid)]
+        except KeyError:
+            raise _missing(
+                (f"identity of {F.source.name}", F.source.identity, a),
+                (f"identity of {G.source.name}", G.source.identity, b),
+                (signatures, by_signature, (F.source.identity.get(a),
+                                            G.source.identity.get(b),
+                                            oid))) from None
     inverse = {}
     for mid in morphisms:
         p, q, _ = mor_data[mid]
-        inverse[mid] = by_signature[(F.source.inverse[p],
-                                     G.source.inverse[q], tgt[mid])]
+        try:
+            inverse[mid] = by_signature[(F.source.inverse[p],
+                                         G.source.inverse[q], tgt[mid])]
+        except KeyError:
+            raise _missing(
+                (f"inverse of {F.source.name}", F.source.inverse, p),
+                (f"inverse of {G.source.name}", G.source.inverse, q),
+                (signatures, by_signature, (F.source.inverse.get(p),
+                                            G.source.inverse.get(q),
+                                            tgt[mid]))) from None
     morphisms = tuple(morphisms)
     compose = _IsoCommaCompose(morphisms, mor_data, src, tgt, by_signature,
                               F.source.compose, G.source.compose)
@@ -544,12 +602,20 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     on_objects = {}
     for x in A.objects:
         a, b = first.on_objects[x], second.on_objects[x]
-        if leg_first.on_objects[a] != shared.on_objects[x] or \
-                leg_second.on_objects[b] != shared.on_objects[x]:
-            raise InputError(
-                f"legs disagree at object {x!r}; input is not strictly "
-                "simplicial")
-        gamma = C.identity[shared.on_objects[x]]
+        try:
+            if leg_first.on_objects[a] != shared.on_objects[x] or \
+                    leg_second.on_objects[b] != shared.on_objects[x]:
+                raise InputError(
+                    f"legs disagree at object {x!r}; input is not strictly "
+                    "simplicial")
+            gamma = C.identity[shared.on_objects[x]]
+        except KeyError:
+            raise _missing(
+                (f"on_objects of {leg_first.name}", leg_first.on_objects, a),
+                (f"on_objects of {leg_second.name}", leg_second.on_objects,
+                 b),
+                (f"identity of {C.name}", C.identity,
+                 shared.on_objects[x])) from None
         on_objects[x] = IC.obj_id(a, b, gamma)
     on_morphisms = {}
     for f in A.morphisms:

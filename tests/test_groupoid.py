@@ -394,3 +394,64 @@ def test_segal_map_reports_functor_sizes():
     assert comp.codomain_size == len(comp.comma.groupoid.objects)
     with pytest.raises(InputError):
         sgpd_segal_map(D, 4, 1)
+
+
+def _checks(Y):
+    """The four checks an invalid simplicial groupoid reaches, each run
+    to its end or to its ``InputError``; what each gave."""
+    out = []
+    for check in (sgpd_segal_check, sgpd_two_segal_check,
+                  lambda Z: [sgpd_beta_gamma_equality(Z, m, j)
+                             for m in (1, 2) for j in range(1, m + 1)],
+                  esd_gpd):
+        try:
+            check(Y)
+            out.append("returned")
+        except InputError as e:
+            out.append(str(e))
+    return out
+
+
+def test_one_broken_functor_entry_ends_in_input_error():
+    # every entry of every structure functor of the file, dropped or
+    # sent to an id the target level lacks or to another of its ids
+    doc = json.loads(io.save_sgpd(s_construction(2, 3)))
+    outcomes = set()
+    for kind in ("face", "degeneracy"):
+        for key, functor in doc[kind].items():
+            for part, table in functor.items():
+                ids = sorted(set(table.values()))
+                for entry, value in table.items():
+                    for new in (None, "nope",
+                                ids[0] if value != ids[0] else ids[-1]):
+                        broken = json.loads(json.dumps(doc))
+                        if new is None:
+                            del broken[kind][key][part][entry]
+                        else:
+                            broken[kind][key][part][entry] = new
+                        outcomes.update(_checks(
+                            io.load_sgpd(json.dumps(broken))))
+    for n, level in enumerate(doc["levels"]):      # or a level's inverse
+        for entry in level["inverse"]:
+            broken = json.loads(json.dumps(doc))
+            del broken["levels"][n]["inverse"][entry]
+            outcomes.update(_checks(io.load_sgpd(json.dumps(broken))))
+    assert "returned" in outcomes
+    assert "on_morphisms of face(2,0) has no entry 'm0'; input tables " \
+        "are not valid" in outcomes
+    assert "inverse of level1 has no entry 'nope'; input tables are not " \
+        "valid" in outcomes
+    assert "inverse of level0 has no entry 'm0'; input tables are not " \
+        "valid" in outcomes
+    assert any(o.startswith("compose of level1 has no entry")
+               for o in outcomes)
+
+
+def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
+    # u: x -> y sent to the identity of x: its composites are defined,
+    # but the iso-comma has no morphism inverting (u, id)
+    G = pair_groupoid()
+    bent = Functor(G, G, {"x": "x", "y": "y"},
+                   {**{f: f for f in G.morphisms}, "u": "ix"}, name="bent")
+    with pytest.raises(InputError, match="by signature has no entry"):
+        iso_comma(bent, identity_functor(G))

@@ -146,19 +146,65 @@ def test_rows_computed_on_the_truncation_nine_bar(monkeypatch):
 
 @pytest.mark.parametrize("truncation", [3, 4])
 def test_the_groupoid_tier_computes_every_row(monkeypatch, truncation):
-    # at truncation 4 its rows all pass, so pasting would infer some
+    # at truncation 4 its rows all pass, so pasting would infer some;
+    # without a guard the rows are computed in report order
     Y = s_construction(2, truncation)
-    calls = Counter()
+    calls = []
     real = groupoid.sgpd_two_segal_map
 
     def counting(Z, n, i, j):
-        calls[n, i, j] += 1
+        calls.append((n, i, j))
         return real(Z, n, i, j)
 
     monkeypatch.setattr(groupoid, "sgpd_two_segal_map", counting)
     for mode in ("full", "reduced"):
         calls.clear()
         report = sgpd_two_segal_check(Y, mode)
-        assert calls == Counter(_two_segal_indices(truncation, mode))
-        assert len(report.entries) == sum(calls.values())
+        assert calls == list(_two_segal_indices(truncation, mode))
+        assert len(report.entries) == len(calls)
         assert truncation == 3 or report.overall == "pass"
+
+
+@pytest.mark.parametrize("key, error", [
+    ((3, 0), None),
+    ((4, 4), "two_segal comparison at (4, 0, 2) leaves the pullback"),
+])
+def test_a_refused_set_computes_every_row_in_report_order(key, error):
+    # one redirected face: the guard refuses the set, so every row is
+    # computed in report order, and an error is raised at the first row
+    # in that order that meets it
+    Y = _broken(bar(cyclic_monoid(2), 5), "face", key, "redirect")
+    assert not _pastes(Y)
+    calls = []
+
+    def counting(Z, n, i, j):
+        calls.append((n, i, j))
+        return two_segal_map(Z, n, i, j)
+
+    order = list(_two_segal_indices(Y.truncation, "full"))
+    try:
+        rows = [row.indices for row in SET.two_segal_rows(Y, "full",
+                                                          counting)]
+    except InputError as e:
+        assert error is not None and str(e).startswith(error)
+        assert calls == order[:order.index((4, 0, 2)) + 1]
+    else:
+        assert error is None
+        assert calls == rows == order
+
+
+def test_rows_are_yielded_as_they_are_decided():
+    # no decided row is held back: at every yield, each row computed so
+    # far has been yielded already or is the one yielded
+    X = bar(cyclic_monoid(3), 6)
+    computed, yielded = [], set()
+
+    def counting(Y, n, i, j):
+        computed.append((n, i, j))
+        return two_segal_map(Y, n, i, j)
+
+    for row in SET.two_segal_rows(X, "full", counting):
+        yielded.add(row.indices)
+        assert yielded.issuperset(computed), row.indices
+    assert len(computed) < len(yielded) == \
+        len(list(_two_segal_indices(6, "full")))
