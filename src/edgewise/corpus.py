@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, count, repeat, starmap
 from itertools import product as iproduct
-from operator import itemgetter
+from math import prod
+from operator import add
 
 from .cat import (
     FinCategory,
@@ -30,7 +32,7 @@ from .cat import (
 )
 from .delta import _ints
 from .errors import GenerationError, InputError
-from .sset import TruncatedSSet, tabulate
+from .sset import _SHIFT, TruncatedSSet, _gather, _level_index, _tables
 
 __all__ = [
     "random_partial_monoid",
@@ -67,9 +69,20 @@ _GRAPH_DRAWS = 10
 def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
     """Rejection-sample a strongly associative partial product table.
 
-    Unit rows are forced; other pairs are left undefined with weight 2
-    or sent to a random element.  A draw is rejected at its first law
-    violation, and the monoid is built only for the draw that has none.
+    Unit rows are forced; every other pair, row by row, takes one
+    ``rng.randrange(size + 2)``: an element's index, or undefined for
+    the last two values.  A draw is decided on a flat table of element
+    indices, ``size + 1`` wide, whose extra index ``size`` stands for
+    "undefined" and whose extra row and column hold only that index, so
+    a product with an undefined factor is undefined and a triple is
+    strongly associative exactly when its two bracketings give the same
+    index.  Only the (size - 1)^3 triples of non-units are checked: with
+    the unit rows forced, a triple (e, b, c) brackets to bc on both
+    sides, (a, e, c) to ac and (a, b, e) to ab, defined or not, so no
+    triple containing the unit can fail.  The product dict and the
+    monoid are built only for the draw that passes; when the draws run
+    out, the error names the first violation that
+    ``validate_partial_monoid`` finds in the last draw.
     Sizes 1 to 4 give a monoid for every seed from 0 to 99.  Size 5 is
     allowed but rarely succeeds: of seeds 0 to 99 only 0 and 61 give a
     monoid, and every other seed uses up its 20,000 draws and raises
@@ -80,24 +93,54 @@ def random_partial_monoid(size: int, seed: int) -> PartialMonoid:
         raise InputError("size must be between 1 and 5")
     rng = random.Random(seed)
     elements = ("e",) + tuple(f"x{i}" for i in range(1, size))
-    last = None
-    for attempt in range(_MONOID_DRAWS):
-        product = {("e", m): m for m in elements}
-        product.update({(m, "e"): m for m in elements})
-        for a in elements[1:]:
-            for b in elements[1:]:
-                pick = rng.randrange(size + 2)
-                if pick < size:
-                    product[(a, b)] = elements[pick]
-        last = next(_monoid_violations(elements, "e", product), None)
-        if last is None:
-            return PartialMonoid(elements, "e", product,
+    width = size + 1
+    table = [size] * (width * width)
+    for m in range(size):
+        table[m] = table[m * width] = m
+    entry = tuple(range(size)) + (size, size)      # a draw's table entry
+    cells = [a * width + b for a in range(1, size) for b in range(1, size)]
+    draw, bound = rng.randrange, size + 2
+    for _ in range(_MONOID_DRAWS):
+        for cell in cells:
+            table[cell] = entry[draw(bound)]
+        if _strongly_associative(table, width):
+            return PartialMonoid(elements, "e", _product(elements, table),
                                  name=f"rpm{size}-s{seed}")
+    last = next(_monoid_violations(elements, "e", _product(
+        elements, table))) if _MONOID_DRAWS > 0 else ""
     raise GenerationError(
         f"no strongly associative table of size {size} within "
         f"{_MONOID_DRAWS} tries",
         seed=seed, size=size, attempts=_MONOID_DRAWS,
-        last_violation="" if last is None else str(last))
+        last_violation=str(last))
+
+
+def _strongly_associative(table, width):
+    """Whether every triple of non-units brackets to one index in a flat
+    table of ``random_partial_monoid``."""
+    inner = range(1, width - 1)
+    for a in inner:
+        ra = a * width
+        for b in inner:
+            rab, rb = table[ra + b] * width, b * width
+            for c in inner:
+                if table[rab + c] != table[ra + table[rb + c]]:
+                    return False
+    return True
+
+
+def _product(elements, table):
+    """The product dict of a flat table of ``random_partial_monoid``:
+    the unit rows, then the defined products of non-units row by row."""
+    e, size = elements[0], len(elements)
+    product = {(e, m): m for m in elements}
+    product.update({(m, e): m for m in elements})
+    for a in range(1, size):
+        for b in range(1, size):
+            ab = table[a * (size + 1) + b]
+            if ab < size:
+                product[elements[a], elements[b]] = elements[ab]
+    return product
 
 
 def _random_poset(rng, max_objects):
@@ -156,15 +199,6 @@ def random_category(seed: int, max_objects: int = 4,
     raise GenerationError("no category within the size bounds", seed=seed)
 
 
-def _picker(positions):
-    """A function taking a tuple to the tuple of its entries at
-    ``positions``."""
-    if len(positions) == 1:
-        p, = positions
-        return lambda t: (t[p],)
-    return itemgetter(*positions) if positions else lambda t: ()
-
-
 def _linked_tuples(vertices, by_pair, length):
     """The ``length``-tuples of vertices with an edge from each entry to
     every later one, in ``product(vertices, repeat=length)`` order; a
@@ -181,6 +215,11 @@ def _linked_tuples(vertices, by_pair, length):
     return extend((), vertices)
 
 
+def _pairs(n):
+    """The pairs p < q of [n], in the order a cell lists its edges."""
+    return [(p, q) for p in range(n + 1) for q in range(p + 1, n + 1)]
+
+
 def coskeletal_from_graph(vertices, edges, truncation,
                           name="", level_cap: int = 20000) -> TruncatedSSet:
     """Complete a reflexive multigraph coskeletally from its edges.
@@ -189,12 +228,28 @@ def coskeletal_from_graph(vertices, edges, truncation,
     vertex to serve as its degeneracy.  A level-n cell for n >= 2 is a
     choice of vertices together with one edge per increasing pair, so
     every level is determined by the 1-truncated data and validation
-    holds by construction.
+    holds by construction.  Cells are listed by vertex tuple in
+    ``product(vertices, repeat=n + 1)`` order, then by edge tuple in
+    ``product`` order of the pairs' pools.
+
+    Levels 2 and up are counted before any cell is listed: a vertex
+    tuple with an edge from each entry to every later one carries the
+    product of its pools' sizes in cells.  The first level over
+    ``level_cap`` (an ``int`` >= 0) raises ``GenerationError`` naming
+    that level and the cap, before anything is built.  Each table is
+    built a level at a time, in C, on the level's columns (vertex p of
+    every cell, then edge (p, q) of every cell): it picks the columns
+    of the image's edges, which fix its vertices (at level 0, of its
+    vertex), with the loops of vertex i as one more column for the
+    degeneracy s_i, and looks the zipped picks up in the target level.
     """
-    _ints("coskeletal_from_graph", truncation)
+    _ints("coskeletal_from_graph", truncation, level_cap)
     vertices = tuple(vertices)
     if truncation < 1:
         raise InputError("coskeletal completion needs truncation >= 1")
+    if level_cap < 0:
+        raise InputError(f"coskeletal_from_graph: level_cap must be >= 0, "
+                         f"got {level_cap}")
     loop_of = {v: f"{v}~" for v in vertices}
     by_pair = {(u, w): [] for u in vertices for w in vertices}
     for v in vertices:
@@ -208,53 +263,63 @@ def coskeletal_from_graph(vertices, edges, truncation,
     if len(set(edge_ids)) != len(edge_ids):
         raise InputError("duplicate edge ids")
 
-    def pairs(n):
-        return [(p, q) for p in range(n + 1) for q in range(p + 1, n + 1)]
+    # per level n >= 2: each linked vertex tuple, its cell count and the
+    # pools of its pairs, all counted before any cell is listed
+    linked = []
+    for n in range(2, truncation + 1):
+        level, cells, prs = [], 0, _pairs(n)
+        for vt in _linked_tuples(vertices, by_pair, n + 1):
+            pools = [by_pair[(vt[p], vt[q])] for p, q in prs]
+            size = prod(map(len, pools))
+            cells += size
+            if cells > level_cap:
+                raise GenerationError(
+                    f"level {n} exceeds the cap of {level_cap} cells",
+                    level=n, cap=level_cap)
+            level.append((vt, size, pools))
+        linked.append(level)
 
     src = {e: u for (u, w), pool in by_pair.items() for e in pool}
     tgt = {e: w for (u, w), pool in by_pair.items() for e in pool}
     levels = [list(vertices), edge_ids]
-    # per level: (vertex tuple, edge tuple) of each cell, in level order
-    cell_data = [[((v,), ()) for v in vertices],
-                 [((src[e], tgt[e]), (e,)) for e in edge_ids]]
-    for n in range(2, truncation + 1):
-        data = []
-        for vt in _linked_tuples(vertices, by_pair, n + 1):
-            pools = [by_pair[(vt[p], vt[q])] for p, q in pairs(n)]
-            for et in iproduct(*pools):
-                data.append((vt, et))
-                if len(data) > level_cap:
-                    raise GenerationError(
-                        f"level {n} exceeds the cap of {level_cap} cells",
-                        level=n, cap=level_cap)
-        levels.append([f"c{n}_{i}" for i in range(len(data))])
-        cell_data.append(data)
-    cell_id = {c: cid
-               for ids, data in zip(levels, cell_data)
-               for cid, c in zip(ids, data)}
+    # per level: each cell's key, its edge tuple (which fixes its
+    # vertices) or at level 0 its vertex, and each cell's row, its
+    # vertices then its edges
+    keys = [list(zip(vertices)), list(zip(edge_ids))]
+    rows = [keys[0], list(zip(map(src.get, edge_ids), map(tgt.get, edge_ids),
+                              edge_ids))]
+    for n, level in enumerate(linked, 2):
+        vts, sizes, pools = zip(*level) if level else ((), (), ())
+        keys.append(list(chain.from_iterable(starmap(iproduct, pools))))
+        rows.append(list(map(add, chain.from_iterable(map(repeat, vts, sizes)),
+                             keys[n])))
+        levels.append(list(map(f"c{n}_{{}}".format, range(len(keys[n])))))
+    index = _level_index(levels)
+    where = [dict(zip(lv, count())) for lv in keys]
+    columns = [list(zip(*lv)) or [()] * (n + 1 + len(_pairs(n)))
+               for n, lv in enumerate(rows)]
 
-    def face(n, i):
-        keep = [p for p in range(n + 1) if p != i]
-        prs = pairs(n)
-        on_vertices = _picker(keep)
-        on_edges = _picker([prs.index((keep[p], keep[q]))
-                            for p, q in pairs(n - 1)])
-        return lambda c: (on_vertices(c[0]), on_edges(c[1]))
+    def table(kind, n, i):
+        """The positions of (kind, n, i): the columns of the image keys,
+        zipped and looked up in the target level."""
+        cols = columns[n]
+        edge = {pq: n + 1 + k for k, pq in enumerate(_pairs(n))}
+        if kind == "face":
+            keep = [p for p in range(n + 1) if p != i]
+            picks = [edge[keep[p], keep[q]] for p, q in _pairs(n - 1)] or keep
+        else:
+            # duplicate vertex i; the new adjacent pair takes its loop,
+            # read from one column past the level's own
+            expand = [p if p <= i else p - 1 for p in range(n + 2)]
+            cols = cols + [tuple(map(loop_of.__getitem__, cols[i]))]
+            picks = [len(cols) - 1 if (p, q) == (i, i + 1)
+                     else edge[expand[p], expand[q]]
+                     for p, q in _pairs(n + 1)]
+        return _gather(where[n + _SHIFT[kind]], zip(*_gather(cols, picks)))
 
-    def degeneracy(n, i):
-        # duplicate vertex i; the new adjacent pair takes the loop, read
-        # from one past the end of the cell's edges
-        expand = [p if p <= i else p - 1 for p in range(n + 2)]
-        prs = pairs(n)
-        on_vertices = _picker(expand)
-        on_edges = _picker([len(prs) if (p, q) == (i, i + 1)
-                            else prs.index((expand[p], expand[q]))
-                            for p, q in pairs(n + 1)])
-        return lambda c: (on_vertices(c[0]),
-                          on_edges(c[1] + (loop_of[c[0][i]],)))
-
-    return tabulate(cell_data, face, degeneracy, cell_id.__getitem__,
-                    label=name or "coskeletal")
+    return TruncatedSSet._of_tables(truncation, levels, index,
+                                    *_tables(truncation, table),
+                                    name=name or "coskeletal")
 
 
 def random_coskeletal_sset(num_vertices: int, num_edges: int,
@@ -265,13 +330,18 @@ def random_coskeletal_sset(num_vertices: int, num_edges: int,
     ``num_edges`` counts extra edges beyond the designated loops; these
     tend to create parallel pairs, which is what makes the instances
     useful as non-2-Segal controls.  Graphs whose completion overflows
-    the level cap are redrawn, up to ``_GRAPH_DRAWS`` times.
+    the level cap are redrawn, up to ``_GRAPH_DRAWS`` times; the cap
+    must be an ``int`` >= 0.
     """
-    _ints("random_coskeletal_sset", num_vertices, num_edges, truncation)
+    _ints("random_coskeletal_sset", num_vertices, num_edges, truncation,
+          level_cap)
     if num_vertices < 1:
         raise InputError("need at least one vertex")
     if num_edges < 0:
         raise InputError("need a nonnegative number of extra edges")
+    if level_cap < 0:
+        raise InputError(f"random_coskeletal_sset: level_cap must be >= 0, "
+                         f"got {level_cap}")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(num_vertices))
     for attempt in range(_GRAPH_DRAWS):

@@ -675,13 +675,49 @@ def sgpd_two_segal_map(Y: TruncatedSGpd, n: int, i: int,
 
 
 def sgpd_segal_check(Y: TruncatedSGpd):
-    """Equivalence verdicts for every level-splitting comparison functor."""
-    return GROUPOID.segal_check(Y, sgpd_segal_map)
+    """Equivalence verdicts for every level-splitting comparison functor;
+    ``InputError`` if a structure functor leaves its target level
+    (``_images_in_levels``)."""
+    report = GROUPOID.segal_check(Y, sgpd_segal_map)
+    _images_in_levels(Y)
+    return report
 
 
 def sgpd_two_segal_check(Y: TruncatedSGpd, mode: str = "full"):
-    """Equivalence verdicts for the polygon comparisons, both sweep modes."""
-    return GROUPOID.two_segal_check(Y, mode, sgpd_two_segal_map)
+    """Equivalence verdicts for the polygon comparisons, both sweep
+    modes; ``InputError`` if a structure functor leaves its target
+    level (``_images_in_levels``)."""
+    report = GROUPOID.two_segal_check(Y, mode, sgpd_two_segal_map)
+    _images_in_levels(Y)
+    return report
+
+
+def _images_in_levels(Y: TruncatedSGpd):
+    """``InputError`` unless every structure functor of Y sends each
+    object and morphism into its target level, naming the first image
+    that is not there, in ``structure_maps`` order, objects before
+    morphisms.
+
+    A check reads only the entries its rows reach, and an image outside
+    the target that no lookup meets would leave a verdict on input that
+    is no simplicial groupoid.  The checks call this once, after their
+    rows, so an error a row meets is raised as it was; it reads each
+    functor once, with C-level set lookups.  A check with no rows has
+    read nothing yet, so the other tier's object is refused here.
+    """
+    _expect(Y, TruncatedSGpd)
+    ids = [(set(G.objects), set(G.morphisms)) for G in Y.levels]
+    for kind, n, i in structure_maps(Y.truncation):
+        F = Y._map(kind, n, i)
+        for part, there in zip(("on_objects", "on_morphisms"),
+                               ids[n + _SHIFT[kind]]):
+            table = getattr(F, part)
+            if not there.issuperset(table.values()):
+                key = next(k for k, v in table.items() if v not in there)
+                raise InputError(
+                    f"{part} of {kind}({n},{i}) sends {key!r} to "
+                    f"{table[key]!r}, which is not in level {n + _SHIFT[kind]}"
+                    "; input tables are not valid")
 
 
 @dataclass(frozen=True)
@@ -699,8 +735,11 @@ class SgpdBetaGamma:
 
 def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
                              j: int) -> SgpdBetaGamma:
-    """The subdivision comparison equals the polygon one, factors swapped."""
+    """The subdivision comparison equals the polygon one, factors
+    swapped; ``InputError`` if a structure functor leaves its target
+    level (``_images_in_levels``)."""
     pair = GROUPOID.beta_gamma(Y, m, j, esd_gpd)
+    _images_in_levels(Y)
     if pair is None:
         return SgpdBetaGamma(m, j, "out_of_truncation")
     beta, gamma = pair

@@ -1,8 +1,9 @@
 """The four table builders against their direct forms.
 
-``standard_simplex`` and ``coskeletal_from_graph`` hand their cell data
-and rules to ``sset.tabulate``; ``nerve`` and ``bar`` build their tables
-a level at a time through ``cat._tabulate_strings``.  The references
+``standard_simplex`` hands its cell data and rules to ``sset.tabulate``;
+``coskeletal_from_graph`` builds its tables a level at a time on its
+cells' edge columns, and ``nerve`` and ``bar`` through
+``cat._tabulate_strings``.  The references
 below build the same tables directly, one string per entry.  On random
 and defective inputs both must give the same saved bytes, table key
 order and violations, or raise the same error.  The builders must also
@@ -379,6 +380,28 @@ def test_coskeletal_cap_fires_where_the_reference_fires():
         fired.append(raised[0][1])
     assert fired == [{"level": 3, "cap": 30}, {"level": 4, "cap": 100},
                      {"level": 5, "cap": 1000}, "coskeletal"]
+
+
+def test_coskeletal_cap_fires_at_level_two_and_at_the_top_level():
+    # the graph of the test above: 24 cells at level 2, 60 at level 3
+    vertices = tuple("abcdef")
+    edges = [("e0", "a", "b"), ("e1", "a", "b"), ("e2", "b", "c"),
+             ("e3", "c", "d"), ("e4", "a", "c"), ("e5", "d", "a")]
+    got = []
+    for N, cap in ((2, 23), (2, 24), (3, 23), (3, 59), (3, 60), (4, 0)):
+        outcomes = []
+        for build in (coskeletal_from_graph, reference_coskeletal_from_graph):
+            try:
+                X = build(vertices, edges, N, level_cap=cap)
+            except GenerationError as exc:
+                outcomes.append((str(exc), exc.diagnostics))
+            else:
+                outcomes.append((io.save_sset(X), X.name))
+        assert outcomes[0] == outcomes[1], (N, cap)
+        got.append(outcomes[0][1])
+    assert got == [{"level": 2, "cap": 23}, "coskeletal",
+                   {"level": 2, "cap": 23}, {"level": 3, "cap": 59},
+                   "coskeletal", {"level": 2, "cap": 0}]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

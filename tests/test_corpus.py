@@ -1,10 +1,11 @@
 """Generator determinism, validity, and the standard corpus contract."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from edgewise import io
+from edgewise import checks, io
 
 from edgewise.cat import (bar, chain_poset, cyclic_monoid, nerve,
                           truncated_free_monoid, validate_category,
@@ -86,6 +87,21 @@ def test_level_cap_aborts_generation():
             ("a",), [("e0", "a", "a"), ("e1", "a", "a"), ("e2", "a", "a")],
             5, level_cap=200)
     assert exc.value.diagnostics["cap"] == 200
+
+
+def test_level_cap_must_be_a_natural_number():
+    # non-int caps: see test_builders_refuse_sizes_that_are_not_ints
+    with pytest.raises(InputError, match="is not an int"):
+        coskeletal_from_graph(("a", "b"), PAR2, 3, level_cap=None)
+    with pytest.raises(InputError, match="is not an int"):
+        random_coskeletal_sset(2, 2, 3, 0, level_cap=None)
+    with pytest.raises(InputError, match="level_cap must be >= 0, got -1"):
+        coskeletal_from_graph(("a", "b"), PAR2, 3, level_cap=-1)
+    with pytest.raises(InputError, match="level_cap must be >= 0, got -1"):
+        random_coskeletal_sset(2, 2, 3, 0, level_cap=-1)
+    with pytest.raises(GenerationError) as exc:
+        coskeletal_from_graph(("a", "b"), PAR2, 3, level_cap=0)
+    assert exc.value.diagnostics == {"level": 2, "cap": 0}
 
 
 def test_random_coskeletal_deterministic_and_valid():
@@ -192,12 +208,16 @@ NON_INT_BUILDERS = {
     "standard_simplex-truncation": lambda v: standard_simplex(1, v),
     "coskeletal_from_graph": lambda v: coskeletal_from_graph(
         ("a", "b"), PAR2, v),
+    "coskeletal_from_graph-level_cap": lambda v: coskeletal_from_graph(
+        ("a",), [], 1, level_cap=v),
     "random_coskeletal_sset-vertices": lambda v: random_coskeletal_sset(
         v, 1, 2, 0),
     "random_coskeletal_sset-edges": lambda v: random_coskeletal_sset(
         2, v, 2, 0),
     "random_coskeletal_sset-truncation": lambda v: random_coskeletal_sset(
         2, 1, v, 0),
+    "random_coskeletal_sset-level_cap": lambda v: random_coskeletal_sset(
+        1, 0, 1, 0, level_cap=v),
     "chain_poset": chain_poset,
     "truncated_free_monoid": truncated_free_monoid,
     "cyclic_monoid": cyclic_monoid,
@@ -215,3 +235,24 @@ def test_builders_refuse_sizes_that_are_not_ints(builder, value):
     build(2)        # the int twin builds
     with pytest.raises(InputError, match="is not an int"):
         build(value)
+
+
+def test_fuzz_summary_pin():
+    # the summary and the bytes of every instance the sweep checks, which
+    # depend on the generators' draws only, not on how they are made
+    digest = hashlib.sha256()
+    verify = checks.theorem_verify
+
+    def spy(X):
+        digest.update(io.save_sset(X).encode())
+        return verify(X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "theorem_verify", spy)
+        summary = fuzz_theorem(300, 0)
+    assert dataclasses.asdict(summary) == {
+        "count": 300, "seed": 0, "checked": 300, "generation_failures": 0,
+        "kind_counts": {"nerve": 117, "bar": 101, "coskeletal": 82},
+        "violations": (), "partial_bar_level2_passes": 0}
+    assert digest.hexdigest() == \
+        "1a1903c8eb2f0367020d8254b790bf32e00d8cb2708577c8f5c0ef2b3796f5f0"

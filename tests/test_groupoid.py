@@ -447,6 +447,36 @@ def test_one_broken_functor_entry_ends_in_input_error():
                for o in outcomes)
 
 
+def test_every_image_outside_the_target_level_ends_in_input_error():
+    # every entry of every structure functor sent to "nope": each check
+    # raises, also where no row reads that entry
+    doc = json.loads(io.save_sgpd(s_construction(2, 3)))
+    checks = (sgpd_segal_check, sgpd_two_segal_check,
+              lambda Y: sgpd_two_segal_check(Y, "reduced"),
+              lambda Y: sgpd_beta_gamma_equality(Y, 1, 1),
+              lambda Y: sgpd_beta_gamma_equality(Y, 2, 1))
+    redirects = 0
+    for kind in ("face", "degeneracy"):
+        for key, functor in doc[kind].items():
+            for part, table in functor.items():
+                for entry in table:
+                    broken = json.loads(json.dumps(doc))
+                    broken[kind][key][part][entry] = "nope"
+                    Y = io.load_sgpd(json.dumps(broken))
+                    redirects += 1
+                    for check in checks:
+                        with pytest.raises(InputError):
+                            check(Y)
+    assert redirects == 86
+    doc["face"]["1,0"]["on_objects"]["x0"] = "nope"
+    Y = io.load_sgpd(json.dumps(doc))
+    for check in checks[1:]:
+        with pytest.raises(InputError) as exc:
+            check(Y)
+        assert str(exc.value) == "on_objects of face(1,0) sends 'x0' to " \
+            "'nope', which is not in level 0; input tables are not valid"
+
+
 def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
     # u: x -> y sent to the identity of x: its composites are defined,
     # but the iso-comma has no morphism inverting (u, id)

@@ -9,6 +9,7 @@ import random
 
 from edgewise import corpus
 from edgewise.cat import PartialMonoid, validate_partial_monoid
+from edgewise.checks import fuzz_theorem
 from edgewise.corpus import random_partial_monoid
 from edgewise.errors import GenerationError, InputError
 
@@ -65,3 +66,24 @@ def test_sampler_matches_the_reference_with_no_draws(monkeypatch):
     monkeypatch.setattr(corpus, "_MONOID_DRAWS", 0)
     assert outcome(random_partial_monoid, 3, 1) == \
         outcome(reference_random_partial_monoid, 3, 1)
+
+
+def test_sampler_matches_the_reference_on_the_fuzzers_draws(monkeypatch):
+    # every (size, sub-seed) that fuzz_theorem(60, s) asks for, s in 0..2,
+    # at the real number of draws
+    asked = []
+    sampler = corpus.random_partial_monoid
+
+    def record(size, seed):
+        asked.append((size, seed))
+        return sampler(size, seed)
+
+    monkeypatch.setattr(corpus, "random_partial_monoid", record)
+    for s in range(3):
+        fuzz_theorem(60, s)
+    monkeypatch.undo()
+    assert len(asked) > 40 and {size for size, _ in asked} == {2, 3, 4}
+    for size, seed in asked:
+        assert outcome(random_partial_monoid, size, seed) == \
+            outcome(reference_random_partial_monoid, size, seed), \
+            (size, seed)

@@ -61,6 +61,18 @@ def test_the_groupoid_tier_refuses_a_set(name):
         "expected a TruncatedSGpd, got a TruncatedSSet"
 
 
+@pytest.mark.parametrize("call", [
+    lambda: groupoid.sgpd_segal_check(standard_simplex(1, 0)),
+    lambda: groupoid.sgpd_two_segal_check(standard_simplex(1, 2)),
+    lambda: groupoid.sgpd_beta_gamma_equality(standard_simplex(1, 2), 1, 1),
+], ids=["segal-0", "two-segal-2", "beta-gamma-2"])
+def test_the_groupoid_checks_refuse_a_set_with_no_rows(call):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == \
+        "expected a TruncatedSGpd, got a TruncatedSSet"
+
+
 def test_each_tier_still_takes_its_own():
     for name, call in SET_TIER.items():
         if name != "discrete_sgpd":
