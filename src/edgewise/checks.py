@@ -28,8 +28,8 @@ from .delta import (
 )
 from .errors import GenerationError, InputError
 # act and strict_pullback are bound here too, for tracers that wrap them
-from .sset import (Pullback, TruncatedSSet, _composite, _gather, act,
-                   act_positions, edgewise, identities, op_reverse,
+from .sset import (Pullback, TruncatedSSet, _composite, _expect, _gather,
+                   act, act_positions, edgewise, identities, op_reverse,
                    strict_pullback, structure_maps)
 
 __all__ = [
@@ -315,8 +315,8 @@ def _bijection(kind, indices, X, first, second, leg_first, leg_second,
     cells = tuple(range(len(domain)))
     faces = tuple(range(len(X.level(shared.dom_dim))))
     f, g = (faces, t) if flip else (t, faces)
-    P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
-                              X.level(leg_second.cod_dim))
+    P = Pullback(f, g, X.level(leg_first.cod_dim),
+                 X.level(leg_second.cod_dim))
     P._size = len(domain)       # the graph's pairs, one per cell
     outer, inner = (t, cells) if flip else (cells, t)
     return Comparison(kind, tuple(indices), tuple(domain), outer, inner, P,
@@ -328,8 +328,8 @@ def _counted(kind, indices, X, first, second, leg_first, leg_second):
     outer = act_positions(first, X)
     inner = act_positions(second, X)
     f, g = act_positions(leg_first, X), act_positions(leg_second, X)
-    P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
-                              X.level(leg_second.cod_dim))
+    P = Pullback(f, g, X.level(leg_first.cod_dim),
+                 X.level(leg_second.cod_dim))
     return _compare(kind, indices, X.level(first.cod_dim), outer, inner, P)
 
 
@@ -438,6 +438,7 @@ def _segal_indices(truncation):
 
 def segal_check(X: TruncatedSSet) -> CheckReport:
     """All level-m comparisons for 1 <= j <= m <= truncation."""
+    _expect(X, TruncatedSSet)
     return SET.segal_check(X, segal_map)
 
 
@@ -445,11 +446,6 @@ def _two_segal_level(n, mode):
     """The 2-Segal rows of level n, in report order."""
     return [(n, i, j) for i in range(n) for j in range(i + 1, n + 1)
             if mode == "full" or i == 0 or j == n]
-
-
-def _two_segal_indices(truncation, mode):
-    for n in range(3, truncation + 1):
-        yield from _two_segal_level(n, mode)
 
 
 def _premises(n, i, j):
@@ -473,6 +469,7 @@ def _premises(n, i, j):
 
 def two_segal_check(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     """All polygon-subdivision comparisons, in full or reduced mode."""
+    _expect(X, TruncatedSSet)
     return SET.two_segal_check(X, mode, two_segal_map)
 
 
@@ -515,6 +512,7 @@ class BetaGammaResult:
 
 def beta_gamma_equality(X: TruncatedSSet, m: int, j: int) -> BetaGammaResult:
     """Compare the subdivision's level-m map with the matched polygon map."""
+    _expect(X, TruncatedSSet)
     pair = SET.beta_gamma(X, m, j, edgewise)
     if pair is None:
         return BetaGammaResult(m, j, "out_of_truncation")
@@ -659,6 +657,7 @@ def retract_verify(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     the vertical maps of both squares are induced on the polygon
     factors by the section and retraction.
     """
+    _expect(X, TruncatedSSet)
     _ints("retract_verify", n, k)
     if not (n >= 3 and 1 < k < n):
         raise InputError(f"need n >= 3 and 1 < k < n, got ({n}, {k})")
@@ -676,6 +675,7 @@ def retract_verify_reversed(X: TruncatedSSet, n: int, k: int) -> RetractResult:
     simplicial set, where the plain retract applies; the transport is
     itself checked by table equality before the result is relabeled.
     """
+    _expect(X, TruncatedSSet)
     _ints("retract_verify_reversed", n, k)
     if not (n >= 3 and 0 < k < n - 1):
         raise InputError(f"need n >= 3 and 0 < k < n - 1, got ({n}, {k})")
@@ -724,6 +724,7 @@ def theorem_verify(X: TruncatedSSet) -> CheckReport:
     whose tables it reads; the sweep may infer any other passing row
     by pasting, so each row of X is computed at most once.
     """
+    _expect(X, TruncatedSSet)
     if X.truncation < 3:
         raise InputError("theorem checking needs truncation >= 3")
     E = edgewise(X)
@@ -800,31 +801,31 @@ def _genuinely_partial(M):
                for a in M.elements for b in M.elements)
 
 
-def fuzz_theorem(count: int, seed: int,
-                 mix: tuple = ("nerve", "bar", "coskeletal")) -> FuzzSummary:
+def fuzz_theorem(count: int, seed: int) -> FuzzSummary:
     """Run the theorem checker over seeded random instances.
 
-    Violations collect any instance whose report is not an overall
-    pass; generation failures are counted, not fatal.  Also counts bar
-    constructions of genuinely partial products whose level-2 Segal
-    rows all pass (the expected count is zero: an undefined product is
-    an uncovered pair).
+    Each instance is a nerve, a bar construction or a coskeletal set,
+    its kind and its sub-seed drawn from one ``random.Random(seed)``;
+    ``kind_counts`` lists the kinds in that order.  Violations collect
+    any instance whose report is not an overall pass; generation
+    failures are counted, not fatal.  Also counts bar constructions of
+    genuinely partial products whose level-2 Segal rows all pass (the
+    expected count is zero: an undefined product is an uncovered pair).
     """
     from .corpus import (random_category, random_coskeletal_sset,
                          random_partial_monoid)
     _ints("fuzz_theorem", count)
     if count < 0:
         raise InputError("count must be nonnegative")
-    if not mix:
-        raise InputError("empty generator mix")
     rng = random.Random(seed)
-    kind_counts = {k: 0 for k in mix}
+    kinds = ("nerve", "bar", "coskeletal")
+    kind_counts = dict.fromkeys(kinds, 0)
     violations = []
     generation_failures = 0
     checked = 0
     partial_level2 = 0
     for idx in range(count):
-        kind = mix[rng.randrange(len(mix))]
+        kind = kinds[rng.randrange(len(kinds))]
         sub_seed = rng.randrange(10 ** 9)
         try:
             if kind == "nerve":
@@ -834,12 +835,10 @@ def fuzz_theorem(count: int, seed: int,
             elif kind == "bar":
                 M = random_partial_monoid(rng.randrange(2, 5), sub_seed)
                 X = bar(M, 5)
-            elif kind == "coskeletal":
+            else:
                 nv = rng.randrange(2, 4)
                 X = random_coskeletal_sset(nv, rng.randrange(1, 4),
                                            4 if nv == 2 else 3, sub_seed)
-            else:
-                raise InputError(f"unknown generator kind {kind!r}")
         except GenerationError:
             generation_failures += 1
             continue

@@ -535,6 +535,7 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
 
 def esd_gpd(Y: TruncatedSGpd) -> TruncatedSGpd:
     """Subdivision one tier up: level n is Y's level 2n+1."""
+    _expect(Y, TruncatedSGpd)
     return subdivide(Y, act_gpd)
 
 

@@ -27,13 +27,12 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import filterfalse
+from itertools import combinations_with_replacement, filterfalse
 from operator import itemgetter
 
 from .delta import (
     SimplexMap,
     _ints,
-    all_monotone_maps,
     codegeneracy,
     coface,
     edgewise_on_map,
@@ -50,7 +49,6 @@ __all__ = [
     "structure_maps",
     "identities",
     "along",
-    "tabulate",
     "standard_simplex",
     "act",
     "act_positions",
@@ -564,59 +562,37 @@ def validate(X: TruncatedSSet):
     return out
 
 
-def tabulate(cells, face, degeneracy, name, label="") -> TruncatedSSet:
-    """A truncated simplicial set from cell data and rules on it.
-
-    ``cells[n]`` lists the hashable data of the level-n cells in level
-    order, and ``name(c)`` gives a cell's id.  ``face(n, i)`` and
-    ``degeneracy(n, i)`` each return a rule that carries each level-n
-    cell's data to the data of a cell of the target level; an image
-    that is no such cell, None included, raises ``InputError`` naming
-    the map and the cell.  Each id is computed once per cell, and each
-    table comes out as positions in the target level, in
-    ``structure_maps`` order.  Every table asks its rule of every cell;
-    ``nerve`` and ``bar`` avoid that, building most tables from the
-    level below (``cat._tabulate_strings``), so that only their level-1
-    faces, last inner face and last degeneracy read the cells' letters.
-    """
-    N = len(cells) - 1
-    levels = [list(map(name, lv)) for lv in cells]
-    where = [{c: p for p, c in enumerate(lv)} for lv in cells]
-    rules = {"face": face, "degeneracy": degeneracy}
-
-    def table(kind, n, i):
-        rule, target = rules[kind](n, i), where[n + _SHIFT[kind]]
-        try:
-            return _gather(target, map(rule, cells[n]))
-        except (KeyError, TypeError):
-            for c in cells[n]:
-                d = rule(c)
-                try:
-                    target[d]
-                except (KeyError, TypeError):
-                    raise InputError(
-                        f"{kind} ({n}, {i}) sends cell {name(c)!r} to "
-                        f"{d!r}, which is no cell") from None
-            raise
-
-    return TruncatedSSet(N, levels, *_tables(N, table), name=label)
-
-
 def standard_simplex(k: int, truncation: int) -> TruncatedSSet:
-    """The k-simplex: level n holds all monotone maps [n] -> [k]."""
+    """The k-simplex: level n holds all monotone maps [n] -> [k].
+
+    A level-n cell is its tuple of n + 1 vertices, non-decreasing, and
+    each level lists them in lexicographic (``all_monotone_maps``)
+    order.  d_i drops column i and s_i repeats it, so each table is one
+    ``_gather`` of the picked columns through the target level's
+    tuple-to-position dict.
+    """
     _ints("standard_simplex", k, truncation)
     if k < 0 or truncation < 0:
         raise InputError("standard_simplex needs k >= 0 and truncation >= 0")
+    cells = [tuple(combinations_with_replacement(range(k + 1), n + 1))
+             for n in range(truncation + 1)]
+    columns = [tuple(zip(*lv)) for lv in cells]
+    where = [dict(zip(lv, range(len(lv)))) for lv in cells]
+
+    def table(kind, n, i):
+        picked = (*range(i), *range(i + 1, n + 1)) if kind == "face" \
+            else (*range(i + 1), *range(i, n + 1))
+        return _gather(where[n + _SHIFT[kind]],
+                       zip(*_gather(columns[n], picked)))
+
     # digit strings up to [9], dot-separated beyond, fixed by k for the
     # whole complex so names cannot collide
     sep = "" if k <= 9 else "."
-    return tabulate(
-        [[a.values for a in all_monotone_maps(n, k)]
-         for n in range(truncation + 1)],
-        lambda n, i: lambda c: c[:i] + c[i + 1:],
-        lambda n, i: lambda c: c[:i + 1] + c[i:],
-        lambda c: sep.join(map(str, c)),
-        label=f"standard-simplex-{k}")
+    levels = tuple(tuple(sep.join(map(str, c)) for c in lv) for lv in cells)
+    index = tuple(dict(zip(lv, range(len(lv)))) for lv in levels)
+    return TruncatedSSet._of_tables(truncation, levels, index,
+                                    *_tables(truncation, table),
+                                    name=f"standard-simplex-{k}")
 
 
 def act(alpha: SimplexMap, X: TruncatedSSet) -> dict:
@@ -656,34 +632,19 @@ class Pullback:
     """A strict pullback of two legs f: A -> C and g: B -> C.
 
     Its elements are the pairs (a, b) with f[a] == g[b], in the order of
-    A and then B.  The legs are kept as tuples of positions in C, one
-    per element of A and of B in order, and ``left`` and ``right`` name
-    those elements; ``Pullback(f, g)`` numbers the values of two dicts.
-    Nothing is enumerated up front: ``positions()`` runs a hash join
-    over g bucketed by value and yields the pairs as positions,
-    iterating yields them by name, and ``pairs`` keeps that enumeration
-    on first use.  ``size()`` multiplies value counts, once, and ``in``
-    compares the two legs, so neither enumerates a pair.  Two pullbacks
-    are equal when their ``pairs`` are.
+    A and then B.  The legs are tuples of positions in C, one per
+    element of A and of B in order, and ``left`` and ``right`` name
+    those elements; ``strict_pullback`` builds one from two dicts.
+    Nothing is enumerated up front: ``positions()``
+    runs a hash join over g bucketed by value and yields the pairs as
+    positions, iterating yields them by name, and ``pairs`` keeps that
+    enumeration on first use.  ``size()`` multiplies value counts, once,
+    and ``in`` compares the two legs, so neither enumerates a pair.  Two
+    pullbacks are equal when their ``pairs`` are.
     """
 
-    def __init__(self, f: dict, g: dict):
-        numbers = {}
-
-        def number(v):
-            return numbers.setdefault(v, len(numbers))
-
-        self.f = tuple(map(number, f.values()))
-        self.g = tuple(map(number, g.values()))
-        self.left, self.right = tuple(f), tuple(g)
-
-    @classmethod
-    def of_positions(cls, f, g, left, right) -> Pullback:
-        """The pullback of position legs f and g; ``left`` and ``right``
-        name the elements of their domains."""
-        P = cls.__new__(cls)
-        P.f, P.g, P.left, P.right = f, g, left, right
-        return P
+    def __init__(self, f, g, left, right):
+        self.f, self.g, self.left, self.right = f, g, left, right
 
     def positions(self):
         fibers = {}
@@ -732,7 +693,9 @@ class Pullback:
 def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
     """Pairs (a, b) with f[a] == g[b], in the insertion order of f and g.
 
-    With ``codomain`` given, both tables must take values inside it.
+    The legs number the values of both dicts in order of first
+    appearance, f's before g's.  With ``codomain`` given, both tables
+    must take values inside it.
     """
     if codomain is not None:
         cod = set(codomain)
@@ -741,7 +704,10 @@ def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
                 if v not in cod:
                     raise InputError(
                         f"{side} table value {v!r} outside the codomain")
-    return Pullback(f, g)
+    numbers = {v: p for p, v in
+               enumerate(dict.fromkeys([*f.values(), *g.values()]))}
+    return Pullback(_gather(numbers, f.values()), _gather(numbers, g.values()),
+                    tuple(f), tuple(g))
 
 
 def subdivide(X, act):
@@ -765,6 +731,7 @@ def edgewise(X: TruncatedSSet) -> TruncatedSSet:
     tables are X acted by the subdivided generators, kept as positions
     in X's levels.
     """
+    _expect(X, TruncatedSSet)
     return subdivide(X, act_positions)
 
 
@@ -799,6 +766,26 @@ class SimplicialMap:
     name: str = ""
 
 
+def _components(comps, N):
+    """The shape check of a map's components over a set truncated at N.
+
+    It raises ``InputError`` if ``comps`` is not a sequence, and returns
+    the shape violation's text if it does not hold N + 1 components.
+    Else it raises ``InputError`` if a component is not a ``Mapping``,
+    and returns "".
+    """
+    if not isinstance(comps, Sequence):
+        raise InputError("components must be a sequence, one mapping per "
+                         f"level, not {type(comps).__name__}")
+    if len(comps) != N + 1:
+        return f"expected {N + 1} components"
+    for n, comp in enumerate(comps):
+        if not isinstance(comp, Mapping):
+            raise InputError(f"component at level {n} must be a mapping of "
+                             f"cells, not {type(comp).__name__}")
+    return ""
+
+
 def simplicial_map_violations(f: SimplicialMap):
     """Totality and naturality failures of f; empty means f is simplicial.
 
@@ -813,16 +800,10 @@ def simplicial_map_violations(f: SimplicialMap):
     if X.truncation != Y.truncation:
         return [Violation("shape", -1, (), "",
                           f"truncations {X.truncation} != {Y.truncation}")]
-    if not isinstance(comps, Sequence):
-        raise InputError("components must be a sequence, one mapping per "
-                         f"level, not {type(comps).__name__}")
-    if len(comps) != X.truncation + 1:
-        return [Violation("shape", -1, (), "",
-                          f"expected {X.truncation + 1} components")]
+    shape = _components(comps, X.truncation)
+    if shape:
+        return [Violation("shape", -1, (), "", shape)]
     for n, comp in enumerate(comps):
-        if not isinstance(comp, Mapping):
-            raise InputError(f"component at level {n} must be a mapping of "
-                             f"cells, not {type(comp).__name__}")
         _totality(out, n, (), comp, X.level(n), Y.level_set(n),
                   "component", "image {!r} not a cell of the target")
     for kind, n, i in structure_maps(X.truncation):
@@ -860,7 +841,15 @@ def iso_check(f: SimplicialMap):
 
 
 def edgewise_map(f: SimplicialMap) -> SimplicialMap:
-    """Reindex a simplicial map along the subdivision of its ends."""
+    """Reindex a simplicial map along the subdivision of its ends.
+
+    Components that are not a sequence of one ``Mapping`` per level of
+    the source raise ``InputError``, with the texts of
+    ``simplicial_map_violations``.
+    """
+    shape = _components(f.components, f.source.truncation)
+    if shape:
+        raise InputError(shape)
     src = edgewise(f.source)
     tgt = edgewise(f.target)
     comps = tuple(dict(f.components[2 * n + 1])

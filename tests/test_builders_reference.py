@@ -1,18 +1,18 @@
 """The four table builders against their direct forms.
 
-``standard_simplex`` hands its cell data and rules to ``sset.tabulate``;
+``standard_simplex`` gathers each table from its cells' vertex columns;
 ``coskeletal_from_graph`` builds its tables a level at a time on its
 cells' edge columns, and ``nerve`` and ``bar`` through
-``cat._tabulate_strings``.  The references
-below build the same tables directly, one string per entry.  On random
-and defective inputs both must give the same saved bytes, table key
-order and violations, or raise the same error.  The builders must also
-share one string per cell between the levels and every table.
+``cat._tabulate_strings``.  The references below build the same tables
+one string per entry.  On random and defective inputs both must give the
+same saved bytes, table key order and violations, or raise the same
+error.  The builders must also share one string per cell between the
+levels and every table.
 """
 
 from itertools import product as iproduct
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgewise import io
 from edgewise.cat import (FinCategory, PartialMonoid, _check_names, bar,
@@ -406,6 +406,9 @@ def test_coskeletal_cap_fires_at_level_two_and_at_the_top_level():
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(-1, 11), st.integers(0, 4))
+@example(9, 3)      # the last k whose names are digit strings
+@example(10, 3)     # the first k whose names are dot-separated
+@example(0, 4)      # one cell per level
 def test_standard_simplex_matches_the_reference(k, N):
     N = min(N, 4 if k <= 4 else 3)
     assert outcome(standard_simplex, k, N) == \

@@ -43,9 +43,9 @@ def test_set_tier_beta_gamma_mismatch_and_its_witness():
 
 
 def test_same_pairs_enumerates_when_the_legs_differ():
-    P = Pullback.of_positions((0, 1), (0, 1), ("a", "b"), ("x", "y"))
-    Q = Pullback.of_positions((1, 0), (1, 0), ("a", "b"), ("x", "y"))
-    R = Pullback.of_positions((0, 0), (0, 1), ("a", "b"), ("x", "y"))
+    P = Pullback((0, 1), (0, 1), ("a", "b"), ("x", "y"))
+    Q = Pullback((1, 0), (1, 0), ("a", "b"), ("x", "y"))
+    R = Pullback((0, 0), (0, 1), ("a", "b"), ("x", "y"))
     assert P.f != Q.f and _same_pairs(P, Q)
     assert not _same_pairs(P, R)
     assert _same_pairs(P, Q, swap=True)

@@ -28,8 +28,8 @@ def reference_bijection(kind, indices, X, first, second, leg_first,
     outer = act_positions(first, X)
     inner = act_positions(second, X)
     f, g = act_positions(leg_first, X), act_positions(leg_second, X)
-    P = Pullback.of_positions(f, g, X.level(leg_first.cod_dim),
-                              X.level(leg_second.cod_dim))
+    P = Pullback(f, g, X.level(leg_first.cod_dim),
+                 X.level(leg_second.cod_dim))
     return _compare(kind, indices, X.level(first.cod_dim), outer, inner, P)
 
 

@@ -1,11 +1,13 @@
 """Names used from outside the package: exports, benchmark hooks and
-demos.
+demos; and no private name that the package itself does not use.
 
 ``perfbench/layertrace.py`` wraps the functions it names wherever they
 are bound, and the demos import from the public modules; both break
-silently when a name moves.
+silently when a name moves.  A private helper that only tests read is
+code the package keeps for no caller of its own.
 """
 
+import ast
 import glob
 import importlib
 import importlib.util
@@ -51,6 +53,27 @@ def test_every_exported_name_resolves(module):
     owner = importlib.import_module(module)
     assert [name for name in getattr(owner, "__all__", ())
             if not hasattr(owner, name)] == []
+
+
+def test_every_private_definition_is_used_in_the_package():
+    """Each module-level private function or class of ``src/edgewise``
+    is named, as a name or an attribute, in some other top-level
+    statement of the package."""
+    trees = [ast.parse(open(path).read()) for path in
+             sorted(glob.glob(os.path.join(ROOT, "src", "edgewise", "*.py")))]
+    statements = [stmt for tree in trees for stmt in tree.body]
+    named = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(stmt)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+             for stmt in statements]
+    unused = [stmt.name for stmt in statements
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and stmt.name.startswith("_")
+              and not stmt.name.startswith("__")
+              and not any(stmt.name in names
+                          for other, names in zip(statements, named)
+                          if other is not stmt)]
+    assert unused == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import re
 from functools import cache
 
 import pytest
@@ -21,7 +20,6 @@ from edgewise.sset import (
     standard_simplex,
     strict_pullback,
     structure_maps,
-    tabulate,
     validate,
 )
 
@@ -154,7 +152,7 @@ def test_simplicial_map_refuses_components_that_are_not_mappings(
         components, level, kind):
     X = standard_simplex(1, 2)
     f = SimplicialMap(X, X, components)
-    for check in (simplicial_map_violations, iso_check):
+    for check in (simplicial_map_violations, iso_check, edgewise_map):
         with pytest.raises(InputError) as caught:
             check(f)
         assert str(caught.value) == (f"component at level {level} must be "
@@ -164,11 +162,23 @@ def test_simplicial_map_refuses_components_that_are_not_mappings(
 def test_simplicial_map_refuses_components_that_are_not_a_sequence():
     X = standard_simplex(1, 2)
     f = SimplicialMap(X, X, None)
-    for check in (simplicial_map_violations, iso_check):
+    for check in (simplicial_map_violations, iso_check, edgewise_map):
         with pytest.raises(InputError) as caught:
             check(f)
         assert str(caught.value) == ("components must be a sequence, one "
                                      "mapping per level, not NoneType")
+
+
+@pytest.mark.parametrize("count", [2, 5])
+def test_edgewise_map_refuses_a_component_count_that_is_not_the_level_count(
+        count):
+    X = standard_simplex(1, 3)
+    f = SimplicialMap(X, X, ({},) * count)
+    with pytest.raises(InputError) as caught:
+        edgewise_map(f)
+    assert str(caught.value) == "expected 4 components"
+    assert [v.detail for v in simplicial_map_violations(f)] == \
+        ["expected 4 components"]
 
 
 def _with_face_value(X, value):
@@ -282,46 +292,6 @@ def test_in_range_is_membership_in_the_index_set(N):
             for i in range(-1, N + 2):
                 assert _in_range(kind, n, i, N) == ((kind, n, i) in maps), \
                     (kind, n, i)
-
-
-# -- tabulate ---------------------------------------------------------------
-
-
-def _simplex_rules(bad=None, image=None):
-    """The rules of ``standard_simplex``, except that the rule of the
-    structure map ``bad``, a (kind, n, i), sends the cell (0, 1) to
-    ``image``."""
-    def rules(kind, rule):
-        def at(n, i):
-            good = rule(n, i)
-            if (kind, n, i) != bad:
-                return good
-            return lambda c: image if c == (0, 1) else good(c)
-        return at
-
-    return (rules("face", lambda n, i: lambda c: c[:i] + c[i + 1:]),
-            rules("degeneracy", lambda n, i: lambda c: c[:i + 1] + c[i:]))
-
-
-def _digits(c):
-    return "".join(map(str, c))
-
-
-@pytest.mark.parametrize("bad, image", [
-    (("face", 1, 1), None),
-    (("face", 1, 0), (7,)),
-    (("degeneracy", 1, 0), None),
-    (("degeneracy", 1, 1), [0, 1, 1]),
-])
-def test_tabulate_refuses_an_image_that_is_no_cell(bad, image):
-    cells = [[a.values for a in all_monotone_maps(n, 1)] for n in range(3)]
-    assert tabulate(cells, *_simplex_rules(), _digits) == \
-        standard_simplex(1, 2)
-    kind, n, i = bad
-    with pytest.raises(InputError, match=re.escape(
-            f"{kind} ({n}, {i}) sends cell '01' to {image!r}, which is no "
-            "cell")):
-        tabulate(cells, *_simplex_rules(bad, image), _digits)
 
 
 # -- act beyond the truncation ----------------------------------------------

@@ -21,7 +21,7 @@ from edgewise import checks, io
 from edgewise.cat import bar, cyclic_monoid, nerve
 from edgewise.checks import (SET, CheckReport, RetractResult,
                              _beta_gamma_match, _bijection, _entry, _report,
-                             _same_pairs, _segal_indices, _two_segal_indices,
+                             _same_pairs, _segal_indices, _two_segal_level,
                              segal_check, segal_map, two_segal_check,
                              two_segal_map)
 from edgewise.corpus import (random_category, random_coskeletal_sset,
@@ -31,6 +31,12 @@ from edgewise.delta import (_ints, induced_subset_map, retract_retraction,
 from edgewise.errors import GenerationError, InputError
 from edgewise.sset import (TruncatedSSet, _gather, act_positions, edgewise,
                            op_reverse)
+
+
+def _two_segal_indices(truncation, mode):
+    """Every 2-Segal row of a set truncated there, in report order."""
+    for n in range(3, truncation + 1):
+        yield from _two_segal_level(n, mode)
 
 
 # -- the reference: the two-loop form, verbatim -----------------------------

@@ -3,10 +3,12 @@
 The set tier reads ``TruncatedSSet`` position tables and the groupoid
 tier ``TruncatedSGpd`` functors.  Each tier checks the type where it
 first reads an object: its act, its validator, its saver,
-``discrete_sgpd`` and ``nondegenerate_cells``.  So every entry point
-that reaches one of those names both types instead of ending in an
-``AttributeError`` or a ``TypeError`` deep inside, or in a misleading
-"not simplicial" error.
+``discrete_sgpd`` and ``nondegenerate_cells``, and each set-tier check
+and each tier's subdivision on entry, before any index or row work.
+So every entry point names both types instead of ending in an
+``AttributeError`` or a ``TypeError`` deep inside, in a misleading "not
+simplicial" error, or in a verdict on the other tier's object when its
+truncation leaves no row to compute.
 """
 
 import pytest
@@ -25,6 +27,9 @@ SET_TIER = {
     "two_segal_check": checks.two_segal_check,
     "theorem_verify": checks.theorem_verify,
     "beta_gamma_equality": lambda Z: checks.beta_gamma_equality(Z, 1, 1),
+    "retract_verify": lambda Z: checks.retract_verify(Z, 3, 2),
+    "retract_verify_reversed":
+        lambda Z: checks.retract_verify_reversed(Z, 3, 1),
     "edgewise": edgewise,
     "validate": validate,
     "act": lambda Z: act(identity(1), Z),
@@ -65,12 +70,34 @@ def test_the_groupoid_tier_refuses_a_set(name):
     lambda: groupoid.sgpd_segal_check(standard_simplex(1, 0)),
     lambda: groupoid.sgpd_two_segal_check(standard_simplex(1, 2)),
     lambda: groupoid.sgpd_beta_gamma_equality(standard_simplex(1, 2), 1, 1),
-], ids=["segal-0", "two-segal-2", "beta-gamma-2"])
+    lambda: groupoid.esd_gpd(standard_simplex(1, 2)),
+], ids=["segal-0", "two-segal-2", "beta-gamma-2", "esd-2"])
 def test_the_groupoid_checks_refuse_a_set_with_no_rows(call):
     with pytest.raises(InputError) as caught:
         call()
     assert str(caught.value) == \
         "expected a TruncatedSGpd, got a TruncatedSSet"
+
+
+def _shallow(truncation):
+    return groupoid.discrete_sgpd(standard_simplex(1, truncation))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: checks.segal_check(_shallow(0)),
+    lambda: checks.two_segal_check(_shallow(2)),
+    lambda: checks.beta_gamma_equality(_shallow(2), 1, 1),
+    lambda: checks.retract_verify(_shallow(2), 3, 2),
+    lambda: checks.retract_verify_reversed(_shallow(2), 3, 1),
+    lambda: checks.theorem_verify(_shallow(2)),
+    lambda: edgewise(_shallow(2)),
+], ids=["segal-0", "two-segal-2", "beta-gamma-2", "retract-2",
+        "retract-reversed-2", "theorem-2", "edgewise-2"])
+def test_the_set_checks_refuse_a_groupoid_with_no_rows(call):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == \
+        "expected a TruncatedSSet, got a TruncatedSGpd"
 
 
 def test_each_tier_still_takes_its_own():

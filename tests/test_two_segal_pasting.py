@@ -19,14 +19,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from edgewise import checks, groupoid, io
 from edgewise.cat import bar, cyclic_monoid, nerve
-from edgewise.checks import (SET, _entry, _pastes, _report,
-                             _two_segal_indices, two_segal_check,
+from edgewise.checks import (SET, _entry, _pastes, _report, two_segal_check,
                              two_segal_map)
 from edgewise.corpus import (random_category, random_coskeletal_sset,
                              random_partial_monoid, standard_corpus)
 from edgewise.errors import GenerationError, InputError
 from edgewise.groupoid import s_construction, sgpd_two_segal_check
-from test_theorem_one_pass import _broken
+from test_theorem_one_pass import _broken, _two_segal_indices
 
 
 def counted_report(X, mode):
