@@ -160,13 +160,15 @@ class Semantics:
     face into each factor, and of that face into [n]; it acts X on the
     ones it needs, forms the pullback of the legs and decides the
     level-n comparison into it.  ``name`` labels the tier's reports.
-    The set tier acts once on a row where one factor and its leg are
-    identities and the other factor is the other leg (see
-    ``_bijection``), and four times on every other row.  ``pastes(X)``,
-    where a tier has it, is the guard under which ``two_segal_rows``
-    infers passing rows from rows that pass (see ``_pastes``); a tier
-    without it computes every row.  Rows are yielded as they are
-    decided; reports list entries by index.
+    On a graph row (``_graph_row``), where one factor and its leg are
+    identities and the other factor is the other leg, neither tier
+    forms the pullback: the set tier acts once (``_bijection``), and
+    the groupoid tier passes the row without its iso-comma behind a
+    guard (``groupoid._graph_passes``).  ``pastes(X)``, where a tier
+    has it, is the guard under which ``two_segal_rows`` infers passing
+    rows from rows that pass (see ``_pastes``); a tier without it
+    computes every row.  Rows are yielded as they are decided; reports
+    list entries by index.
     """
 
     name: str
@@ -301,13 +303,8 @@ def _bijection(kind, indices, X, first, second, leg_first, leg_second,
     act reads none), so invalid tables raise the same error.  Every
     other comparison acts four times and is decided by ``_compare``.
     """
-    if second == leg_first and first.is_identity() and \
-            leg_second.is_identity():
-        flip = False
-    elif first == leg_second and second.is_identity() and \
-            leg_first.is_identity():
-        flip = True
-    else:
+    flip = _graph_row(first, second, leg_first, leg_second)
+    if flip is None:
         return _counted(kind, indices, X, first, second, leg_first,
                         leg_second)
     t = act_positions(first if flip else second, X)
@@ -321,6 +318,25 @@ def _bijection(kind, indices, X, first, second, leg_first, leg_second,
     outer, inner = (t, cells) if flip else (cells, t)
     return Comparison(kind, tuple(indices), tuple(domain), outer, inner, P,
                       "pass", None)
+
+
+def _graph_row(first, second, leg_first, leg_second):
+    """Whether the comparison of these inclusions is a graph row, one
+    whose comparison is the graph of the other factor's act: None if
+    not, else whether the factors are flipped.
+
+    Unflipped, the first factor and the second's leg are identities
+    and the second factor is the first's leg; flipped, the same with
+    the factors swapped.  Both tiers decide such a row without forming
+    the pullback of its legs.
+    """
+    if second == leg_first and first.is_identity() and \
+            leg_second.is_identity():
+        return False
+    if first == leg_second and second.is_identity() and \
+            leg_first.is_identity():
+        return True
+    return None
 
 
 def _counted(kind, indices, X, first, second, leg_first, leg_second):

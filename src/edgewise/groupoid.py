@@ -10,8 +10,9 @@ pointed sets supplies the worked example.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import (combinations_with_replacement, permutations,
                        product as iproduct)
@@ -19,7 +20,7 @@ from operator import itemgetter
 
 from .cat import FinCategory, LawViolation, tabulate_category, \
     validate_category
-from .checks import Semantics
+from .checks import Semantics, _graph_row
 # epi_mono_factorize is bound here too, for tracers that wrap it
 from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
@@ -341,6 +342,13 @@ class _IsoCommaCompose(Mapping):
         return sum(len(by_src_obj.get(tgt[m1], ())) for m1 in self._morphisms)
 
 
+def _reserved(*names):
+    """The first of these names that contains the '&' of iso-comma ids,
+    or None."""
+    return next((nm for group in names for nm in group if "&" in str(nm)),
+                None)
+
+
 def iso_comma(F: Functor, G: Functor) -> IsoComma:
     """Homotopy pullback of F and G: match objects up to a chosen iso.
 
@@ -355,11 +363,10 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     if not all(isinstance(E, FinGroupoid)
                for E in (C, F.source, G.source)):
         raise InputError("iso_comma needs groupoids throughout")
-    for names in (F.source.objects, F.source.morphisms,
-                  G.source.objects, G.source.morphisms, C.morphisms):
-        for nm in names:
-            if "&" in str(nm):
-                raise InputError(f"name {nm!r} contains the reserved '&'")
+    nm = _reserved(F.source.objects, F.source.morphisms, G.source.objects,
+                   G.source.morphisms, C.morphisms)
+    if nm is not None:
+        raise InputError(f"name {nm!r} contains the reserved '&'")
     objects = []
     obj_data = {}
     obj_by_pair = {}
@@ -568,22 +575,46 @@ def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
 
 @dataclass
 class SgpdComparison:
-    """A comparison functor into an iso-comma, with its verdict."""
+    """A comparison functor into an iso-comma, with its verdict.
+
+    ``parts`` gives each object and each morphism of ``source`` its
+    three components: its images under the two factors and the
+    identity at its image in the shared face.  The iso-comma of
+    ``legs`` and the functor into it, whose ids are made of those
+    components, are built on first access where the row was decided
+    without them (``_graph_passes``).
+    """
 
     kind: str
     indices: tuple
-    functor: Functor
-    comma: IsoComma
+    source: FinGroupoid = field(repr=False)
+    parts: tuple = field(repr=False)
+    legs: tuple = field(repr=False)
     verdict: str
     witness: tuple | None
+    codomain_size: int
 
     @property
     def domain_size(self):
-        return len(self.functor.source.objects)
+        return len(self.source.objects)
 
-    @property
-    def codomain_size(self):
-        return len(self.comma.groupoid.objects)
+    @cached_property
+    def comma(self) -> IsoComma:
+        return iso_comma(*self.legs)
+
+    @cached_property
+    def functor(self) -> Functor:
+        return _functor_into(self.comma, self.source, self.parts,
+                             f"{self.kind}{self.indices}")
+
+
+def _functor_into(IC: IsoComma, A, parts, name) -> Functor:
+    """The functor from A into IC whose ids are made of ``parts``."""
+    objects, morphisms = parts
+    return Functor(A, IC.groupoid,
+                   {x: IC.obj_id(*t) for x, t in objects.items()},
+                   {f: IC.mor_id(*t) for f, t in morphisms.items()},
+                   name=name)
 
 
 def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
@@ -591,16 +622,22 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     """Groupoid semantics: the functor into the iso-comma of the legs.
 
     The functor at ``shared`` must equal both composites of a factor
-    with its leg strictly, so every chosen iso is an identity.
+    with its leg strictly, so every chosen iso is an identity.  A graph
+    row (``checks._graph_row``) passes without its iso-comma when
+    ``_graph_passes`` holds; otherwise the iso-comma is built and the
+    functor into it is checked and decided.
     """
+    flip = _graph_row(first, second, leg_first, leg_second)
     n = first.cod_dim
     first, second, leg_first, leg_second, shared = (
         act_gpd(alpha, Y)
         for alpha in (first, second, leg_first, leg_second, shared))
     A = Y.level(n)
-    IC = iso_comma(leg_first, leg_second)
     C = leg_first.target
-    on_objects = {}
+    graph = flip is not None and leg_second.target is C and \
+        _graph_passes(A, leg_second if flip else leg_first)
+    IC = None if graph else iso_comma(leg_first, leg_second)
+    objects = {}
     for x in A.objects:
         a, b = first.on_objects[x], second.on_objects[x]
         try:
@@ -617,20 +654,89 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
                  b),
                 (f"identity of {C.name}", C.identity,
                  shared.on_objects[x])) from None
-        on_objects[x] = IC.obj_id(a, b, gamma)
-    on_morphisms = {}
+        objects[x] = (a, b, gamma)
+    morphisms = {}
     for f in A.morphisms:
         p, q = first.on_morphisms[f], second.on_morphisms[f]
         gamma = C.identity[shared.on_objects[A.src[f]]]
-        on_morphisms[f] = IC.mor_id(p, q, gamma)
-    H = Functor(A, IC.groupoid, on_objects, on_morphisms,
-                name=f"{kind}{indices}")
+        morphisms[f] = (p, q, gamma)
+    parts, legs = (objects, morphisms), (leg_first, leg_second)
+    if graph:
+        # the iso-comma has an object per x and γ leaving F x (entering
+        # it, flipped; inverses match the two)
+        leaving = Counter(C.src[g] for g in C.morphisms)
+        size = sum(leaving[shared.on_objects[x]] for x in A.objects)
+        return SgpdComparison(kind, tuple(indices), A, parts, legs, "pass",
+                              None, size)
+    H = _functor_into(IC, A, parts, f"{kind}{indices}")
     bad = functor_violations(H, _open_composites(
         H, IC, leg_first.source.compose, leg_second.source.compose))
     if bad:
         raise InputError(f"comparison is not a functor: {bad[0]}")
     verdict, witness = equivalence_verdict(H)
-    return SgpdComparison(kind, tuple(indices), H, IC, verdict, witness)
+    comp = SgpdComparison(kind, tuple(indices), A, parts, legs, verdict,
+                          witness, len(IC.groupoid.objects))
+    comp.comma, comp.functor = IC, H
+    return comp
+
+
+def _graph_passes(A, F) -> bool:
+    """Whether the graph row of F passes, decided without its iso-comma:
+    the guard of ``_equivalence``.
+
+    F: A -> C is the act of the row's factor that is not an identity;
+    the other factor and its leg are identities, of A and of C, and the
+    shared face is F's, since it is each factor after its leg.  The
+    comparison H sends x to (x, F x, id) and f to (f, F f, id) in the
+    iso-comma of F and the identity of C, the two components swapped
+    when the row is flipped; the argument below is for the unflipped
+    row, and the flipped one is its mirror.  The guard holds when:
+    - A and C are groupoids and no name of either contains '&';
+    - ``validate_groupoid(C)`` is clean (C is level 0 or 1);
+    - in A, every morphism's endpoints are objects, its inverse is a
+      morphism with the swapped endpoints, every identity is a morphism
+      from and to its object, and every compose key (g, f) -> h is of
+      morphisms with src g = tgt f, src h = src f and tgt h = tgt g;
+    - ``functor_violations(F)`` is empty.
+    Why that suffices:
+    - ``iso_comma`` and the building of H then read only total tables,
+      compose only composable pairs of C, and find every identity and
+      inverse they look up, so neither raises;
+    - H is a functor: its images are objects and morphisms of the
+      iso-comma, it keeps endpoints and identities because F does and
+      C's unit and inverse laws hold, and the components of each
+      composite compose in A (its key) and in C (F keeps it), so
+      ``_open_composites`` yields none;
+    - H is full and faithful: a morphism (p, q, id) from H x to H y has
+      q F(p)^-1 = id, so q = F p and it is H p, and the ids of distinct
+      p differ, names being distinct strings without '&';
+    - H is essentially surjective: (id, γ, id) goes from H a to any
+      object (a, c, γ).
+    So the row passes, with no witness.  Tables the guard cannot read
+    refuse it, and the row takes the full path.
+    """
+    C = F.target
+    if not (isinstance(A, FinGroupoid) and isinstance(C, FinGroupoid)) or \
+            _reserved(A.objects, A.morphisms, C.objects,
+                      C.morphisms) is not None:
+        return False
+    try:
+        objects = set(A.objects)
+        ends = {f: (A.src[f], A.tgt[f]) for f in A.morphisms}
+        for f, (a, b) in ends.items():
+            if a not in objects or b not in objects or \
+                    ends[A.inverse[f]] != (b, a):
+                return False
+        if any(ends[A.identity[a]] != (a, a) for a in A.objects):
+            return False
+        for (g, f), h in A.compose.items():
+            g_src, g_tgt = ends[g]
+            f_src, f_tgt = ends[f]
+            if g_src != f_tgt or ends[h] != (f_src, g_tgt):
+                return False
+        return not validate_groupoid(C) and not functor_violations(F)
+    except KeyError:
+        return False
 
 
 def _open_composites(H, IC, P, Q):
@@ -744,19 +850,21 @@ def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
     if pair is None:
         return SgpdBetaGamma(m, j, "out_of_truncation")
     beta, gamma = pair
+    (b_objects, b_morphisms), (g_objects, g_morphisms) = \
+        beta.parts, gamma.parts
     objects_equal = True
     morphisms_equal = True
     mismatch = None
-    for x in beta.functor.source.objects:
-        bi, bo, bg = beta.comma.obj_data[beta.functor.on_objects[x]]
-        go, gi, gg = gamma.comma.obj_data[gamma.functor.on_objects[x]]
+    for x in beta.source.objects:
+        bi, bo, bg = b_objects[x]
+        go, gi, gg = g_objects[x]
         if (bi, bo, bg) != (gi, go, gg):
             objects_equal = False
             mismatch = str(x)
             break
-    for f in beta.functor.source.morphisms:
-        bp, bq, bg = beta.comma.mor_data[beta.functor.on_morphisms[f]]
-        gp, gq, gg = gamma.comma.mor_data[gamma.functor.on_morphisms[f]]
+    for f in beta.source.morphisms:
+        bp, bq, bg = b_morphisms[f]
+        gp, gq, gg = g_morphisms[f]
         if (bp, bq, bg) != (gq, gp, gg):
             morphisms_equal = False
             mismatch = mismatch or str(f)

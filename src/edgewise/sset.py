@@ -695,17 +695,29 @@ def strict_pullback(f: dict, g: dict, codomain=None) -> Pullback:
 
     The legs number the values of both dicts in order of first
     appearance, f's before g's.  With ``codomain`` given, both tables
-    must take values inside it.
+    must take values inside it.  Anything but two dicts of hashable
+    values, and a codomain that is not an iterable of them, is an
+    ``InputError``.
     """
+    bad = InputError("strict_pullback needs two dicts of hashable values")
+    if not (isinstance(f, Mapping) and isinstance(g, Mapping)):
+        raise bad
+    try:
+        values = dict.fromkeys([*f.values(), *g.values()])
+    except TypeError:
+        raise bad from None
     if codomain is not None:
-        cod = set(codomain)
+        try:
+            cod = set(codomain)
+        except TypeError:
+            raise InputError("the codomain of strict_pullback must be an "
+                             "iterable of hashable values") from None
         for tab, side in ((f, "left"), (g, "right")):
             for v in tab.values():
                 if v not in cod:
                     raise InputError(
                         f"{side} table value {v!r} outside the codomain")
-    numbers = {v: p for p, v in
-               enumerate(dict.fromkeys([*f.values(), *g.values()]))}
+    numbers = {v: p for p, v in enumerate(values)}
     return Pullback(_gather(numbers, f.values()), _gather(numbers, g.values()),
                     tuple(f), tuple(g))
 

@@ -395,7 +395,10 @@ def test_comparison_composites_match_the_materialised_iso_comma(
         monkeypatch, truncation, corrupt, n, i):
     """The comparison's composites, checked on their components, give
     the violations, in order, of looking each one up in the whole
-    iso-comma; faces or levels are corrupted so that there are some."""
+    iso-comma; faces or levels are corrupted so that there are some.
+    Graph rows whose guard holds build no iso-comma and check no
+    comparison; the guard's own check of a structure functor passes no
+    composites and is not recorded."""
     Y = s_construction(3, truncation)
     corrupt(Y, n, i)
     legs, seen = [], []
@@ -408,6 +411,8 @@ def test_comparison_composites_match_the_materialised_iso_comma(
 
     def violations_spy(H, composites=None):
         got = real_violations(H, composites)
+        if composites is None:
+            return got
         objects, morphisms, src, tgt, identity, compose, inverse, _, _ = \
             reference_iso_comma(*legs[-1])
         whole = FinGroupoid(objects, morphisms, src, tgt, identity, compose,
@@ -429,7 +434,7 @@ def test_comparison_composites_match_the_materialised_iso_comma(
         except InputError as exc:
             assert str(exc) == \
                 f"comparison is not a functor: {seen[-1][1][0]}"
-    assert len(seen) == len(indices)
+    assert 0 < len(seen) == len(legs) <= len(indices)
     for got, want in seen:
         assert got == want
     laws = [v.law for got, _ in seen for v in got]

@@ -8,7 +8,7 @@ import pytest
 from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
-from edgewise.corpus import coskeletal_from_graph
+from edgewise.corpus import coskeletal_from_graph, standard_corpus
 from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
@@ -28,6 +28,7 @@ from edgewise.groupoid import (
     sgpd_segal_check,
     sgpd_segal_map,
     sgpd_two_segal_check,
+    sgpd_two_segal_map,
     validate_groupoid,
     validate_sgpd,
 )
@@ -396,27 +397,31 @@ def test_segal_map_reports_functor_sizes():
         sgpd_segal_map(D, 4, 1)
 
 
-def _checks(Y):
+def _results(Y):
     """The four checks an invalid simplicial groupoid reaches, each run
-    to its end or to its ``InputError``; what each gave."""
+    to its end or to its ``InputError``; what each gave: its value, or
+    the error's text."""
     out = []
     for check in (sgpd_segal_check, sgpd_two_segal_check,
                   lambda Z: [sgpd_beta_gamma_equality(Z, m, j)
                              for m in (1, 2) for j in range(1, m + 1)],
                   esd_gpd):
         try:
-            check(Y)
-            out.append("returned")
+            out.append(check(Y))
         except InputError as e:
             out.append(str(e))
     return out
 
 
-def test_one_broken_functor_entry_ends_in_input_error():
-    # every entry of every structure functor of the file, dropped or
-    # sent to an id the target level lacks or to another of its ids
-    doc = json.loads(io.save_sgpd(s_construction(2, 3)))
-    outcomes = set()
+def _checks(Y):
+    """``_results``, with each value that was returned as "returned"."""
+    return [r if isinstance(r, str) else "returned" for r in _results(Y)]
+
+
+def _broken_functor_entries(doc):
+    """Every entry of every structure functor of the file, dropped or
+    sent to an id the target level lacks or to another of its ids, and
+    each entry of a level's inverse dropped: one file per change."""
     for kind in ("face", "degeneracy"):
         for key, functor in doc[kind].items():
             for part, table in functor.items():
@@ -429,13 +434,51 @@ def test_one_broken_functor_entry_ends_in_input_error():
                             del broken[kind][key][part][entry]
                         else:
                             broken[kind][key][part][entry] = new
-                        outcomes.update(_checks(
-                            io.load_sgpd(json.dumps(broken))))
-    for n, level in enumerate(doc["levels"]):      # or a level's inverse
+                        yield broken
+    for n, level in enumerate(doc["levels"]):
         for entry in level["inverse"]:
             broken = json.loads(json.dumps(doc))
             del broken["levels"][n]["inverse"][entry]
-            outcomes.update(_checks(io.load_sgpd(json.dumps(broken))))
+            yield broken
+
+
+def _broken_level_entries(doc):
+    """Every entry of every level's compose, identity and inverse
+    tables, dropped or sent to "nope" or to another morphism, every
+    morphism's src and tgt sent to "nope" or to another object, and one
+    composite recorded for a pair that is not composable: one file per
+    change.  The loader refuses some of them."""
+    for n, level in enumerate(doc["levels"]):
+        ids = [m["id"] for m in level["morphisms"]]
+        for part in ("compose", "identity", "inverse"):
+            for entry, value in level[part].items():
+                for new in (None, "nope",
+                            ids[0] if value != ids[0] else ids[-1]):
+                    broken = json.loads(json.dumps(doc))
+                    if new is None:
+                        del broken["levels"][n][part][entry]
+                    else:
+                        broken["levels"][n][part][entry] = new
+                    yield broken
+        objects = level["objects"]
+        for k, record in enumerate(level["morphisms"]):
+            for end in ("src", "tgt"):
+                for new in ("nope", objects[0] if record[end] != objects[0]
+                            else objects[-1]):
+                    broken = json.loads(json.dumps(doc))
+                    broken["levels"][n]["morphisms"][k][end] = new
+                    yield broken
+        if len(objects) > 1:
+            broken = json.loads(json.dumps(doc))
+            broken["levels"][n]["compose"][f"{ids[0]},{ids[-1]}"] = ids[0]
+            yield broken
+
+
+def test_one_broken_functor_entry_ends_in_input_error():
+    doc = json.loads(io.save_sgpd(s_construction(2, 3)))
+    outcomes = set()
+    for broken in _broken_functor_entries(doc):
+        outcomes.update(_checks(io.load_sgpd(json.dumps(broken))))
     assert "returned" in outcomes
     assert "on_morphisms of face(2,0) has no entry 'm0'; input tables " \
         "are not valid" in outcomes
@@ -485,3 +528,105 @@ def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
                    {**{f: f for f in G.morphisms}, "u": "ix"}, name="bent")
     with pytest.raises(InputError, match="by signature has no entry"):
         iso_comma(bent, identity_functor(G))
+
+
+def _refused(monkeypatch):
+    """Refuse the graph-row guard: every row builds its iso-comma."""
+    monkeypatch.setattr(groupoid, "_graph_passes", lambda A, F: False)
+
+
+def _differ_from_refused(monkeypatch, instances):
+    """The ``_results`` of each instance that the real guard and the
+    refused one do not give alike."""
+    fast = [_results(Y) for Y in instances]
+    with monkeypatch.context() as patch:
+        _refused(patch)
+        full = [_results(Y) for Y in instances]
+    return [(k, a, b) for k, (a, b) in enumerate(zip(fast, full)) if a != b]
+
+
+def test_graph_row_guard_gives_what_the_full_path_gives_on_broken_files(
+        monkeypatch):
+    doc = json.loads(io.save_sgpd(s_construction(2, 3)))
+
+    instances = []
+    for broken in (*_broken_functor_entries(doc),
+                   *_broken_level_entries(doc)):
+        try:
+            instances.append(io.load_sgpd(json.dumps(broken)))
+        except InputError:
+            continue
+    outcomes = {r for Y in instances for r in _checks(Y)}
+    assert "returned" in outcomes and len(outcomes) > 10
+    assert _differ_from_refused(monkeypatch, instances) == []
+
+
+def test_graph_row_guard_gives_what_the_full_path_gives_on_clean_input(
+        monkeypatch):
+    # the corpus members the groupoid checks decide in well under a second
+    corpus = [c.sset for c in standard_corpus()
+              if max(c.sset.level_sizes()) <= 100]
+    assert len(corpus) > 30
+
+    instances = [s_construction(2, 4), s_construction(3, 3),
+                 *map(discrete_sgpd, corpus)]
+    assert _differ_from_refused(monkeypatch, instances) == []
+
+
+def test_clean_graph_rows_build_no_iso_comma(monkeypatch):
+    calls = []
+    real = groupoid.iso_comma
+
+    def counted(F, G):
+        calls.append((F.name, G.name))
+        return real(F, G)
+
+    monkeypatch.setattr(groupoid, "iso_comma", counted)
+    Y = s_construction(3, 3)
+    for check, rows, built in ((sgpd_two_segal_check, 6, 2),
+                               (sgpd_segal_check, 6, 3)):
+        calls.clear()
+        assert len(check(Y).entries) == rows
+        assert len(calls) == built
+    calls.clear()
+    assert sgpd_beta_gamma_equality(Y, 1, 1).verdict == "pass"
+    assert calls == []
+
+
+def _graph_rows(Y):
+    """(single-row map, groupoid, indices) of every graph row of Y and
+    of its subdivision: Segal rows (m, m), adjacent rows (n, i, i+1) and
+    long-edge rows (n, 0, n)."""
+    E = esd_gpd(Y)
+    rows = [(sgpd_segal_map, Z, (m, m))
+            for Z in (Y, E) for m in range(1, Z.truncation + 1)]
+    for n in range(3, Y.truncation + 1):
+        rows += [(sgpd_two_segal_map, Y, (n, i, i + 1)) for i in range(n)]
+        rows.append((sgpd_two_segal_map, Y, (n, 0, n)))
+    return rows
+
+
+@pytest.mark.parametrize("max_card, truncation", [(2, 4), (3, 3)])
+def test_graph_rows_build_their_iso_comma_on_access(monkeypatch, max_card,
+                                                    truncation):
+    Y = s_construction(max_card, truncation)
+    rows = _graph_rows(Y)
+    fast = [row(Z, *idx) for row, Z, idx in rows]
+    with monkeypatch.context() as patch:
+        _refused(patch)
+        full = [row(Z, *idx) for row, Z, idx in rows]
+    for comp, ref in zip(fast, full):
+        assert "comma" not in vars(comp) and "functor" not in vars(comp)
+        assert comp.verdict == ref.verdict == "pass"
+        assert comp.witness is ref.witness is None
+        assert comp.codomain_size == ref.codomain_size == \
+            len(comp.comma.groupoid.objects)
+        assert comp.parts == ref.parts
+        assert groupoid_equivalence(comp.functor) == []
+        for part in ("on_objects", "on_morphisms", "name"):
+            assert getattr(comp.functor, part) == getattr(ref.functor, part)
+        assert comp.functor.source is ref.functor.source
+        assert comp.comma.obj_data == ref.comma.obj_data
+        assert comp.comma.mor_data == ref.comma.mor_data
+        assert comp.comma.groupoid.objects == ref.comma.groupoid.objects
+        assert comp.comma.groupoid.morphisms == ref.comma.groupoid.morphisms

@@ -98,6 +98,14 @@ def test_strict_pullback_codomain_mismatch():
         strict_pullback({"x": "c"}, {"y": "c"}, codomain=["d"])
 
 
+@pytest.mark.parametrize("args", [
+    ({"a": []}, {}), (None, {}), ({}, [("y", "c")]), ({}, {"y": {}}),
+    ({"x": "c"}, {"y": "c"}, 3), ({"x": "c"}, {"y": "c"}, [[]])])
+def test_strict_pullback_refuses_what_is_not_two_tables(args):
+    with pytest.raises(InputError):
+        strict_pullback(*args)
+
+
 def test_edgewise_of_triangle_counts():
     E = edgewise(standard_simplex(2, 5))
     assert validate(E) == []
