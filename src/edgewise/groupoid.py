@@ -61,7 +61,8 @@ class FinGroupoid(FinCategory):
     """A finite category in which every morphism has a recorded inverse.
 
     ``inverse`` is copied like the other tables: with ``copy=False`` it
-    is kept as given.
+    is kept as given.  ``_well_formed`` and ``_valid`` are decided on
+    first need and kept, the tables being immutable.
     """
 
     def __init__(self, objects, morphisms, src, tgt, identity, compose,
@@ -71,6 +72,44 @@ class FinGroupoid(FinCategory):
         if inverse is None:
             inverse = {}
         self.inverse = dict(inverse) if copy else inverse
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        """Whether no name contains '&', every morphism's endpoints are
+        objects, its inverse is a morphism with the swapped endpoints,
+        every identity is a morphism from and to its object, and every
+        compose entry (g, f) -> h is of morphisms with src g = tgt f,
+        src h = src f and tgt h = tgt g; False where a table lacks an
+        entry."""
+        if _reserved(self.objects, self.morphisms) is not None:
+            return False
+        try:
+            objects = set(self.objects)
+            ends = {f: (self.src[f], self.tgt[f]) for f in self.morphisms}
+            for f, (a, b) in ends.items():
+                if a not in objects or b not in objects or \
+                        ends[self.inverse[f]] != (b, a):
+                    return False
+            if any(ends[self.identity[a]] != (a, a) for a in self.objects):
+                return False
+            for (g, f), h in self.compose.items():
+                g_src, g_tgt = ends[g]
+                f_src, f_tgt = ends[f]
+                if g_src != f_tgt or ends[h] != (f_src, g_tgt):
+                    return False
+            return True
+        except KeyError:
+            return False
+
+    @cached_property
+    def _valid(self) -> bool:
+        """Whether no name contains '&' and ``validate_groupoid`` finds
+        nothing; False where a table lacks an entry."""
+        try:
+            return _reserved(self.objects, self.morphisms) is None and \
+                not validate_groupoid(self)
+        except KeyError:
+            return False
 
 
 def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
@@ -99,16 +138,47 @@ def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
 
 @dataclass
 class Functor:
-    """Object and morphism assignments between finite categories."""
+    """Object and morphism assignments between finite categories.
+
+    The tables are immutable once a check has read them: whether
+    ``functor_violations`` finds nothing is decided on first need and
+    kept (``_sound``).  ``compose_functors`` records in ``_bases`` the
+    functors a composite chains, in the order they apply, leaving out
+    identities and intermediate composites; it is () for an identity
+    and None for a functor given by its tables.
+    """
 
     source: FinCategory
     target: FinCategory
     on_objects: dict
     on_morphisms: dict
     name: str = ""
+    _bases: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __repr__(self):
         return f"<functor {self.name or '?'}>"
+
+    @cached_property
+    def _sound(self) -> bool:
+        """Whether ``functor_violations(self)`` is empty; False where it
+        meets a missing entry.
+
+        A composite whose bases are sound, on a ``_well_formed`` source,
+        is sound without a walk: each compose entry of the source is of
+        morphisms, each base sends such an entry to one of its target
+        with its images, and keeps endpoints and identities, so the
+        chain does too.  Any other functor is walked.
+        """
+        if self._bases is not None and \
+                isinstance(self.source, FinGroupoid) and \
+                self.source._well_formed and \
+                all(F._sound for F in self._bases):
+            return True
+        try:
+            return not functor_violations(self)
+        except KeyError:
+            return False
 
 
 def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
@@ -118,8 +188,13 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     Composition is checked on ``composites``, source composites
     ((g, f), h) in the order their violations are listed; by default
     every item of ``F.source.compose``.  A caller that has shown some
-    of them preserved by other means passes the rest.
+    of them preserved by other means passes the rest.  ``InputError``
+    if either assignment is not a mapping.
     """
+    if not (isinstance(F.on_objects, Mapping) and
+            isinstance(F.on_morphisms, Mapping)):
+        raise InputError(f"{F.name or 'a functor'} needs mappings "
+                         "on_objects and on_morphisms")
     out = []
     objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
@@ -162,17 +237,24 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
 
 
 def identity_functor(A: FinCategory) -> Functor:
-    return Functor(A, A, {a: a for a in A.objects},
-                   {f: f for f in A.morphisms}, name=f"id[{A.name}]")
+    out = Functor(A, A, {a: a for a in A.objects},
+                  {f: f for f in A.morphisms}, name=f"id[{A.name}]")
+    out._bases = ()
+    return out
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
     """G after F; sources and targets must chain, and G's tables must
-    have an entry for every image of F."""
+    have an entry for every image of F.  The composite records the
+    bases of both (``Functor._bases``)."""
     if F.target is not G.source and F.target != G.source:
         raise InputError("functors do not chain")
-    return Functor(F.source, G.target, _after(G, F, "on_objects"),
-                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
+    out = Functor(F.source, G.target, _after(G, F, "on_objects"),
+                  _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
+    out._bases = tuple(
+        base for H in (F, G)
+        for base in ((H,) if H._bases is None else H._bases))
+    return out
 
 
 def _after(G: Functor, F: Functor, part: str) -> dict:
@@ -218,23 +300,39 @@ def groupoid_equivalence(F: Functor) -> list[LawViolation]:
     Faithfulness witnesses are parallel pairs with equal image;
     fullness witnesses name the unreached target morphism; essential
     surjectivity witnesses name an unreached component representative.
+    ``InputError`` if F lacks an entry for a source object or morphism,
+    or sends an object outside its target.
     """
     out = []
-    for a in F.source.objects:
-        for b in F.source.objects:
-            image = {}
-            for f in F.source.hom(a, b):
-                g = F.on_morphisms[f]
-                if g in image:
-                    out.append(LawViolation(
-                        "faithful", (image[g], f), f"both map to {g!r}"))
-                image.setdefault(g, f)
-            for g in F.target.hom(F.on_objects[a], F.on_objects[b]):
-                if g not in image:
-                    out.append(LawViolation(
-                        "full", (a, b, g), "no preimage in this hom-set"))
+    name = F.name or "a functor"
+    try:
+        at = {a: F.on_objects[a] for a in F.source.objects}
+    except KeyError as e:
+        raise _missing((f"on_objects of {name}", F.on_objects,
+                        e.args[0])) from None
+    try:
+        for a in F.source.objects:
+            for b in F.source.objects:
+                image = {}
+                for f in F.source.hom(a, b):
+                    g = F.on_morphisms[f]
+                    if g in image:
+                        out.append(LawViolation(
+                            "faithful", (image[g], f), f"both map to {g!r}"))
+                    image.setdefault(g, f)
+                for g in F.target.hom(at[a], at[b]):
+                    if g not in image:
+                        out.append(LawViolation(
+                            "full", (a, b, g), "no preimage in this hom-set"))
+    except KeyError as e:
+        raise _missing((f"on_morphisms of {name}", F.on_morphisms,
+                        e.args[0])) from None
     classes = iso_classes(F.target)
-    reached = {classes[F.on_objects[a]] for a in F.source.objects}
+    try:
+        reached = {classes[at[a]] for a in F.source.objects}
+    except KeyError as e:
+        raise _missing((f"objects of {F.target.name or 'its target'}",
+                        classes, e.args[0])) from None
     for rep in sorted(set(classes.values())):
         if rep not in reached:
             out.append(LawViolation("essentially-surjective", (rep,),
@@ -464,7 +562,9 @@ class TruncatedSGpd(SimplicialTables):
     """A truncated simplicial object in finite groupoids.
 
     Structure maps are functors and the simplicial identities are
-    required strictly, on objects and on morphisms alike.
+    required strictly, on objects and on morphisms alike.  The levels'
+    and functors' tables are immutable once a check has read them: the
+    facts the checks decide about them are kept on them.
     """
 
     truncation: int
@@ -625,7 +725,8 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     with its leg strictly, so every chosen iso is an identity.  A graph
     row (``checks._graph_row``) passes without its iso-comma when
     ``_graph_passes`` holds; otherwise the iso-comma is built and the
-    functor into it is checked and decided.
+    functor into it is checked and decided; both read facts kept on
+    the structure functors and levels (``Functor._sound``).
     """
     flip = _graph_row(first, second, leg_first, leg_second)
     n = first.cod_dim
@@ -669,10 +770,15 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
         return SgpdComparison(kind, tuple(indices), A, parts, legs, "pass",
                               None, size)
     H = _functor_into(IC, A, parts, f"{kind}{indices}")
-    bad = functor_violations(H, _open_composites(
-        H, IC, leg_first.source.compose, leg_second.source.compose))
-    if bad:
-        raise InputError(f"comparison is not a functor: {bad[0]}")
+    # no composite walk where it can find nothing (``_open_composites``)
+    if not (isinstance(A, FinGroupoid) and A._well_formed and
+            first.target is leg_first.source and first._sound and
+            second.target is leg_second.source and second._sound and
+            not functor_violations(H, ())):
+        bad = functor_violations(H, _open_composites(
+            H, IC, leg_first.source.compose, leg_second.source.compose))
+        if bad:
+            raise InputError(f"comparison is not a functor: {bad[0]}")
     verdict, witness = equivalence_verdict(H)
     comp = SgpdComparison(kind, tuple(indices), A, parts, legs, verdict,
                           witness, len(IC.groupoid.objects))
@@ -692,12 +798,14 @@ def _graph_passes(A, F) -> bool:
     when the row is flipped; the argument below is for the unflipped
     row, and the flipped one is its mirror.  The guard holds when:
     - A and C are groupoids and no name of either contains '&';
-    - ``validate_groupoid(C)`` is clean (C is level 0 or 1);
     - in A, every morphism's endpoints are objects, its inverse is a
       morphism with the swapped endpoints, every identity is a morphism
       from and to its object, and every compose key (g, f) -> h is of
-      morphisms with src g = tgt f, src h = src f and tgt h = tgt g;
-    - ``functor_violations(F)`` is empty.
+      morphisms with src g = tgt f, src h = src f and tgt h = tgt g
+      (``A._well_formed``);
+    - ``validate_groupoid(C)`` is clean (``C._valid``; C is level 0 or
+      1);
+    - ``functor_violations(F)`` is empty (``F._sound``).
     Why that suffices:
     - ``iso_comma`` and the building of H then read only total tables,
       compose only composable pairs of C, and find every identity and
@@ -716,27 +824,8 @@ def _graph_passes(A, F) -> bool:
     refuse it, and the row takes the full path.
     """
     C = F.target
-    if not (isinstance(A, FinGroupoid) and isinstance(C, FinGroupoid)) or \
-            _reserved(A.objects, A.morphisms, C.objects,
-                      C.morphisms) is not None:
-        return False
-    try:
-        objects = set(A.objects)
-        ends = {f: (A.src[f], A.tgt[f]) for f in A.morphisms}
-        for f, (a, b) in ends.items():
-            if a not in objects or b not in objects or \
-                    ends[A.inverse[f]] != (b, a):
-                return False
-        if any(ends[A.identity[a]] != (a, a) for a in A.objects):
-            return False
-        for (g, f), h in A.compose.items():
-            g_src, g_tgt = ends[g]
-            f_src, f_tgt = ends[f]
-            if g_src != f_tgt or ends[h] != (f_src, g_tgt):
-                return False
-        return not validate_groupoid(C) and not functor_violations(F)
-    except KeyError:
-        return False
+    return isinstance(A, FinGroupoid) and isinstance(C, FinGroupoid) and \
+        A._well_formed and C._valid and F._sound
 
 
 def _open_composites(H, IC, P, Q):
@@ -747,6 +836,14 @@ def _open_composites(H, IC, P, Q):
     ends, H(h) starts where H(f) does, and the components compose in
     the legs' sources: p(g)∘p(f) = p(h) in P and q(g)∘q(f) = q(h) in Q.
     Only the composites that fail this are left to a lookup.
+
+    ``_equivalence`` skips this walk when it can yield nothing: when A
+    is ``_well_formed``, both factors are ``_sound`` functors into the
+    legs' sources and ``functor_violations(H, ())`` is empty.  Then
+    each composite (g, f) -> h is of morphisms of A with src g = tgt f
+    and src h = src f, H keeps those endpoints, and its components,
+    read back from the '&'-free ids, compose because the factors keep
+    composites.
     """
     mor_data, src, tgt = IC.mor_data, IC.groupoid.src, IC.groupoid.tgt
     ends = {}

@@ -393,15 +393,17 @@ def _stray_composite(Y, n, i):
     (3, _twist_one_face, 3, 0)])
 def test_comparison_composites_match_the_materialised_iso_comma(
         monkeypatch, truncation, corrupt, n, i):
-    """The comparison's composites, checked on their components, give
-    the violations, in order, of looking each one up in the whole
-    iso-comma; faces or levels are corrupted so that there are some.
-    Graph rows whose guard holds build no iso-comma and check no
-    comparison; the guard's own check of a structure functor passes no
-    composites and is not recorded."""
+    """The comparison's last check, on its components or, when its
+    factors are sound functors, on none, gives the violations, in
+    order, of looking each composite up in the whole iso-comma; faces
+    or levels are corrupted so that there are some.  A comparison may
+    first be checked on no composites and then walked; only the last
+    check of each iso-comma is recorded.  Graph rows whose guard holds
+    build no iso-comma and check no comparison; checks of a structure
+    functor pass no composites and are not recorded."""
     Y = s_construction(3, truncation)
     corrupt(Y, n, i)
-    legs, seen = [], []
+    legs, last = [], {}
     real_iso_comma, real_violations = groupoid.iso_comma, \
         groupoid.functor_violations
 
@@ -417,8 +419,8 @@ def test_comparison_composites_match_the_materialised_iso_comma(
             reference_iso_comma(*legs[-1])
         whole = FinGroupoid(objects, morphisms, src, tgt, identity, compose,
                             inverse=inverse)
-        seen.append((got, real_violations(Functor(
-            H.source, whole, H.on_objects, H.on_morphisms))))
+        last[len(legs)] = (got, real_violations(Functor(
+            H.source, whole, H.on_objects, H.on_morphisms)))
         return got
 
     monkeypatch.setattr(groupoid, "iso_comma", iso_comma_spy)
@@ -433,7 +435,8 @@ def test_comparison_composites_match_the_materialised_iso_comma(
                 Y, *index)
         except InputError as exc:
             assert str(exc) == \
-                f"comparison is not a functor: {seen[-1][1][0]}"
+                f"comparison is not a functor: {last[len(legs)][1][0]}"
+    seen = list(last.values())
     assert 0 < len(seen) == len(legs) <= len(indices)
     for got, want in seen:
         assert got == want

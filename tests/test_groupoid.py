@@ -2,6 +2,7 @@
 simplicial groupoid of triangular arrays."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph, standard_corpus
+from edgewise.delta import all_monotone_maps
 from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
@@ -33,6 +35,8 @@ from edgewise.groupoid import (
     validate_sgpd,
 )
 from edgewise.sset import edgewise
+from test_gpd_index import (_retarget_one_image, _stray_composite,
+                            _swap_one_image, _twist_one_face)
 
 
 def point_groupoid():
@@ -520,6 +524,40 @@ def test_every_image_outside_the_target_level_ends_in_input_error():
             "'nope', which is not in level 0; input tables are not valid"
 
 
+def test_equivalence_of_a_functor_that_is_not_total_raises_input_error():
+    F = s_construction(2, 2).face[(1, 0)]
+    bare = Functor(F.source, F.target, {}, {})
+    for check in (groupoid_equivalence, equivalence_verdict):
+        with pytest.raises(InputError) as exc:
+            check(bare)
+        assert str(exc.value) == "on_objects of a functor has no entry " \
+            "'x0'; input tables are not valid"
+    named = Functor(F.source, F.target, dict(F.on_objects), {}, name="d")
+    with pytest.raises(InputError) as exc:
+        groupoid_equivalence(named)
+    assert str(exc.value) == "on_morphisms of d has no entry 'm0'; input " \
+        "tables are not valid"
+    astray = Functor(F.source, F.target, {**F.on_objects, "x0": "nope"},
+                     F.on_morphisms)
+    with pytest.raises(InputError) as exc:
+        equivalence_verdict(astray)
+    assert str(exc.value) == "objects of S0 has no entry 'nope'; input " \
+        "tables are not valid"
+    assert equivalence_verdict(F) == equivalence_verdict(
+        Functor(F.source, F.target, F.on_objects, F.on_morphisms))
+
+
+def test_functor_tables_that_are_not_mappings_raise_input_error():
+    A = s_construction(2, 2).levels[1]
+    for tables in ((None, None), ({}, None), ([], {}), (A.identity, ())):
+        with pytest.raises(InputError) as exc:
+            functor_violations(Functor(A, A, *tables, name="bad"))
+        assert str(exc.value) == \
+            "bad needs mappings on_objects and on_morphisms"
+    with pytest.raises(InputError, match="^a functor needs mappings"):
+        functor_violations(Functor(A, A, None, None))
+
+
 def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
     # u: x -> y sent to the identity of x: its composites are defined,
     # but the iso-comma has no morphism inverting (u, id)
@@ -531,13 +569,18 @@ def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
 
 
 def _refused(monkeypatch):
-    """Refuse the graph-row guard: every row builds its iso-comma."""
+    """Refuse the graph-row guard and the facts kept on functors and
+    levels: every row builds its iso-comma and walks the composites of
+    its comparison."""
     monkeypatch.setattr(groupoid, "_graph_passes", lambda A, F: False)
+    monkeypatch.setattr(Functor, "_sound", property(lambda F: False))
+    for fact in ("_well_formed", "_valid"):
+        monkeypatch.setattr(FinGroupoid, fact, property(lambda G: False))
 
 
 def _differ_from_refused(monkeypatch, instances):
-    """The ``_results`` of each instance that the real guard and the
-    refused one do not give alike."""
+    """The ``_results`` of each instance that the real guard and facts
+    and the refused ones do not give alike."""
     fast = [_results(Y) for Y in instances]
     with monkeypatch.context() as patch:
         _refused(patch)
@@ -571,6 +614,103 @@ def test_graph_row_guard_gives_what_the_full_path_gives_on_clean_input(
     instances = [s_construction(2, 4), s_construction(3, 3),
                  *map(discrete_sgpd, corpus)]
     assert _differ_from_refused(monkeypatch, instances) == []
+
+
+def test_kept_facts_give_what_the_walks_give_on_corrupted_functors(
+        monkeypatch):
+    # faces that stop being functors, a face that is still a functor but
+    # no longer meets the others, and a level with a stray composite
+    instances = []
+    for truncation, corrupt, n, i in (
+            (2, _swap_one_image, 2, 0), (2, _swap_one_image, 2, 2),
+            (2, _stray_composite, 2, 5), (3, _retarget_one_image, 3, 0),
+            (3, _twist_one_face, 3, 0), (3, _swap_one_image, 2, 1),
+            (3, _stray_composite, 3, 0)):
+        Y = s_construction(3, truncation)
+        corrupt(Y, n, i)
+        instances.append(Y)
+    outcomes = [_checks(Y) for Y in instances]
+    assert any("returned" in o for o in outcomes)
+    assert any(r.startswith("comparison is not a functor")
+               for o in outcomes for r in o)
+    assert _differ_from_refused(monkeypatch, instances) == []
+
+
+def _stray_across(Y, n, i=None):
+    """Record a composite "nowhere" for a pair of level-n morphisms whose
+    images under every face of level n are not composable: each face
+    still keeps every composite, while their composites down to level 0
+    do not.  ``i`` is ignored; it matches the corruptions of
+    ``test_gpd_index``."""
+    A = Y.levels[n]
+    faces = [Y.face[(n, k)] for k in range(n + 1)]
+    g, f = next((g, f) for g in A.morphisms for f in A.morphisms
+                if all(F.on_objects[A.src[g]] != F.on_objects[A.tgt[f]]
+                       for F in faces))
+    A.compose[(g, f)] = "nowhere"
+
+
+def test_kept_soundness_is_the_walk_on_every_act():
+    mixed = 0
+    for corrupt, n, i in ((None, 0, 0), (_swap_one_image, 2, 0),
+                          (_retarget_one_image, 3, 0),
+                          (_twist_one_face, 3, 0), (_stray_composite, 2, 5),
+                          (_stray_across, 2, None), (_stray_across, 3, None)):
+        Y = s_construction(3, 3)
+        if corrupt is not None:
+            corrupt(Y, n, i)
+        for alpha in (a for m, k in product(range(4), repeat=2)
+                      for a in all_monotone_maps(m, k)):
+            try:
+                F = act_gpd(alpha, Y)
+            except InputError:
+                continue
+            try:
+                walked = not functor_violations(F)
+            except KeyError:
+                walked = False
+            assert F._sound is walked, (corrupt, alpha)
+            mixed += not walked and all(B._sound for B in F._bases)
+    assert mixed
+
+
+def test_one_clean_op_walks_each_structure_functor_at_most_once(
+        monkeypatch):
+    """The four checks of one S-construction op walk no composite: each
+    structure functor is walked at most once, each level's laws are
+    validated at most once, and no comparison's composites are walked."""
+    walked, validated, opened = [], [], []
+    real_violations, real_validate, real_open = (
+        groupoid.functor_violations, groupoid.validate_groupoid,
+        groupoid._open_composites)
+
+    def violations_spy(F, composites=None):
+        if composites is None:
+            walked.append(F)
+        return real_violations(F, composites)
+
+    def validate_spy(G):
+        validated.append(G)
+        return real_validate(G)
+
+    def open_spy(*args):
+        opened.append(args)
+        yield from real_open(*args)
+
+    monkeypatch.setattr(groupoid, "functor_violations", violations_spy)
+    monkeypatch.setattr(groupoid, "validate_groupoid", validate_spy)
+    monkeypatch.setattr(groupoid, "_open_composites", open_spy)
+    Y = s_construction(3, 3)
+    reports = (sgpd_segal_check(Y), sgpd_segal_check(esd_gpd(Y)),
+               sgpd_beta_gamma_equality(Y, 1, 1), sgpd_two_segal_check(Y))
+    assert [r.overall if hasattr(r, "overall") else r.verdict
+            for r in reports] == ["fail", "pass", "pass", "pass"]
+    bases = [*Y.face.values(), *Y.degeneracy.values()]
+    assert walked and all(any(F is B for B in bases) for F in walked)
+    assert len({id(F) for F in walked}) == len(walked)
+    assert validated and len({id(G) for G in validated}) == len(validated)
+    assert all(any(G is L for L in Y.levels) for G in validated)
+    assert opened == []
 
 
 def test_clean_graph_rows_build_no_iso_comma(monkeypatch):
