@@ -164,7 +164,7 @@ class Semantics:
     identities and the other factor is the other leg, neither tier
     forms the pullback: the set tier acts once (``_bijection``), and
     the groupoid tier passes the row without its iso-comma behind a
-    guard (``groupoid._graph_passes``).  ``pastes(X)``, where a tier
+    guard (``groupoid._factors_sound``).  ``pastes(X)``, where a tier
     has it, is the guard under which ``two_segal_rows`` infers passing
     rows from rows that pass (see ``_pastes``); a tier without it
     computes every row.  Rows are yielded as they are decided; reports

@@ -187,14 +187,10 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
 
     Composition is checked on ``composites``, source composites
     ((g, f), h) in the order their violations are listed; by default
-    every item of ``F.source.compose``.  A caller that has shown some
-    of them preserved by other means passes the rest.  ``InputError``
-    if either assignment is not a mapping.
+    every item of ``F.source.compose``; ``()`` checks none.
+    ``InputError`` if either assignment is not a mapping.
     """
-    if not (isinstance(F.on_objects, Mapping) and
-            isinstance(F.on_morphisms, Mapping)):
-        raise InputError(f"{F.name or 'a functor'} needs mappings "
-                         "on_objects and on_morphisms")
+    _mappings(F)
     out = []
     objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
@@ -236,6 +232,16 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     return out + stray
 
 
+def _mappings(*functors):
+    """``InputError`` naming the first of ``functors`` whose object or
+    morphism assignment is not a mapping."""
+    for F in functors:
+        if not (isinstance(F.on_objects, Mapping) and
+                isinstance(F.on_morphisms, Mapping)):
+            raise InputError(f"{F.name or 'a functor'} needs mappings "
+                             "on_objects and on_morphisms")
+
+
 def identity_functor(A: FinCategory) -> Functor:
     out = Functor(A, A, {a: a for a in A.objects},
                   {f: f for f in A.morphisms}, name=f"id[{A.name}]")
@@ -249,6 +255,7 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     bases of both (``Functor._bases``)."""
     if F.target is not G.source and F.target != G.source:
         raise InputError("functors do not chain")
+    _mappings(F, G)
     out = Functor(F.source, G.target, _after(G, F, "on_objects"),
                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
     out._bases = tuple(
@@ -301,8 +308,10 @@ def groupoid_equivalence(F: Functor) -> list[LawViolation]:
     fullness witnesses name the unreached target morphism; essential
     surjectivity witnesses name an unreached component representative.
     ``InputError`` if F lacks an entry for a source object or morphism,
-    or sends an object outside its target.
+    or sends an object outside its target, or if either assignment is
+    not a mapping.
     """
+    _mappings(F)
     out = []
     name = F.name or "a functor"
     try:
@@ -465,6 +474,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                    G.source.morphisms, C.morphisms)
     if nm is not None:
         raise InputError(f"name {nm!r} contains the reserved '&'")
+    _mappings(F, G)
     objects = []
     obj_data = {}
     obj_by_pair = {}
@@ -682,7 +692,7 @@ class SgpdComparison:
     identity at its image in the shared face.  The iso-comma of
     ``legs`` and the functor into it, whose ids are made of those
     components, are built on first access where the row was decided
-    without them (``_graph_passes``).
+    without them (``_factors_sound``).
     """
 
     kind: str
@@ -723,10 +733,11 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
 
     The functor at ``shared`` must equal both composites of a factor
     with its leg strictly, so every chosen iso is an identity.  A graph
-    row (``checks._graph_row``) passes without its iso-comma when
-    ``_graph_passes`` holds; otherwise the iso-comma is built and the
-    functor into it is checked and decided; both read facts kept on
-    the structure functors and levels (``Functor._sound``).
+    row (``checks._graph_row``) passes without its iso-comma where
+    ``_factors_sound`` holds and the legs' target is ``_valid``.  Any
+    other row builds its iso-comma, and checks the comparison H into it
+    on no composites where ``_factors_sound`` holds and H keeps
+    endpoints and identities, and on every composite otherwise.
     """
     flip = _graph_row(first, second, leg_first, leg_second)
     n = first.cod_dim
@@ -736,7 +747,8 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     A = Y.level(n)
     C = leg_first.target
     graph = flip is not None and leg_second.target is C and \
-        _graph_passes(A, leg_second if flip else leg_first)
+        isinstance(C, FinGroupoid) and C._valid and \
+        _factors_sound(A, first, second, leg_first, leg_second)
     IC = None if graph else iso_comma(leg_first, leg_second)
     objects = {}
     for x in A.objects:
@@ -770,13 +782,9 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
         return SgpdComparison(kind, tuple(indices), A, parts, legs, "pass",
                               None, size)
     H = _functor_into(IC, A, parts, f"{kind}{indices}")
-    # no composite walk where it can find nothing (``_open_composites``)
-    if not (isinstance(A, FinGroupoid) and A._well_formed and
-            first.target is leg_first.source and first._sound and
-            second.target is leg_second.source and second._sound and
+    if not (_factors_sound(A, first, second, leg_first, leg_second) and
             not functor_violations(H, ())):
-        bad = functor_violations(H, _open_composites(
-            H, IC, leg_first.source.compose, leg_second.source.compose))
+        bad = functor_violations(H)
         if bad:
             raise InputError(f"comparison is not a functor: {bad[0]}")
     verdict, witness = equivalence_verdict(H)
@@ -786,82 +794,54 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     return comp
 
 
-def _graph_passes(A, F) -> bool:
-    """Whether the graph row of F passes, decided without its iso-comma:
-    the guard of ``_equivalence``.
+def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
+    """Whether the facts hold under which ``_equivalence`` decides the
+    comparison H of a row at level A without walking its composites.
 
-    F: A -> C is the act of the row's factor that is not an identity;
-    the other factor and its leg are identities, of A and of C, and the
-    shared face is F's, since it is each factor after its leg.  The
-    comparison H sends x to (x, F x, id) and f to (f, F f, id) in the
-    iso-comma of F and the identity of C, the two components swapped
-    when the row is flipped; the argument below is for the unflipped
-    row, and the flipped one is its mirror.  The guard holds when:
-    - A and C are groupoids and no name of either contains '&';
-    - in A, every morphism's endpoints are objects, its inverse is a
-      morphism with the swapped endpoints, every identity is a morphism
-      from and to its object, and every compose key (g, f) -> h is of
-      morphisms with src g = tgt f, src h = src f and tgt h = tgt g
+    The facts, each kept on its object once decided:
+    - A is a groupoid in which no name contains '&', every morphism's
+      endpoints are objects, its inverse is a morphism with the
+      swapped endpoints, every identity is a morphism from and to its
+      object, and every compose key (g, f) -> h is of morphisms with
+      src g = tgt f, src h = src f and tgt h = tgt g
       (``A._well_formed``);
-    - ``validate_groupoid(C)`` is clean (``C._valid``; C is level 0 or
-      1);
-    - ``functor_violations(F)`` is empty (``F._sound``).
-    Why that suffices:
-    - ``iso_comma`` and the building of H then read only total tables,
+    - each factor maps into its leg's source, and
+      ``functor_violations`` of it is empty (``_sound``).
+    Tables the facts cannot read refuse them.
+
+    Any row.  When also ``functor_violations(H, ())`` is empty, H keeps
+    every composite: each composite (g, f) -> h of A is of morphisms
+    of A with src g = tgt f and src h = src f, H keeps those
+    endpoints, and its components, read back from the '&'-free ids,
+    compose in the legs' sources because the factors keep composites.
+
+    A graph row, whose legs' common target C is valid too: it passes,
+    with no witness, and its iso-comma is not built.  One factor and
+    its leg are the identities of A and of C, and the other factor is
+    the act F: A -> C of the other leg; the shared face is F too, each
+    factor after its leg.  H sends x to (x, F x, id) and f to
+    (f, F f, id) in the iso-comma of F and the identity of C, the two
+    components swapped when the row is flipped; the argument below is
+    for the unflipped row, and the flipped one is its mirror.  C is a
+    groupoid whose names contain no '&' and ``validate_groupoid(C)`` is
+    clean (``C._valid``; C is level 0 or 1).  Then:
+    - ``iso_comma`` and the building of H read only total tables,
       compose only composable pairs of C, and find every identity and
       inverse they look up, so neither raises;
     - H is a functor: its images are objects and morphisms of the
       iso-comma, it keeps endpoints and identities because F does and
-      C's unit and inverse laws hold, and the components of each
-      composite compose in A (its key) and in C (F keeps it), so
-      ``_open_composites`` yields none;
+      C's unit and inverse laws hold, and it keeps composites as above;
     - H is full and faithful: a morphism (p, q, id) from H x to H y has
       q F(p)^-1 = id, so q = F p and it is H p, and the ids of distinct
       p differ, names being distinct strings without '&';
     - H is essentially surjective: (id, γ, id) goes from H a to any
       object (a, c, γ).
-    So the row passes, with no witness.  Tables the guard cannot read
-    refuse it, and the row takes the full path.
+    Over an identity leg the homotopy pullback is the source again
+    (Dyckerhoff–Kapranov, arXiv:1212.3563).
     """
-    C = F.target
-    return isinstance(A, FinGroupoid) and isinstance(C, FinGroupoid) and \
-        A._well_formed and C._valid and F._sound
-
-
-def _open_composites(H, IC, P, Q):
-    """The composites ((g, f), h) of H's source, in order, that H's
-    components do not show preserved.
-
-    H(g)∘H(f) is H(h) in the iso-comma when H(g) starts where H(f)
-    ends, H(h) starts where H(f) does, and the components compose in
-    the legs' sources: p(g)∘p(f) = p(h) in P and q(g)∘q(f) = q(h) in Q.
-    Only the composites that fail this are left to a lookup.
-
-    ``_equivalence`` skips this walk when it can yield nothing: when A
-    is ``_well_formed``, both factors are ``_sound`` functors into the
-    legs' sources and ``functor_violations(H, ())`` is empty.  Then
-    each composite (g, f) -> h is of morphisms of A with src g = tgt f
-    and src h = src f, H keeps those endpoints, and its components,
-    read back from the '&'-free ids, compose because the factors keep
-    composites.
-    """
-    mor_data, src, tgt = IC.mor_data, IC.groupoid.src, IC.groupoid.tgt
-    ends = {}
-    for f, m in H.on_morphisms.items():
-        if m in mor_data:
-            p, q, _ = mor_data[m]
-            ends[f] = (p, q, src[m], tgt[m])
-    P, Q = P.get, Q.get
-    for (g, f), h in H.source.compose.items():
-        try:
-            pg, qg, sg, _ = ends[g]
-            pf, qf, sf, tf = ends[f]
-            ph, qh, sh, _ = ends[h]
-        except KeyError:
-            yield (g, f), h
-            continue
-        if sg != tf or sh != sf or P((pg, pf)) != ph or Q((qg, qf)) != qh:
-            yield (g, f), h
+    return isinstance(A, FinGroupoid) and A._well_formed and \
+        first.target is leg_first.source and first._sound and \
+        second.target is leg_second.source and second._sound
 
 
 GROUPOID = Semantics("groupoid", _equivalence)
@@ -913,6 +893,7 @@ def _images_in_levels(Y: TruncatedSGpd):
     ids = [(set(G.objects), set(G.morphisms)) for G in Y.levels]
     for kind, n, i in structure_maps(Y.truncation):
         F = Y._map(kind, n, i)
+        _mappings(F)
         for part, there in zip(("on_objects", "on_morphisms"),
                                ids[n + _SHIFT[kind]]):
             table = getattr(F, part)

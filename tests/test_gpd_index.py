@@ -4,7 +4,7 @@
 morphisms only across matched source objects and computes composites
 on lookup, ``_level_groupoid`` derives each morphism of arrays from
 its top row and composes only morphisms that meet, the comparison
-functors' composites are checked on their components, and
+functors' composites are checked against the whole iso-comma, and
 ``validate_category`` walks only composable strings.  Each is compared
 here with the plain nested-loop build it replaces, order included; the
 S-construction outputs are pinned byte for byte, and at truncation 4
@@ -333,7 +333,7 @@ def test_equivalence_violations_on_failing_s_construction_segal(S3):
         assert got == reference_groupoid_equivalence(H)
 
 
-# -- comparison composites checked on components --------------------------
+# -- comparison composites checked against the whole iso-comma ------------
 
 
 def _swap_one_image(Y, n, i):
@@ -393,27 +393,28 @@ def _stray_composite(Y, n, i):
     (3, _twist_one_face, 3, 0)])
 def test_comparison_composites_match_the_materialised_iso_comma(
         monkeypatch, truncation, corrupt, n, i):
-    """The comparison's last check, on its components or, when its
+    """The comparison's last check, on every composite or, when its
     factors are sound functors, on none, gives the violations, in
     order, of looking each composite up in the whole iso-comma; faces
     or levels are corrupted so that there are some.  A comparison may
     first be checked on no composites and then walked; only the last
     check of each iso-comma is recorded.  Graph rows whose guard holds
-    build no iso-comma and check no comparison; checks of a structure
-    functor pass no composites and are not recorded."""
+    build no iso-comma and check no comparison; a check is recorded as
+    a comparison's when its target is the last iso-comma built."""
     Y = s_construction(3, truncation)
     corrupt(Y, n, i)
-    legs, last = [], {}
+    legs, commas, last = [], [], {}
     real_iso_comma, real_violations = groupoid.iso_comma, \
         groupoid.functor_violations
 
     def iso_comma_spy(F, G):
         legs.append((F, G))
-        return real_iso_comma(F, G)
+        commas.append(real_iso_comma(F, G))
+        return commas[-1]
 
     def violations_spy(H, composites=None):
         got = real_violations(H, composites)
-        if composites is None:
+        if not commas or H.target is not commas[-1].groupoid:
             return got
         objects, morphisms, src, tgt, identity, compose, inverse, _, _ = \
             reference_iso_comma(*legs[-1])

@@ -10,7 +10,7 @@ from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph, standard_corpus
-from edgewise.delta import all_monotone_maps
+from edgewise.delta import all_monotone_maps, coface
 from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
@@ -558,6 +558,33 @@ def test_functor_tables_that_are_not_mappings_raise_input_error():
         functor_violations(Functor(A, A, None, None))
 
 
+_READERS_OF_FACE_1_0 = {
+    "sgpd_segal_check": lambda Y, F: sgpd_segal_check(Y),
+    "act_gpd": lambda Y, F: act_gpd(coface(0, 1), Y),
+    "compose_functors": lambda Y, F: compose_functors(
+        F, identity_functor(F.source)),
+    "iso_comma": lambda Y, F: iso_comma(F, F),
+    "groupoid_equivalence": lambda Y, F: groupoid_equivalence(F),
+    "sgpd_two_segal_check": lambda Y, F: sgpd_two_segal_check(Y),
+    "sgpd_beta_gamma_equality":
+        lambda Y, F: sgpd_beta_gamma_equality(Y, 1, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [None, [], 0])
+@pytest.mark.parametrize("part", ["on_objects", "on_morphisms"])
+@pytest.mark.parametrize("entry", sorted(_READERS_OF_FACE_1_0))
+def test_structure_functor_tables_that_are_not_mappings_raise_input_error(
+        entry, part, bad):
+    Y = s_construction(2, 2)
+    F = Y.face[1, 0]
+    setattr(F, part, bad)
+    with pytest.raises(InputError) as exc:
+        _READERS_OF_FACE_1_0[entry](Y, F)
+    assert str(exc.value) == \
+        f"{F.name} needs mappings on_objects and on_morphisms"
+
+
 def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
     # u: x -> y sent to the identity of x: its composites are defined,
     # but the iso-comma has no morphism inverting (u, id)
@@ -569,10 +596,10 @@ def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
 
 
 def _refused(monkeypatch):
-    """Refuse the graph-row guard and the facts kept on functors and
-    levels: every row builds its iso-comma and walks the composites of
-    its comparison."""
-    monkeypatch.setattr(groupoid, "_graph_passes", lambda A, F: False)
+    """Refuse the row facts (``_factors_sound``) and the facts kept on
+    functors and levels: every row builds its iso-comma and walks every
+    composite of its comparison."""
+    monkeypatch.setattr(groupoid, "_factors_sound", lambda *row: False)
     monkeypatch.setattr(Functor, "_sound", property(lambda F: False))
     for fact in ("_well_formed", "_valid"):
         monkeypatch.setattr(FinGroupoid, fact, property(lambda G: False))
@@ -679,10 +706,9 @@ def test_one_clean_op_walks_each_structure_functor_at_most_once(
     """The four checks of one S-construction op walk no composite: each
     structure functor is walked at most once, each level's laws are
     validated at most once, and no comparison's composites are walked."""
-    walked, validated, opened = [], [], []
-    real_violations, real_validate, real_open = (
-        groupoid.functor_violations, groupoid.validate_groupoid,
-        groupoid._open_composites)
+    walked, validated = [], []
+    real_violations, real_validate = (groupoid.functor_violations,
+                                      groupoid.validate_groupoid)
 
     def violations_spy(F, composites=None):
         if composites is None:
@@ -693,13 +719,8 @@ def test_one_clean_op_walks_each_structure_functor_at_most_once(
         validated.append(G)
         return real_validate(G)
 
-    def open_spy(*args):
-        opened.append(args)
-        yield from real_open(*args)
-
     monkeypatch.setattr(groupoid, "functor_violations", violations_spy)
     monkeypatch.setattr(groupoid, "validate_groupoid", validate_spy)
-    monkeypatch.setattr(groupoid, "_open_composites", open_spy)
     Y = s_construction(3, 3)
     reports = (sgpd_segal_check(Y), sgpd_segal_check(esd_gpd(Y)),
                sgpd_beta_gamma_equality(Y, 1, 1), sgpd_two_segal_check(Y))
@@ -710,7 +731,6 @@ def test_one_clean_op_walks_each_structure_functor_at_most_once(
     assert len({id(F) for F in walked}) == len(walked)
     assert validated and len({id(G) for G in validated}) == len(validated)
     assert all(any(G is L for L in Y.levels) for G in validated)
-    assert opened == []
 
 
 def test_clean_graph_rows_build_no_iso_comma(monkeypatch):
