@@ -178,21 +178,55 @@ def tabulate_category(objects, data, name, src, tgt, identity, compose):
             dict(zip(morphisms, targets)), identities, composites)
 
 
+def _missing(*lookups) -> InputError:
+    """The ``InputError`` for a ``KeyError`` raised by one of
+    ``lookups``, each (table name, table, key) in the order they were
+    made: it names the first whose table has no entry for its key, the
+    one that raised, since those before it succeeded.  Where every
+    table has its key, the ``KeyError`` came from a lookup not listed,
+    and the text names no table."""
+    for name, table, key in lookups:
+        if key not in table:
+            return InputError(f"{name} has no entry {key!r}; input tables "
+                              "are not valid")
+    return InputError("a table lacks an entry; input tables are not valid")
+
+
+def _ends(A: FinCategory):
+    """Lookups for ``_missing``, entry by entry, of A's src and tgt and
+    then its identity, each followed by its value among the objects or
+    morphisms: they find an entry that is missing or names neither."""
+    objects, morphisms = set(A.objects), set(A.morphisms)
+    for part, keys, there, what in (
+            ("src", A.morphisms, objects, "objects"),
+            ("tgt", A.morphisms, objects, "objects"),
+            ("identity", A.objects, morphisms, "morphisms")):
+        table = getattr(A, part)
+        for k in keys:
+            yield f"{part} of {A.name}", table, k
+            yield f"{what} of {A.name}", there, table.get(k)
+
+
 def validate_category(A: FinCategory):
     """Law violations of A: composability, endpoints, units, associativity,
-    and composites recorded for pairs that are not morphisms."""
+    and composites recorded for pairs that are not morphisms.
+    ``InputError`` where src or tgt lacks an entry or names what is not
+    an object (``_ends``)."""
     out = []
     for x in A.objects:
-        i = A.identity[x]
-        if A.src[i] != x or A.tgt[i] != x:
+        i = A.identity.get(x)
+        if A.src.get(i) != x or A.tgt.get(i) != x:
             out.append(LawViolation("identity-endpoints", (x,),
                                     f"identity {i!r} not an endomorphism"))
     position = {f: p for p, f in enumerate(A.morphisms)}
     into = {x: [] for x in A.objects}
-    for f in A.morphisms:
-        into[A.tgt[f]].append(f)
-    # only composable pairs and recorded pairs of morphisms can fail
-    pairs = {(g, f) for g in A.morphisms for f in into[A.src[g]]}
+    try:
+        for f in A.morphisms:
+            into[A.tgt[f]].append(f)
+        # only composable pairs and recorded pairs of morphisms can fail
+        pairs = {(g, f) for g in A.morphisms for f in into[A.src[g]]}
+    except KeyError:
+        raise _missing(*_ends(A)) from None
     pairs.update((g, f) for g, f in A.compose
                  if g in position and f in position)
     for g, f in sorted(pairs, key=lambda gf: (position[gf[0]],
@@ -210,8 +244,8 @@ def validate_category(A: FinCategory):
         elif A.src[h] != A.src[f] or A.tgt[h] != A.tgt[g]:
             out.append(LawViolation("composite-endpoints", (g, f), h))
     for f in A.morphisms:
-        left = A.compose.get((f, A.identity[A.src[f]]))
-        right = A.compose.get((A.identity[A.tgt[f]], f))
+        left = A.compose.get((f, A.identity.get(A.src[f])))
+        right = A.compose.get((A.identity.get(A.tgt[f]), f))
         if left != f:
             out.append(LawViolation("unit", (f,), f"right unit gave {left!r}"))
         if right != f:

@@ -232,7 +232,19 @@ def _run_transform(args) -> int:
 def _run_check(args) -> int:
     if args.reduced and args.what != "2segal":
         raise InputError("--reduced applies only to: check 2segal")
-    X = io.load_sset(_read(args.file), name=_stem(args.file))
+    text = _read(args.file)
+    try:
+        X = io.load_sset(text, name=_stem(args.file))
+    except InputError:
+        # classified only once refused, so a set file is parsed once
+        try:
+            sgpd = io.detect_format(text) == "sgpd"
+        except InputError:
+            sgpd = False
+        if not sgpd:
+            raise
+        raise InputError("check reads simplicial-set files; this is a "
+                         "simplicial groupoid file") from None
     if args.what == "segal":
         return _report_out(checks.segal_check(X), args)
     if args.what == "2segal":

@@ -17,16 +17,17 @@ from functools import cached_property
 from itertools import (combinations_with_replacement, permutations,
                        product as iproduct)
 from operator import itemgetter
+from types import MappingProxyType
 
-from .cat import FinCategory, LawViolation, tabulate_category, \
-    validate_category
+from .cat import FinCategory, LawViolation, _ends, _missing, \
+    tabulate_category, validate_category
 from .checks import Semantics, _graph_row
 # epi_mono_factorize is bound here too, for tracers that wrap it
 from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
 from .sset import (_SHIFT, SimplicialTables, TruncatedSSet, Violation,
-                   _comap, _expect, _gather, _tables, along, identities,
-                   structure_maps, subdivide)
+                   _comap, _expect, _gather, _shape, _tables, along,
+                   identities, structure_maps, subdivide)
 
 __all__ = [
     "FinGroupoid",
@@ -104,12 +105,9 @@ class FinGroupoid(FinCategory):
     @cached_property
     def _valid(self) -> bool:
         """Whether no name contains '&' and ``validate_groupoid`` finds
-        nothing; False where a table lacks an entry."""
-        try:
-            return _reserved(self.objects, self.morphisms) is None and \
-                not validate_groupoid(self)
-        except KeyError:
-            return False
+        nothing; ``InputError`` where it raises one."""
+        return _reserved(self.objects, self.morphisms) is None and \
+            not validate_groupoid(self)
 
 
 def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
@@ -161,8 +159,8 @@ class Functor:
 
     @cached_property
     def _sound(self) -> bool:
-        """Whether ``functor_violations(self)`` is empty; False where it
-        meets a missing entry.
+        """Whether ``functor_violations(self)`` is empty; ``InputError``
+        where it raises one.
 
         A composite whose bases are sound, on a ``_well_formed`` source,
         is sound without a walk: each compose entry of the source is of
@@ -175,10 +173,7 @@ class Functor:
                 self.source._well_formed and \
                 all(F._sound for F in self._bases):
             return True
-        try:
-            return not functor_violations(self)
-        except KeyError:
-            return False
+        return not functor_violations(self)
 
 
 def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
@@ -188,7 +183,8 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     Composition is checked on ``composites``, source composites
     ((g, f), h) in the order their violations are listed; by default
     every item of ``F.source.compose``; ``()`` checks none.
-    ``InputError`` if either assignment is not a mapping.
+    ``InputError`` if either assignment is not a mapping, or where a
+    src, tgt or identity entry of either category is bad (``_ends``).
     """
     _mappings(F)
     out = []
@@ -211,15 +207,18 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
               for f in F.on_morphisms if f not in morphisms]
     if out:
         return out + stray
-    for f in F.source.morphisms:
-        g = F.on_morphisms[f]
-        if F.target.src[g] != F.on_objects[F.source.src[f]] or \
-                F.target.tgt[g] != F.on_objects[F.source.tgt[f]]:
-            out.append(LawViolation("endpoint-preservation", (f, g), ""))
-    for a in F.source.objects:
-        if F.on_morphisms[F.source.identity[a]] != \
-                F.target.identity[F.on_objects[a]]:
-            out.append(LawViolation("identity-preservation", (a,), ""))
+    try:
+        for f in F.source.morphisms:
+            g = F.on_morphisms[f]
+            if F.target.src[g] != F.on_objects[F.source.src[f]] or \
+                    F.target.tgt[g] != F.on_objects[F.source.tgt[f]]:
+                out.append(LawViolation("endpoint-preservation", (f, g), ""))
+        for a in F.source.objects:
+            if F.on_morphisms[F.source.identity[a]] != \
+                    F.target.identity[F.on_objects[a]]:
+                out.append(LawViolation("identity-preservation", (a,), ""))
+    except KeyError:
+        raise _missing(*_ends(F.source), *_ends(F.target)) from None
     # .get: an invalid source may compose or name non-morphisms
     image, composite = F.on_morphisms.get, F.target.compose.get
     if composites is None:
@@ -272,16 +271,6 @@ def _after(G: Functor, F: Functor, part: str) -> dict:
     except KeyError as e:
         raise _missing((f"{part} of {G.name or 'a functor'}", table,
                         e.args[0])) from None
-
-
-def _missing(*lookups) -> InputError:
-    """The ``InputError`` for a ``KeyError`` raised by one of
-    ``lookups``, each (table name, table, key) in the order they were
-    made: it names the first whose table has no entry for its key, the
-    one that raised, since those before it succeeded."""
-    name, _, key = next(look for look in lookups if look[2] not in look[1])
-    return InputError(f"{name} has no entry {key!r}; input tables are "
-                      "not valid")
 
 
 def iso_classes(G: FinGroupoid) -> dict:
@@ -485,52 +474,56 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
             except KeyError:
                 raise _missing((f"on_objects of {F.name}", F.on_objects, a),
                                (f"on_objects of {G.name}", G.on_objects,
-                                b)) from None
+                                b), *_ends(C)) from None
             for gamma in isos:
                 oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
                 obj_data[oid] = (a, b, gamma)
                 obj_by_pair.setdefault((a, b), []).append(oid)
-    # for each source object a, the q (in morphism order) whose source
-    # is matched with a by some object of the iso-comma
-    partners = {a: [q for q in G.source.morphisms
-                    if (a, G.source.src[q]) in obj_by_pair]
-                for a in F.source.objects}
     morphisms = []
     mor_data = {}
     src = {}
     tgt = {}
     by_signature = {}
-    for p in F.source.morphisms:
-        try:
-            Fp_inv = C.inverse[F.on_morphisms[p]]
-        except KeyError:
-            raise _missing((f"on_morphisms of {F.name}", F.on_morphisms, p),
-                           (f"inverse of {C.name}", C.inverse,
-                            F.on_morphisms.get(p))) from None
-        a = F.source.src[p]
-        for q in partners[a]:
+    try:
+        # for each source object a, the q (in morphism order) whose
+        # source is matched with a by some object of the iso-comma
+        partners = {a: [q for q in G.source.morphisms
+                        if (a, G.source.src[q]) in obj_by_pair]
+                    for a in F.source.objects}
+        for p in F.source.morphisms:
             try:
-                Gq = G.on_morphisms[q]
+                Fp_inv = C.inverse[F.on_morphisms[p]]
             except KeyError:
-                raise _missing((f"on_morphisms of {G.name}", G.on_morphisms,
-                                q)) from None
-            for oid in obj_by_pair[(a, G.source.src[q])]:
-                gamma = obj_data[oid][2]
+                raise _missing(
+                    (f"on_morphisms of {F.name}", F.on_morphisms, p),
+                    (f"inverse of {C.name}", C.inverse,
+                     F.on_morphisms.get(p))) from None
+            a = F.source.src[p]
+            for q in partners[a]:
                 try:
-                    gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
+                    Gq = G.on_morphisms[q]
                 except KeyError:
-                    raise _missing(
-                        (f"compose of {C.name}", C.compose, (Gq, gamma)),
-                        (f"compose of {C.name}", C.compose,
-                         (C.compose.get((Gq, gamma)), Fp_inv))) from None
-                mid = IsoComma.mor_id(p, q, gamma)
-                morphisms.append(mid)
-                mor_data[mid] = (p, q, gamma)
-                src[mid] = oid
-                tgt[mid] = IsoComma.obj_id(F.source.tgt[p], G.source.tgt[q],
-                                           gamma2)
-                by_signature[(p, q, oid)] = mid
+                    raise _missing((f"on_morphisms of {G.name}",
+                                    G.on_morphisms, q)) from None
+                for oid in obj_by_pair[(a, G.source.src[q])]:
+                    gamma = obj_data[oid][2]
+                    try:
+                        gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
+                    except KeyError:
+                        raise _missing(
+                            (f"compose of {C.name}", C.compose, (Gq, gamma)),
+                            (f"compose of {C.name}", C.compose,
+                             (C.compose.get((Gq, gamma)), Fp_inv))) from None
+                    mid = IsoComma.mor_id(p, q, gamma)
+                    morphisms.append(mid)
+                    mor_data[mid] = (p, q, gamma)
+                    src[mid] = oid
+                    tgt[mid] = IsoComma.obj_id(F.source.tgt[p],
+                                               G.source.tgt[q], gamma2)
+                    by_signature[(p, q, oid)] = mid
+    except KeyError:
+        raise _missing(*_ends(F.source), *_ends(G.source)) from None
     # a signature is missing where the legs do not preserve endpoints
     signatures = f"morphisms of ({F.name})x^h({G.name}) by signature"
     identity = {}
@@ -567,21 +560,44 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     return IsoComma(H, obj_data, mor_data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedSGpd(SimplicialTables):
     """A truncated simplicial object in finite groupoids.
 
     Structure maps are functors and the simplicial identities are
-    required strictly, on objects and on morphisms alike.  The levels'
-    and functors' tables are immutable once a check has read them: the
-    facts the checks decide about them are kept on them.
+    required strictly, on objects and on morphisms alike.  The
+    constructor enforces basic shape by the set tier's rule, reading no
+    table entry: a natural truncation N, N + 1 ``FinGroupoid`` levels
+    (kept as a tuple), and stores keyed by in-range (n, i) ``int``
+    pairs whose maps are ``Functor``s, with mapping tables, between
+    those level objects; a store may lack keys.  Anything else is an
+    ``InputError``.  Fields cannot be reassigned, and each store is a
+    read-only copy.  The levels' and functors' tables are immutable
+    once a check has read them: the facts the checks decide about them
+    are kept on them.
     """
 
     truncation: int
     levels: tuple
-    face: dict
-    degeneracy: dict
+    face: Mapping
+    degeneracy: Mapping
     name: str = ""
+
+    def __post_init__(self):
+        levels = _shape(self.truncation, self.levels,
+                        lambda G: _expect(G, FinGroupoid))
+        object.__setattr__(self, "levels", levels)
+        for kind in _SHIFT:
+            store = {}
+            for n, i, F in self._keyed(getattr(self, kind), kind):
+                if not (isinstance(F, Functor) and F.source is levels[n] and
+                        F.target is levels[n + _SHIFT[kind]]):
+                    raise InputError(
+                        f"{kind} ({n}, {i}) is not a functor from level {n} "
+                        f"into level {n + _SHIFT[kind]}")
+                store[n, i] = F
+            _mappings(*store.values())
+            object.__setattr__(self, kind, MappingProxyType(store))
 
 
 def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
@@ -590,12 +606,12 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
     Each failing identity is reported once, at the first disagreeing key
     in the order of its first-applied functor's table, objects before
     morphisms.  Identities are listed by name, level and reversed indices.
+    The level count and each functor's ends were checked when Y was
+    built; a store that lacks keys is reported as a shape violation.
     """
     _expect(Y, TruncatedSGpd)
     out = []
     N = Y.truncation
-    if len(Y.levels) != N + 1:
-        return [Violation("shape", N, (), "", "level count != truncation+1")]
     for n, G in enumerate(Y.levels):
         for v in validate_groupoid(G):
             out.append(Violation("groupoid", n, (), str(v.witness), v.law))
@@ -605,10 +621,6 @@ def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
             return out + [Violation("shape", N, (), "", f"{kind} keys wrong")]
     for kind in _SHIFT:
         for (n, i), F in Y._store(kind).items():
-            if F.source is not Y.levels[n] or \
-                    F.target is not Y.levels[n + _SHIFT[kind]]:
-                out.append(Violation("shape", n, (i,), "",
-                                     f"{kind} endpoints"))
             out += [Violation("functor", n, (i,), str(v.witness),
                               f"{kind} {v.law}")
                     for v in functor_violations(F)]
@@ -746,8 +758,7 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
         for alpha in (first, second, leg_first, leg_second, shared))
     A = Y.level(n)
     C = leg_first.target
-    graph = flip is not None and leg_second.target is C and \
-        isinstance(C, FinGroupoid) and C._valid and \
+    graph = flip is not None and C._valid and \
         _factors_sound(A, first, second, leg_first, leg_second)
     IC = None if graph else iso_comma(leg_first, leg_second)
     objects = {}
@@ -769,10 +780,13 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
                  shared.on_objects[x])) from None
         objects[x] = (a, b, gamma)
     morphisms = {}
-    for f in A.morphisms:
-        p, q = first.on_morphisms[f], second.on_morphisms[f]
-        gamma = C.identity[shared.on_objects[A.src[f]]]
-        morphisms[f] = (p, q, gamma)
+    try:
+        for f in A.morphisms:
+            p, q = first.on_morphisms[f], second.on_morphisms[f]
+            gamma = C.identity[shared.on_objects[A.src[f]]]
+            morphisms[f] = (p, q, gamma)
+    except KeyError:
+        raise _missing(*_ends(A)) from None
     parts, legs = (objects, morphisms), (leg_first, leg_second)
     if graph:
         # the iso-comma has an object per x and γ leaving F x (entering
@@ -807,7 +821,10 @@ def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
       (``A._well_formed``);
     - each factor maps into its leg's source, and
       ``functor_violations`` of it is empty (``_sound``).
-    Tables the facts cannot read refuse them.
+    Tables the facts cannot read refuse them.  A is a ``FinGroupoid``,
+    each factor's target is its leg's source and the legs share their
+    target by construction: a ``TruncatedSGpd``'s functors join its
+    level objects, and so do its acts (``act_gpd``).
 
     Any row.  When also ``functor_violations(H, ())`` is empty, H keeps
     every composite: each composite (g, f) -> h of A is of morphisms
@@ -839,9 +856,7 @@ def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
     Over an identity leg the homotopy pullback is the source again
     (Dyckerhoff–Kapranov, arXiv:1212.3563).
     """
-    return isinstance(A, FinGroupoid) and A._well_formed and \
-        first.target is leg_first.source and first._sound and \
-        second.target is leg_second.source and second._sound
+    return A._well_formed and first._sound and second._sound
 
 
 GROUPOID = Semantics("groupoid", _equivalence)

@@ -102,7 +102,8 @@ class SimplicialTables:
 
     Subclasses hold ``truncation`` and ``levels``, and keep the face and
     degeneracy maps keyed by (n, i), as tables or as functors, in the
-    stores that ``_store(kind)`` returns.  ``_map`` reads a map in its
+    stores that ``_store(kind)`` returns; both constructors take the
+    stores' keys by one rule (``_keyed``).  ``_map`` reads a map in its
     stored form; ``face_map`` and ``degeneracy_map`` give it to callers.
     """
 
@@ -113,6 +114,25 @@ class SimplicialTables:
 
     def _store(self, kind):
         return getattr(self, kind)
+
+    def _keyed(self, tables, kind):
+        """(n, i, map) for each entry of a store of ``kind`` maps, the
+        constructors' key rule: ``InputError`` unless ``tables`` is a
+        ``Mapping`` keyed by (n, i) pairs of ``int``s (so no ``bool`` or
+        ``float``) in the kind's index range.  It reads no map, and a
+        store may lack keys."""
+        if not isinstance(tables, Mapping):
+            raise InputError(f"{kind} tables must be a mapping keyed by "
+                             f"(n, i), not {type(tables).__name__}")
+        for key, table in tables.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and
+                    all(type(k) is int for k in key)):
+                raise InputError(f"{kind} index {key!r} is not a pair of "
+                                 "ints")
+            n, i = key
+            if not _in_range(kind, n, i, self.truncation):
+                raise InputError(f"{kind} index '{n},{i}' out of range")
+            yield n, i, table
 
     def _map(self, kind, n, i):
         if not _in_range(kind, n, i, self.truncation):
@@ -159,11 +179,13 @@ class SimplicialTables:
 
 
 def _expect(X, tier):
-    """``InputError`` unless X is a ``tier``; each tier calls it where it
-    first reads an object, so that the other tier's is refused."""
+    """X, or ``InputError`` unless X is a ``tier``; each tier calls it
+    where it first reads an object, so that the other tier's is
+    refused."""
     if not isinstance(X, tier):
         raise InputError(f"expected a {tier.__name__}, got a "
                          f"{type(X).__name__}")
+    return X
 
 
 def _not_a_map(kind, n, i):
@@ -220,10 +242,14 @@ def _level_index(levels):
     return tuple(index)
 
 
-def _shape(truncation, levels):
-    """``levels`` as a tuple of tuples, one per n up to the truncation."""
+def _shape(truncation, levels, level=tuple):
+    """``levels`` as a tuple of ``level(lv)``, one per n up to the
+    truncation; the shape rule of both tiers' constructors."""
     _truncation(truncation)
-    levels = tuple(tuple(lv) for lv in levels)
+    try:
+        levels = tuple(map(level, levels))
+    except TypeError:
+        raise InputError("levels must be a sequence of levels") from None
     if len(levels) != truncation + 1:
         raise InputError(
             f"expected {truncation + 1} levels, got {len(levels)}")
@@ -278,29 +304,10 @@ class TruncatedSSet(SimplicialTables):
         self.levels = levels
         self.name = name
         self._index = index
-        self._tables = {kind: self._position_tables(tables, kind, stored)
+        self._tables = {kind: {(n, i): stored(table, kind, n, i)
+                               for n, i, table in self._keyed(tables, kind)}
                         for kind, tables in (("face", face),
                                              ("degeneracy", degeneracy))}
-
-    def _position_tables(self, tables, kind, stored):
-        """The tables of one kind, each as ``stored(table, kind, n, i)``
-        keeps it; ``InputError`` unless ``tables`` is a ``Mapping`` keyed
-        by (n, i) pairs of ``int``s (so no ``bool`` or ``float``) in the
-        kind's index range."""
-        if not isinstance(tables, Mapping):
-            raise InputError(f"{kind} tables must be a mapping keyed by "
-                             f"(n, i), not {type(tables).__name__}")
-        out = {}
-        for key, table in tables.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and
-                    all(type(k) is int for k in key)):
-                raise InputError(f"{kind} index {key!r} is not a pair of "
-                                 "ints")
-            n, i = key
-            if not _in_range(kind, n, i, self.truncation):
-                raise InputError(f"{kind} index '{n},{i}' out of range")
-            out[key] = stored(table, kind, n, i)
-        return out
 
     def _on_levels(self, picked, face, degeneracy, name):
         """``SimplicialTables._on_levels``, sharing the picked levels'

@@ -369,3 +369,23 @@ def test_sgpd_table_key_not_canonical_exits_two(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["validate", str(bad)]) == 2
     assert "bad face index key '01,0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["segal", "2segal", "theorem"])
+def test_check_on_a_groupoid_file_says_it_reads_set_files(
+        tmp_path, capsys, what):
+    path = tmp_path / "disc.json"
+    io.write_text(str(path),
+                  io.save_sgpd(discrete_sgpd(standard_simplex(1, 2))))
+    assert cli.main(["check", what, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: check reads simplicial-set files; this is a simplicial "
+        "groupoid file\n")
+
+
+def test_check_keeps_the_set_loader_error_on_other_files(tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    io.write_text(str(path), io.save_category(chain_poset(1)))
+    assert cli.main(["check", "segal", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: simplicial set file has unknown fields")

@@ -75,17 +75,20 @@ def test_groupoid_legs_that_disagree():
 
 
 def test_validate_sgpd_shape_violations():
+    """Too few levels and a functor off its levels are refused when the
+    object is built; a store that lacks a key is built, and reported."""
     Y = discrete_sgpd(standard_simplex(1, 2))
-    assert validate_sgpd(dataclasses.replace(Y, levels=Y.levels[:2])) == [
-        Violation("shape", 2, (), "", "level count != truncation+1")]
+    with pytest.raises(InputError, match="^expected 3 levels, got 2$"):
+        dataclasses.replace(Y, levels=Y.levels[:2])
     face = {k: F for k, F in Y.face.items() if k != (1, 0)}
     assert validate_sgpd(dataclasses.replace(Y, face=face)) == [
         Violation("shape", 2, (), "", "face keys wrong")]
     copy = io.load_groupoid(io.save_groupoid(Y.levels[1]))
     degeneracy = dict(Y.degeneracy)
     degeneracy[0, 0] = dataclasses.replace(degeneracy[0, 0], target=copy)
-    assert validate_sgpd(dataclasses.replace(Y, degeneracy=degeneracy)) == [
-        Violation("shape", 0, (0,), "", "degeneracy endpoints")]
+    with pytest.raises(InputError, match=r"^degeneracy \(0, 0\) is not a "
+                       "functor from level 0 into level 1$"):
+        dataclasses.replace(Y, degeneracy=degeneracy)
 
 
 def test_simplicial_map_shape_violations():
