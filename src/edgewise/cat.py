@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
 from operator import add, itemgetter, mul
+from types import MappingProxyType
 
 from .delta import _ints
 from .errors import InputError
@@ -81,45 +82,72 @@ def _check_names(names, forbidden, what):
                     f"{what} id {name!r} contains reserved character {ch!r}")
 
 
+def _frozen(table, what):
+    """``table`` read-only: a read-only ``Mapping`` is kept as given, and
+    anything else is copied into a dict behind a ``MappingProxyType``.
+    ``InputError`` naming ``what`` where ``dict`` cannot take the table
+    or a value of the copy is not hashable.  A ``MappingProxyType`` is
+    recognised first, since the builders hand their tables over in one
+    and the ``Mapping`` checks cost about a microsecond each."""
+    if type(table) is MappingProxyType or (
+            isinstance(table, Mapping) and
+            not isinstance(table, MutableMapping)):
+        return table
+    try:
+        table = dict(table)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} is not a table") from None
+    try:
+        hash(tuple(table.values()))
+    except TypeError:
+        raise InputError(f"{what} has a value that is not hashable") from None
+    return MappingProxyType(table)
+
+
+@dataclass(frozen=True, eq=False)
 class FinCategory:
     """A finite category given by explicit tables.
 
     ``compose`` is keyed by (g, f) pairs of morphism ids and must be
     defined exactly on composable pairs; ``validate_category`` reports
-    where that or any law fails.  It may be a read-only ``Mapping``,
-    which is kept as given, so that composites can be computed on
-    lookup; any other table is copied into a dict.  With ``copy=False``
-    the ``src``, ``tgt``, ``identity`` and ``compose`` dicts are kept as
-    given, for tables built for this category that nothing else holds,
-    such as ``tabulate_category``'s.  The tables are immutable after
-    construction: ``hom`` reads an index of them built on first use.
+    where that or any law fails.  Every table is read-only
+    (``_frozen``): a read-only ``Mapping`` is kept as given, so that a
+    builder's tables are not copied and composites can be computed on
+    lookup, and any other table is copied.  The constructor refuses
+    with ``InputError`` names that are not distinct nonempty strings, a
+    table that is no table or holds an unhashable value, a morphism
+    whose src or tgt is no object, and an object whose identity is no
+    morphism.  No attribute can be rebound, so what is read off the
+    tables, such as ``hom``'s index, is built on first use and kept.
     """
 
-    def __init__(self, objects, morphisms, src, tgt, identity, compose,
-                 name="", *, copy=True):
-        self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
-        _check_names(self.objects, ",", "object")
-        _check_names(self.morphisms, ",", "morphism")
-        if len(set(self.objects)) != len(self.objects):
+    objects: tuple
+    morphisms: tuple
+    src: Mapping
+    tgt: Mapping
+    identity: Mapping
+    compose: Mapping
+    name: str = ""
+    _TABLES = ("src", "tgt", "identity", "compose")     # made read-only
+
+    def __post_init__(self):
+        objects, morphisms = tuple(self.objects), tuple(self.morphisms)
+        _check_names(objects, ",", "object")
+        _check_names(morphisms, ",", "morphism")
+        if len(set(objects)) != len(objects):
             raise InputError("duplicate object ids")
-        if len(set(self.morphisms)) != len(self.morphisms):
+        if len(set(morphisms)) != len(morphisms):
             raise InputError("duplicate morphism ids")
-        if copy:
-            src, tgt, identity = dict(src), dict(tgt), dict(identity)
-            if not isinstance(compose, Mapping) or \
-                    isinstance(compose, MutableMapping):
-                compose = dict(compose)
-        self.src = src
-        self.tgt = tgt
-        self.identity = identity
-        self.compose = compose
-        self.name = name
-        obset, morset = set(self.objects), set(self.morphisms)
-        for f in self.morphisms:
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "morphisms", morphisms)
+        for part in self._TABLES:
+            object.__setattr__(self, part, _frozen(
+                getattr(self, part), f"{part} of {self.name or 'a category'}"))
+        obset, morset = set(objects), set(morphisms)
+        for f in morphisms:
             if self.src.get(f) not in obset or self.tgt.get(f) not in obset:
                 raise InputError(f"morphism {f!r} lacks valid endpoints")
-        for x in self.objects:
+        for x in objects:
             if self.identity.get(x) not in morset:
                 raise InputError(f"object {x!r} lacks an identity morphism")
 
@@ -161,8 +189,8 @@ def tabulate_category(objects, data, name, src, tgt, identity, compose):
     morphism order, then each f ending where g starts, in morphism
     order, which is also the key order of the compose table.  Returns
     the objects, morphisms, src, tgt, identity and compose tables in
-    the order ``FinCategory`` takes them, as new dicts that it can keep
-    without copying (``copy=False``).
+    the order ``FinCategory`` takes them, the four tables read-only, so
+    that it keeps them as given.
     """
     morphisms = list(map(name, data))
     sources = list(map(src, data))
@@ -174,8 +202,9 @@ def tabulate_category(objects, data, name, src, tgt, identity, compose):
     composites = {(g, f): name(compose(e, d))
                   for g, e, x in zip(morphisms, data, sources)
                   for f, d in into.get(x, ())}
-    return (objects, morphisms, dict(zip(morphisms, sources)),
-            dict(zip(morphisms, targets)), identities, composites)
+    return (objects, morphisms, *map(MappingProxyType, (
+        dict(zip(morphisms, sources)), dict(zip(morphisms, targets)),
+        identities, composites)))
 
 
 def _missing(*lookups) -> InputError:
@@ -192,26 +221,9 @@ def _missing(*lookups) -> InputError:
     return InputError("a table lacks an entry; input tables are not valid")
 
 
-def _ends(A: FinCategory):
-    """Lookups for ``_missing``, entry by entry, of A's src and tgt and
-    then its identity, each followed by its value among the objects or
-    morphisms: they find an entry that is missing or names neither."""
-    objects, morphisms = set(A.objects), set(A.morphisms)
-    for part, keys, there, what in (
-            ("src", A.morphisms, objects, "objects"),
-            ("tgt", A.morphisms, objects, "objects"),
-            ("identity", A.objects, morphisms, "morphisms")):
-        table = getattr(A, part)
-        for k in keys:
-            yield f"{part} of {A.name}", table, k
-            yield f"{what} of {A.name}", there, table.get(k)
-
-
 def validate_category(A: FinCategory):
     """Law violations of A: composability, endpoints, units, associativity,
-    and composites recorded for pairs that are not morphisms.
-    ``InputError`` where src or tgt lacks an entry or names what is not
-    an object (``_ends``)."""
+    and composites recorded for pairs that are not morphisms."""
     out = []
     for x in A.objects:
         i = A.identity.get(x)
@@ -220,13 +232,10 @@ def validate_category(A: FinCategory):
                                     f"identity {i!r} not an endomorphism"))
     position = {f: p for p, f in enumerate(A.morphisms)}
     into = {x: [] for x in A.objects}
-    try:
-        for f in A.morphisms:
-            into[A.tgt[f]].append(f)
-        # only composable pairs and recorded pairs of morphisms can fail
-        pairs = {(g, f) for g in A.morphisms for f in into[A.src[g]]}
-    except KeyError:
-        raise _missing(*_ends(A)) from None
+    for f in A.morphisms:
+        into[A.tgt[f]].append(f)
+    # only composable pairs and recorded pairs of morphisms can fail
+    pairs = {(g, f) for g in A.morphisms for f in into[A.src[g]]}
     pairs.update((g, f) for g, f in A.compose
                  if g in position and f in position)
     for g, f in sorted(pairs, key=lambda gf: (position[gf[0]],
@@ -270,7 +279,7 @@ def validate_category(A: FinCategory):
 def opposite_category(A: FinCategory) -> FinCategory:
     """Same names, arrows reversed."""
     return FinCategory(
-        A.objects, A.morphisms, dict(A.tgt), dict(A.src), dict(A.identity),
+        A.objects, A.morphisms, A.tgt, A.src, A.identity,
         {(f, g): h for (g, f), h in A.compose.items()},
         name=f"op({A.name})" if A.name else "op")
 
@@ -470,7 +479,7 @@ def twisted_arrow(A: FinCategory) -> FinCategory:
         lambda f: (f, A.identity[A.src[f]], A.identity[A.tgt[f]], f),
         lambda t2, t1: (t1[0], A.composite(t1[1], t2[1]),
                         A.composite(t2[2], t1[2]), t2[3])),
-        name=f"tw({A.name})" if A.name else "tw", copy=False)
+        name=f"tw({A.name})" if A.name else "tw")
 
 
 def canonical_tw_iso(A: FinCategory, truncation: int) -> SimplicialMap:
@@ -630,7 +639,7 @@ def span_category(M: PartialMonoid) -> FinCategory:
     return FinCategory(*tabulate_category(
         els, data, lambda t: _triple_id(*t[:3]), itemgetter(1),
         itemgetter(3), lambda m: (M.unit, m, M.unit, m), compose),
-        name=f"spans({M.name})" if M.name else "spans", copy=False)
+        name=f"spans({M.name})" if M.name else "spans")
 
 
 def canonical_partial_iso(M: PartialMonoid, truncation: int) -> SimplicialMap:
@@ -687,7 +696,7 @@ def monoid_category(M: PartialMonoid) -> FinCategory:
     return FinCategory(*tabulate_category(
         ("o",), M.elements, str, lambda m: "o", lambda m: "o",
         lambda o: M.unit, lambda g, f: M.product[(f, g)]),
-        name=f"B({M.name})" if M.name else "B", copy=False)
+        name=f"B({M.name})" if M.name else "B")
 
 
 def poset_category(elements, leq, name="") -> FinCategory:
@@ -711,7 +720,7 @@ def poset_category(elements, leq, name="") -> FinCategory:
     return FinCategory(*tabulate_category(
         elements, sorted(rel), lambda p: f"{p[0]}<{p[1]}", itemgetter(0),
         itemgetter(1), lambda a: (a, a), lambda g, f: (f[0], g[1])),
-        name=name or "poset", copy=False)
+        name=name or "poset")
 
 
 def chain_poset(n: int) -> FinCategory:
@@ -733,4 +742,4 @@ def product_category(A: FinCategory, B: FinCategory) -> FinCategory:
         "*".join, lambda p: f"{A.src[p[0]]}*{B.src[p[1]]}",
         lambda p: f"{A.tgt[p[0]]}*{B.tgt[p[1]]}", identity.__getitem__,
         lambda g, f: (A.composite(g[0], f[0]), B.composite(g[1], f[1]))),
-        name=f"{A.name}x{B.name}", copy=False)
+        name=f"{A.name}x{B.name}")

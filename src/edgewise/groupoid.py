@@ -19,7 +19,7 @@ from itertools import (combinations_with_replacement, permutations,
 from operator import itemgetter
 from types import MappingProxyType
 
-from .cat import FinCategory, LawViolation, _ends, _missing, \
+from .cat import FinCategory, LawViolation, _frozen, _missing, \
     tabulate_category, validate_category
 from .checks import Semantics, _graph_row
 # epi_mono_factorize is bound here too, for tracers that wrap it
@@ -58,38 +58,33 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class FinGroupoid(FinCategory):
     """A finite category in which every morphism has a recorded inverse.
 
-    ``inverse`` is copied like the other tables: with ``copy=False`` it
-    is kept as given.  ``_well_formed`` and ``_valid`` are decided on
-    first need and kept, the tables being immutable.
+    ``inverse`` (empty if not given) is read-only like the other
+    tables, and refused like them (``FinCategory``).  ``_well_formed``
+    and ``_valid`` are decided on first need and kept, the tables being
+    read-only.
     """
 
-    def __init__(self, objects, morphisms, src, tgt, identity, compose,
-                 name="", inverse=None, *, copy=True):
-        super().__init__(objects, morphisms, src, tgt, identity, compose,
-                         name, copy=copy)
-        if inverse is None:
-            inverse = {}
-        self.inverse = dict(inverse) if copy else inverse
+    inverse: Mapping = field(default_factory=dict)
+    _TABLES = (*FinCategory._TABLES, "inverse")
 
     @cached_property
     def _well_formed(self) -> bool:
-        """Whether no name contains '&', every morphism's endpoints are
-        objects, its inverse is a morphism with the swapped endpoints,
-        every identity is a morphism from and to its object, and every
-        compose entry (g, f) -> h is of morphisms with src g = tgt f,
-        src h = src f and tgt h = tgt g; False where a table lacks an
-        entry."""
+        """Whether no name contains '&', every morphism's inverse is a
+        morphism with the swapped endpoints, every identity is a
+        morphism from and to its object, and every compose entry
+        (g, f) -> h is of morphisms with src g = tgt f, src h = src f and
+        tgt h = tgt g; False where a table lacks an entry.  Every
+        morphism's endpoints are objects by construction."""
         if _reserved(self.objects, self.morphisms) is not None:
             return False
         try:
-            objects = set(self.objects)
             ends = {f: (self.src[f], self.tgt[f]) for f in self.morphisms}
             for f, (a, b) in ends.items():
-                if a not in objects or b not in objects or \
-                        ends[self.inverse[f]] != (b, a):
+                if ends[self.inverse[f]] != (b, a):
                     return False
             if any(ends[self.identity[a]] != (a, a) for a in self.objects):
                 return False
@@ -134,25 +129,38 @@ def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Functor:
     """Object and morphism assignments between finite categories.
 
-    The tables are immutable once a check has read them: whether
-    ``functor_violations`` finds nothing is decided on first need and
-    kept (``_sound``).  ``compose_functors`` records in ``_bases`` the
-    functors a composite chains, in the order they apply, leaving out
-    identities and intermediate composites; it is () for an identity
-    and None for a functor given by its tables.
+    Both assignments must be mappings, and each is read-only
+    (``_frozen``), so no field can be rebound and no entry changed;
+    anything else is an ``InputError`` when the functor is built.
+    Whether ``functor_violations`` finds nothing is decided on first
+    need and kept (``_sound``).  ``compose_functors`` records in
+    ``_bases`` the functors a composite chains, in the order they
+    apply, leaving out identities and intermediate composites; it is
+    () for an identity and None for a functor given by its tables.
     """
 
     source: FinCategory
     target: FinCategory
-    on_objects: dict
-    on_morphisms: dict
+    on_objects: Mapping
+    on_morphisms: Mapping
     name: str = ""
-    _bases: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _bases: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        name = self.name or "a functor"
+        # a proxy first: the builders' tables are, and it is checked fast
+        mapping = (MappingProxyType, Mapping)
+        if not (isinstance(self.on_objects, mapping) and
+                isinstance(self.on_morphisms, mapping)):
+            raise InputError(f"{name} needs mappings on_objects and "
+                             "on_morphisms")
+        for part in ("on_objects", "on_morphisms"):
+            object.__setattr__(self, part, _frozen(getattr(self, part),
+                                                   f"{part} of {name}"))
 
     def __repr__(self):
         return f"<functor {self.name or '?'}>"
@@ -183,10 +191,7 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     Composition is checked on ``composites``, source composites
     ((g, f), h) in the order their violations are listed; by default
     every item of ``F.source.compose``; ``()`` checks none.
-    ``InputError`` if either assignment is not a mapping, or where a
-    src, tgt or identity entry of either category is bad (``_ends``).
     """
-    _mappings(F)
     out = []
     objset, morset = set(F.target.objects), set(F.target.morphisms)
     for a in F.source.objects:
@@ -207,20 +212,18 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
               for f in F.on_morphisms if f not in morphisms]
     if out:
         return out + stray
-    try:
-        for f in F.source.morphisms:
-            g = F.on_morphisms[f]
-            if F.target.src[g] != F.on_objects[F.source.src[f]] or \
-                    F.target.tgt[g] != F.on_objects[F.source.tgt[f]]:
-                out.append(LawViolation("endpoint-preservation", (f, g), ""))
-        for a in F.source.objects:
-            if F.on_morphisms[F.source.identity[a]] != \
-                    F.target.identity[F.on_objects[a]]:
-                out.append(LawViolation("identity-preservation", (a,), ""))
-    except KeyError:
-        raise _missing(*_ends(F.source), *_ends(F.target)) from None
-    # .get: an invalid source may compose or name non-morphisms
-    image, composite = F.on_morphisms.get, F.target.compose.get
+    for f in F.source.morphisms:
+        g = F.on_morphisms[f]
+        if F.target.src[g] != F.on_objects[F.source.src[f]] or \
+                F.target.tgt[g] != F.on_objects[F.source.tgt[f]]:
+            out.append(LawViolation("endpoint-preservation", (f, g), ""))
+    for a in F.source.objects:
+        if F.on_morphisms[F.source.identity[a]] != \
+                F.target.identity[F.on_objects[a]]:
+            out.append(LawViolation("identity-preservation", (a,), ""))
+    # .get: an invalid source may compose or name non-morphisms; a
+    # dict's is faster than a read-only proxy's, and F is read-only
+    image, composite = dict(F.on_morphisms).get, F.target.compose.get
     if composites is None:
         composites = F.source.compose.items()
     for (g, f), h in composites:
@@ -231,21 +234,10 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
     return out + stray
 
 
-def _mappings(*functors):
-    """``InputError`` naming the first of ``functors`` whose object or
-    morphism assignment is not a mapping."""
-    for F in functors:
-        if not (isinstance(F.on_objects, Mapping) and
-                isinstance(F.on_morphisms, Mapping)):
-            raise InputError(f"{F.name or 'a functor'} needs mappings "
-                             "on_objects and on_morphisms")
-
-
 def identity_functor(A: FinCategory) -> Functor:
-    out = Functor(A, A, {a: a for a in A.objects},
-                  {f: f for f in A.morphisms}, name=f"id[{A.name}]")
-    out._bases = ()
-    return out
+    return Functor(A, A, MappingProxyType({a: a for a in A.objects}),
+                   MappingProxyType({f: f for f in A.morphisms}),
+                   name=f"id[{A.name}]", _bases=())
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -254,20 +246,18 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     bases of both (``Functor._bases``)."""
     if F.target is not G.source and F.target != G.source:
         raise InputError("functors do not chain")
-    _mappings(F, G)
-    out = Functor(F.source, G.target, _after(G, F, "on_objects"),
-                  _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
-    out._bases = tuple(
-        base for H in (F, G)
-        for base in ((H,) if H._bases is None else H._bases))
-    return out
+    return Functor(F.source, G.target, _after(G, F, "on_objects"),
+                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}",
+                   _bases=tuple(base for H in (F, G) for base in (
+                       (H,) if H._bases is None else H._bases)))
 
 
-def _after(G: Functor, F: Functor, part: str) -> dict:
-    """G's ``part`` table after F's."""
+def _after(G: Functor, F: Functor, part: str) -> Mapping:
+    """G's ``part`` table after F's, read-only."""
     table = getattr(G, part)
     try:
-        return {a: table[b] for a, b in getattr(F, part).items()}
+        return MappingProxyType(
+            {a: table[b] for a, b in getattr(F, part).items()})
     except KeyError as e:
         raise _missing((f"{part} of {G.name or 'a functor'}", table,
                         e.args[0])) from None
@@ -297,10 +287,8 @@ def groupoid_equivalence(F: Functor) -> list[LawViolation]:
     fullness witnesses name the unreached target morphism; essential
     surjectivity witnesses name an unreached component representative.
     ``InputError`` if F lacks an entry for a source object or morphism,
-    or sends an object outside its target, or if either assignment is
-    not a mapping.
+    or sends an object outside its target.
     """
-    _mappings(F)
     out = []
     name = F.name or "a functor"
     try:
@@ -463,7 +451,6 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                    G.source.morphisms, C.morphisms)
     if nm is not None:
         raise InputError(f"name {nm!r} contains the reserved '&'")
-    _mappings(F, G)
     objects = []
     obj_data = {}
     obj_by_pair = {}
@@ -474,7 +461,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
             except KeyError:
                 raise _missing((f"on_objects of {F.name}", F.on_objects, a),
                                (f"on_objects of {G.name}", G.on_objects,
-                                b), *_ends(C)) from None
+                                b)) from None
             for gamma in isos:
                 oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
@@ -485,45 +472,42 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     src = {}
     tgt = {}
     by_signature = {}
-    try:
-        # for each source object a, the q (in morphism order) whose
-        # source is matched with a by some object of the iso-comma
-        partners = {a: [q for q in G.source.morphisms
-                        if (a, G.source.src[q]) in obj_by_pair]
-                    for a in F.source.objects}
-        for p in F.source.morphisms:
+    # for each source object a, the q (in morphism order) whose
+    # source is matched with a by some object of the iso-comma
+    partners = {a: [q for q in G.source.morphisms
+                    if (a, G.source.src[q]) in obj_by_pair]
+                for a in F.source.objects}
+    for p in F.source.morphisms:
+        try:
+            Fp_inv = C.inverse[F.on_morphisms[p]]
+        except KeyError:
+            raise _missing(
+                (f"on_morphisms of {F.name}", F.on_morphisms, p),
+                (f"inverse of {C.name}", C.inverse,
+                 F.on_morphisms.get(p))) from None
+        a = F.source.src[p]
+        for q in partners[a]:
             try:
-                Fp_inv = C.inverse[F.on_morphisms[p]]
+                Gq = G.on_morphisms[q]
             except KeyError:
-                raise _missing(
-                    (f"on_morphisms of {F.name}", F.on_morphisms, p),
-                    (f"inverse of {C.name}", C.inverse,
-                     F.on_morphisms.get(p))) from None
-            a = F.source.src[p]
-            for q in partners[a]:
+                raise _missing((f"on_morphisms of {G.name}",
+                                G.on_morphisms, q)) from None
+            for oid in obj_by_pair[(a, G.source.src[q])]:
+                gamma = obj_data[oid][2]
                 try:
-                    Gq = G.on_morphisms[q]
+                    gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
                 except KeyError:
-                    raise _missing((f"on_morphisms of {G.name}",
-                                    G.on_morphisms, q)) from None
-                for oid in obj_by_pair[(a, G.source.src[q])]:
-                    gamma = obj_data[oid][2]
-                    try:
-                        gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
-                    except KeyError:
-                        raise _missing(
-                            (f"compose of {C.name}", C.compose, (Gq, gamma)),
-                            (f"compose of {C.name}", C.compose,
-                             (C.compose.get((Gq, gamma)), Fp_inv))) from None
-                    mid = IsoComma.mor_id(p, q, gamma)
-                    morphisms.append(mid)
-                    mor_data[mid] = (p, q, gamma)
-                    src[mid] = oid
-                    tgt[mid] = IsoComma.obj_id(F.source.tgt[p],
-                                               G.source.tgt[q], gamma2)
-                    by_signature[(p, q, oid)] = mid
-    except KeyError:
-        raise _missing(*_ends(F.source), *_ends(G.source)) from None
+                    raise _missing(
+                        (f"compose of {C.name}", C.compose, (Gq, gamma)),
+                        (f"compose of {C.name}", C.compose,
+                         (C.compose.get((Gq, gamma)), Fp_inv))) from None
+                mid = IsoComma.mor_id(p, q, gamma)
+                morphisms.append(mid)
+                mor_data[mid] = (p, q, gamma)
+                src[mid] = oid
+                tgt[mid] = IsoComma.obj_id(F.source.tgt[p],
+                                           G.source.tgt[q], gamma2)
+                by_signature[(p, q, oid)] = mid
     # a signature is missing where the legs do not preserve endpoints
     signatures = f"morphisms of ({F.name})x^h({G.name}) by signature"
     identity = {}
@@ -554,9 +538,10 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     morphisms = tuple(morphisms)
     compose = _IsoCommaCompose(morphisms, mor_data, src, tgt, by_signature,
                               F.source.compose, G.source.compose)
+    src, tgt, identity, inverse = map(MappingProxyType,
+                                      (src, tgt, identity, inverse))
     H = FinGroupoid(tuple(objects), morphisms, src, tgt, identity, compose,
-                    name=f"({F.name})x^h({G.name})", inverse=inverse,
-                    copy=False)
+                    name=f"({F.name})x^h({G.name})", inverse=inverse)
     return IsoComma(H, obj_data, mor_data)
 
 
@@ -569,12 +554,13 @@ class TruncatedSGpd(SimplicialTables):
     constructor enforces basic shape by the set tier's rule, reading no
     table entry: a natural truncation N, N + 1 ``FinGroupoid`` levels
     (kept as a tuple), and stores keyed by in-range (n, i) ``int``
-    pairs whose maps are ``Functor``s, with mapping tables, between
-    those level objects; a store may lack keys.  Anything else is an
-    ``InputError``.  Fields cannot be reassigned, and each store is a
-    read-only copy.  The levels' and functors' tables are immutable
-    once a check has read them: the facts the checks decide about them
-    are kept on them.
+    pairs whose maps are ``Functor``s between those level objects; a
+    store may lack keys.  Anything else is an ``InputError``.  Fields
+    cannot be reassigned and each store is a read-only copy; the
+    levels and functors were checked by their own constructors, and
+    their tables are read-only too.  So nothing a check reads can
+    change after it is built, and the facts the checks decide about
+    levels and functors are kept on them.
     """
 
     truncation: int
@@ -596,7 +582,6 @@ class TruncatedSGpd(SimplicialTables):
                         f"{kind} ({n}, {i}) is not a functor from level {n} "
                         f"into level {n + _SHIFT[kind]}")
                 store[n, i] = F
-            _mappings(*store.values())
             object.__setattr__(self, kind, MappingProxyType(store))
 
 
@@ -671,11 +656,12 @@ def esd_gpd(Y: TruncatedSGpd) -> TruncatedSGpd:
 def _discrete_groupoid(cells, name):
     ident = {c: f"i({c})" for c in cells}
     morphisms = tuple(ident[c] for c in cells)
-    src = {ident[c]: c for c in cells}
-    return FinGroupoid(tuple(cells), morphisms, src, src, ident,
-                       {(ident[c], ident[c]): ident[c] for c in cells},
-                       name=name, inverse={ident[c]: ident[c] for c in cells},
-                       copy=False)
+    src = MappingProxyType({ident[c]: c for c in cells})
+    return FinGroupoid(tuple(cells), morphisms, src, src,
+                       MappingProxyType(ident),
+                       MappingProxyType({(f, f): f for f in morphisms}),
+                       name=name,
+                       inverse=MappingProxyType({f: f for f in morphisms}))
 
 
 def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
@@ -687,7 +673,7 @@ def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
     def lift(kind, n, i):
         source, target = levels[n], levels[n + _SHIFT[kind]]
         table = X._names(kind, n, i)
-        return Functor(source, target, dict(table),
+        return Functor(source, target, table,
                        {source.identity[c]: target.identity[v]
                         for c, v in table.items()})
 
@@ -733,10 +719,9 @@ class SgpdComparison:
 def _functor_into(IC: IsoComma, A, parts, name) -> Functor:
     """The functor from A into IC whose ids are made of ``parts``."""
     objects, morphisms = parts
-    return Functor(A, IC.groupoid,
-                   {x: IC.obj_id(*t) for x, t in objects.items()},
-                   {f: IC.mor_id(*t) for f, t in morphisms.items()},
-                   name=name)
+    return Functor(A, IC.groupoid, MappingProxyType(
+        {x: IC.obj_id(*t) for x, t in objects.items()}), MappingProxyType(
+        {f: IC.mor_id(*t) for f, t in morphisms.items()}), name=name)
 
 
 def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
@@ -786,7 +771,10 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
             gamma = C.identity[shared.on_objects[A.src[f]]]
             morphisms[f] = (p, q, gamma)
     except KeyError:
-        raise _missing(*_ends(A)) from None
+        raise _missing(
+            (f"on_morphisms of {first.name}", first.on_morphisms, f),
+            (f"on_morphisms of {second.name}", second.on_morphisms,
+             f)) from None
     parts, legs = (objects, morphisms), (leg_first, leg_second)
     if graph:
         # the iso-comma has an object per x and γ leaving F x (entering
@@ -908,7 +896,6 @@ def _images_in_levels(Y: TruncatedSGpd):
     ids = [(set(G.objects), set(G.morphisms)) for G in Y.levels]
     for kind, n, i in structure_maps(Y.truncation):
         F = Y._map(kind, n, i)
-        _mappings(F)
         for part, there in zip(("on_objects", "on_morphisms"),
                                ids[n + _SHIFT[kind]]):
             table = getattr(F, part)
@@ -1167,7 +1154,7 @@ def _level_groupoid(c, n, name):
         m: by_top_row[(ob, oa, tuple(sorted(range(len(p)),
                                             key=p.__getitem__)))]
         for m, (oa, ob, p) in zip(tables[1], data)}
-    G = FinGroupoid(*tables, name=name, inverse=inverse, copy=False)
+    G = FinGroupoid(*tables, name=name, inverse=MappingProxyType(inverse))
     return G, by_obj, obj_id, mor_data, by_top_row, slots
 
 
@@ -1209,8 +1196,8 @@ def s_construction(max_card: int, truncation: int) -> TruncatedSGpd:
             mid: t_by_top_row[(on_objects[o1], on_objects[o2],
                                () if at is None else fams[at])]
             for mid, (o1, o2, fams) in mor_data.items()}
-        return Functor(G, H, on_objects, on_morphisms,
-                       name=f"S({values})")
+        return Functor(G, H, MappingProxyType(on_objects),
+                       MappingProxyType(on_morphisms), name=f"S({values})")
 
     return TruncatedSGpd(truncation, levels, *_tables(truncation, transport),
                          name=f"s_construction({max_card})")

@@ -242,7 +242,7 @@ def load_sset(text: str, name: str = "") -> TruncatedSSet:
 def _category_doc(A: FinCategory) -> dict:
     return {
         "objects": list(A.objects),
-        "morphisms": [{"id": f, "src": A.src.get(f), "tgt": A.tgt.get(f)}
+        "morphisms": [{"id": f, "src": A.src[f], "tgt": A.tgt[f]}
                       for f in A.morphisms],
         "identity": dict(A.identity),
         "compose": {f"{g},{f}": h for (g, f), h in A.compose.items()},

@@ -194,20 +194,6 @@ def test_monoid_category_requires_total_product():
         monoid_category(truncated_free_monoid(1))
 
 
-def test_fin_category_copies_given_tables_unless_told_not_to():
-    A = chain_poset(1)
-    tables = (dict(A.src), dict(A.tgt), dict(A.identity), dict(A.compose))
-    copied = FinCategory(A.objects, A.morphisms, *tables)
-    kept = FinCategory(A.objects, A.morphisms, *tables, copy=False)
-    got = (copied.src, copied.tgt, copied.identity, copied.compose)
-    assert got == tables
-    assert not any(a is b for a, b in zip(got, tables))
-    assert all(a is b for a, b in zip(
-        (kept.src, kept.tgt, kept.identity, kept.compose), tables))
-    with pytest.raises(InputError):
-        FinCategory(A.objects, A.morphisms, {}, *tables[1:], copy=False)
-
-
 # -- the two canonical comparisons against their own loops --------------------
 
 

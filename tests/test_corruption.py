@@ -4,17 +4,18 @@ A small instance is built afresh and one entry of one of its tables is
 changed: dropped, sent to a name that is nowhere in the instance, sent
 to another value the table holds, or given a value of another type.
 Every entry point of the instance's tier then runs on it, each on its
-own fresh copy.  Each must return (a report, a violation list, a
-verdict, a loaded object) or raise ``InputError``; a check may still
-give a verdict on input it never reads wrongly.
+own fresh copy.  The constructors may refuse the change with
+``InputError``; otherwise each entry point must return (a report, a
+violation list, a verdict, a loaded object) or raise ``InputError``; a
+check may still give a verdict on input it never reads wrongly.
 
 The groupoid tier's tables are its levels' ``src``, ``tgt``,
 ``identity``, ``inverse`` and ``compose`` and its structure functors'
-assignments, changed in place after construction.  The set tier's are
-its face and degeneracy name tables, changed before the set is built.
-The values of another type are ``0`` and ``None``.  Unhashable values
-are not drawn: a list in a groupoid table still ends in a bare
-``TypeError`` (ROADMAP item 13).
+assignments; they are read-only once built, so the level or functor is
+built again with the changed table and the instance re-pointed at it
+(``rebuilt``).  The set tier's are its face and degeneracy name tables,
+changed before the set is built.  The values of another type are ``0``,
+``None`` and a list.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from edgewise.groupoid import (discrete_sgpd, esd_gpd, s_construction,
                                sgpd_beta_gamma_equality, sgpd_segal_check,
                                sgpd_two_segal_check, validate_sgpd)
 from edgewise.sset import TruncatedSSet, edgewise, validate
+from test_gpd_index import rebuilt
 
 
 def _par2():
@@ -70,15 +72,18 @@ SET_ENTRIES = (
     lambda X: io.load_sset(io.save_sset(X)),
 )
 
-OPS = ("drop", "foreign", "other", 0, None)
+OPS = ("drop", "foreign", "other", 0, None, "list")
 
 
 def _groupoid_tables(Y):
-    """Every table of Y that holds entries, in a fixed order."""
-    tables = [getattr(G, part) for G in Y.levels
+    """Every table of Y that holds entries, in a fixed order, each as
+    (table, argument of ``rebuilt``, key there, table name)."""
+    tables = [(getattr(G, part), "levels", n, part)
+              for n, G in enumerate(Y.levels)
               for part in ("src", "tgt", "identity", "inverse", "compose")]
-    tables += [getattr(F, part) for kind in ("face", "degeneracy")
-               for F in Y._store(kind).values()
+    tables += [(getattr(F, part), "functors", (kind, n, i), part)
+               for kind in ("face", "degeneracy")
+               for (n, i), F in Y._store(kind).items()
                for part in ("on_objects", "on_morphisms")]
     return tables
 
@@ -93,7 +98,8 @@ def _change(data, table, op):
     if op == "other":
         values = sorted({v for v in table.values() if v != table[key]})
         return key, data.draw(st.sampled_from(values or [table[key]]))
-    return key, {"drop": _DROP, "foreign": "nowhere"}.get(op, op)
+    return key, {"drop": _DROP, "foreign": "nowhere",
+                 "list": [table[key]]}.get(op, op)
 
 
 def _apply(table, key, value):
@@ -116,10 +122,17 @@ def test_a_changed_groupoid_entry_is_reported_or_refused(data):
     make = data.draw(st.sampled_from(GROUPOIDS))
     tables = _groupoid_tables(make())
     where = data.draw(st.integers(0, len(tables) - 1))
-    change = _change(data, tables[where], data.draw(st.sampled_from(OPS)))
+    change = _change(data, tables[where][0],
+                     data.draw(st.sampled_from(OPS)))
     for entry in GROUPOID_ENTRIES:
         Y = make()
-        _apply(_groupoid_tables(Y)[where], *change)
+        table, arg, key, part = _groupoid_tables(Y)[where]
+        table = dict(table)
+        _apply(table, *change)
+        try:
+            Y = rebuilt(Y, **{arg: {key: {part: table}}})
+        except InputError:
+            return
         _allowed(entry, Y)
 
 

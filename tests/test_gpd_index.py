@@ -230,21 +230,30 @@ def test_iso_comma_keeps_morphism_order_across_sources():
         ["ix", "iy", "u", "v"]
 
 
-def test_iso_comma_composite_missing_from_a_leg_source_is_an_input_error():
-    pair = _pair_groupoid()
-    ident = Functor(pair, pair, {"x": "x", "y": "y"},
-                    {f: f for f in pair.morphisms}, name="id")
+def _v_after_u(source, target):
+    """The iso-comma of the identity-named functor from ``source`` to
+    ``target`` with itself, and the key of (v, v) after (u, u)."""
+    ident = Functor(source, target, {"x": "x", "y": "y"},
+                    {f: f for f in target.morphisms}, name="id")
     IC = iso_comma(ident, ident)
     H = IC.groupoid
     m1 = next(m for m in H.morphisms if IC.mor_data[m][:2] == ("u", "u"))
     m2 = next(m for m in H.morphisms if IC.mor_data[m][:2] == ("v", "v")
               and H.src[m] == H.tgt[m1])
-    assert H.compose[(m2, m1)] == H.identity[H.src[m1]]
-    del pair.compose[("v", "u")]
-    assert (m2, m1) in H.compose
+    return H, (m2, m1)
+
+
+def test_iso_comma_composite_missing_from_a_leg_source_is_an_input_error():
+    pair = _pair_groupoid()
+    H, key = _v_after_u(pair, pair)
+    assert H.compose[key] == H.identity[H.src[key[1]]]
+    compose = dict(pair.compose)
+    del compose[("v", "u")]
+    H, key = _v_after_u(dataclasses.replace(pair, compose=compose), pair)
+    assert key in H.compose
     with pytest.raises(InputError, match="undefined in the sources of its "
                                          "legs"):
-        H.compose.get((m2, m1))
+        H.compose.get(key)
 
 
 def pcompose(g, f):
@@ -336,24 +345,48 @@ def test_equivalence_violations_on_failing_s_construction_segal(S3):
 # -- comparison composites checked against the whole iso-comma ------------
 
 
+def rebuilt(Y, levels=None, functors=None):
+    """Y built again with some of its tables replaced: ``levels`` maps a
+    level number to {table name: table}, and ``functors`` maps a
+    (kind, n, i) key to {assignment name: table}.  Each changed level
+    is built again, and every structure functor is re-pointed at the
+    levels of the result.  Tables are read-only once built, so this is
+    how a test changes one."""
+    levels, functors = levels or {}, functors or {}
+    new = {id(G): dataclasses.replace(G, **levels.get(n, {}))
+           for n, G in enumerate(Y.levels)}
+    stores = {kind: {(n, i): dataclasses.replace(
+        F, source=new[id(F.source)], target=new[id(F.target)],
+        **functors.get((kind, n, i), {}))
+        for (n, i), F in Y._store(kind).items()}
+        for kind in ("face", "degeneracy")}
+    return dataclasses.replace(Y, levels=tuple(new.values()), **stores)
+
+
+def _with_face_morphisms(Y, n, i, changes):
+    F = Y.face[(n, i)]
+    return rebuilt(Y, functors={("face", n, i): {
+        "on_morphisms": {**F.on_morphisms, **changes}}})
+
+
 def _swap_one_image(Y, n, i):
-    """Send one non-identity morphism under face (n, i) to another
-    morphism between the same objects: endpoints and identities are
-    kept, composition breaks."""
+    """Y with one non-identity morphism under face (n, i) sent to
+    another morphism between the same objects: endpoints and
+    identities are kept, composition breaks."""
     F = Y.face[(n, i)]
     T, identities = F.target, set(F.source.identity.values())
     for f in F.source.morphisms:
         g = F.on_morphisms[f]
         others = [h for h in T.hom(T.src[g], T.tgt[g]) if h != g]
         if f not in identities and others:
-            F.on_morphisms[f] = others[0]
-            return
+            return _with_face_morphisms(Y, n, i, {f: others[0]})
     raise AssertionError("no parallel morphism to swap in")
 
 
 def _retarget_one_image(Y, n, i):
-    """Send one non-identity morphism under face (n, i) to a morphism
-    from the same object to another: its images stop composing."""
+    """Y with one non-identity morphism under face (n, i) sent to a
+    morphism from the same object to another: its images stop
+    composing."""
     F = Y.face[(n, i)]
     T, identities = F.target, set(F.source.identity.values())
     for f in F.source.morphisms:
@@ -361,30 +394,32 @@ def _retarget_one_image(Y, n, i):
         others = [h for h in T.morphisms
                   if T.src[h] == T.src[g] and T.tgt[h] != T.tgt[g]]
         if f not in identities and others:
-            F.on_morphisms[f] = others[0]
-            return
+            return _with_face_morphisms(Y, n, i, {f: others[0]})
     raise AssertionError("no morphism to retarget to")
 
 
 def _twist_one_face(Y, n, i):
-    """Conjugate face (n, i) by a non-identity automorphism at one
-    object: still a functor, with the same objects, but it no longer
-    meets the other faces on morphisms, so the comparison's images
-    stop meeting in the iso-comma while their components compose."""
+    """Y with face (n, i) conjugated by a non-identity automorphism at
+    one object: still a functor, with the same objects, but it no
+    longer meets the other faces on morphisms, so the comparison's
+    images stop meeting in the iso-comma while their components
+    compose."""
     F = Y.face[(n, i)]
     T = F.target
     y, alpha = next((y, a) for y in T.objects for a in T.hom(y, y)
                     if a != T.identity[y])
     theta = {x: T.identity[x] for x in T.objects}
     theta[y] = alpha
-    for f, g in F.on_morphisms.items():
-        F.on_morphisms[f] = T.compose[(
-            T.compose[(theta[T.tgt[g]], g)], T.inverse[theta[T.src[g]]])]
+    return _with_face_morphisms(Y, n, i, {
+        f: T.compose[(T.compose[(theta[T.tgt[g]], g)],
+                      T.inverse[theta[T.src[g]]])]
+        for f, g in F.on_morphisms.items()})
 
 
 def _stray_composite(Y, n, i):
     A = Y.levels[n]
-    A.compose[("nowhere", A.morphisms[i])] = A.morphisms[i]
+    return rebuilt(Y, levels={n: {"compose": {
+        **A.compose, ("nowhere", A.morphisms[i]): A.morphisms[i]}}})
 
 
 @pytest.mark.parametrize("truncation, corrupt, n, i", [
@@ -401,8 +436,7 @@ def test_comparison_composites_match_the_materialised_iso_comma(
     check of each iso-comma is recorded.  Graph rows whose guard holds
     build no iso-comma and check no comparison; a check is recorded as
     a comparison's when its target is the last iso-comma built."""
-    Y = s_construction(3, truncation)
-    corrupt(Y, n, i)
+    Y = corrupt(s_construction(3, truncation), n, i)
     legs, commas, last = [], [], {}
     real_iso_comma, real_violations = groupoid.iso_comma, \
         groupoid.functor_violations

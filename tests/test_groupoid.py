@@ -1,6 +1,7 @@
 """Groupoid semantics: equivalences, iso-comma squares, and the
 simplicial groupoid of triangular arrays."""
 
+import dataclasses
 import json
 from itertools import product
 
@@ -10,7 +11,7 @@ from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph, standard_corpus
-from edgewise.delta import all_monotone_maps, coface
+from edgewise.delta import all_monotone_maps
 from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
@@ -36,7 +37,7 @@ from edgewise.groupoid import (
 )
 from edgewise.sset import edgewise
 from test_gpd_index import (_retarget_one_image, _stray_composite,
-                            _swap_one_image, _twist_one_face)
+                            _swap_one_image, _twist_one_face, rebuilt)
 
 
 def point_groupoid():
@@ -74,27 +75,17 @@ def flip_plus_point():
         inverse={"ix": "ix", "s": "s", "iy": "iy"})
 
 
-def test_inverse_is_kept_as_given_without_copy():
-    inverse = {"i": "i"}
-    args = (("*",), ("i",), {"i": "*"}, {"i": "*"}, {"*": "i"},
-            {("i", "i"): "i"})
-    assert FinGroupoid(*args, inverse=inverse, copy=False).inverse \
-        is inverse
-    copied = FinGroupoid(*args, inverse=inverse)
-    assert copied.inverse == inverse and copied.inverse is not inverse
-    assert FinGroupoid(*args, copy=False).inverse == {}
-
-
 def test_groupoid_validation_and_inverse_laws():
     assert validate_groupoid(pair_groupoid()) == []
     assert validate_groupoid(flip_plus_point()) == []
-    broken = pair_groupoid()
-    broken.inverse["u"] = "u"
-    laws = {v.law for v in validate_groupoid(broken)}
+    G = pair_groupoid()
+    inverse = {**G.inverse, "u": "u"}
+    laws = {v.law for v in validate_groupoid(
+        dataclasses.replace(G, inverse=inverse))}
     assert "inverse-endpoints" in laws or "inverse-law" in laws
-    del broken.inverse["v"]
-    assert any(v.law == "inverse-totality"
-               for v in validate_groupoid(broken))
+    del inverse["v"]
+    assert any(v.law == "inverse-totality" for v in validate_groupoid(
+        dataclasses.replace(G, inverse=inverse)))
 
 
 def test_identity_and_skeleton_inclusion_are_equivalences():
@@ -240,8 +231,8 @@ def test_validator_catches_a_tampered_face_functor():
     cell = F.source.objects[0]
     other = next(o for o in F.target.objects
                  if o != F.on_objects[cell])
-    F.on_objects[cell] = other
-    assert validate_sgpd(D) != []
+    assert validate_sgpd(rebuilt(D, functors={("face", 2, 1): {
+        "on_objects": {**F.on_objects, cell: other}}})) != []
 
 
 def test_missing_structure_functors_raise_input_error():
@@ -558,31 +549,17 @@ def test_functor_tables_that_are_not_mappings_raise_input_error():
         functor_violations(Functor(A, A, None, None))
 
 
-_READERS_OF_FACE_1_0 = {
-    "sgpd_segal_check": lambda Y, F: sgpd_segal_check(Y),
-    "act_gpd": lambda Y, F: act_gpd(coface(0, 1), Y),
-    "compose_functors": lambda Y, F: compose_functors(
-        F, identity_functor(F.source)),
-    "iso_comma": lambda Y, F: iso_comma(F, F),
-    "groupoid_equivalence": lambda Y, F: groupoid_equivalence(F),
-    "sgpd_two_segal_check": lambda Y, F: sgpd_two_segal_check(Y),
-    "sgpd_beta_gamma_equality":
-        lambda Y, F: sgpd_beta_gamma_equality(Y, 1, 1),
-}
-
-
 @pytest.mark.parametrize("bad", [None, [], 0])
 @pytest.mark.parametrize("part", ["on_objects", "on_morphisms"])
-@pytest.mark.parametrize("entry", sorted(_READERS_OF_FACE_1_0))
+@pytest.mark.parametrize("kind, n, i", [("face", 1, 0),
+                                        ("degeneracy", 0, 0)])
 def test_structure_functor_tables_that_are_not_mappings_raise_input_error(
-        entry, part, bad):
+        kind, n, i, part, bad):
     Y = s_construction(2, 2)
-    F = Y.face[1, 0]
-    setattr(F, part, bad)
     with pytest.raises(InputError) as exc:
-        _READERS_OF_FACE_1_0[entry](Y, F)
+        rebuilt(Y, functors={(kind, n, i): {part: bad}})
     assert str(exc.value) == \
-        f"{F.name} needs mappings on_objects and on_morphisms"
+        f"{Y._map(kind, n, i).name} needs mappings on_objects and on_morphisms"
 
 
 def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
@@ -653,9 +630,7 @@ def test_kept_facts_give_what_the_walks_give_on_corrupted_functors(
             (2, _stray_composite, 2, 5), (3, _retarget_one_image, 3, 0),
             (3, _twist_one_face, 3, 0), (3, _swap_one_image, 2, 1),
             (3, _stray_composite, 3, 0)):
-        Y = s_construction(3, truncation)
-        corrupt(Y, n, i)
-        instances.append(Y)
+        instances.append(corrupt(s_construction(3, truncation), n, i))
     outcomes = [_checks(Y) for Y in instances]
     assert any("returned" in o for o in outcomes)
     assert any(r.startswith("comparison is not a functor")
@@ -664,17 +639,18 @@ def test_kept_facts_give_what_the_walks_give_on_corrupted_functors(
 
 
 def _stray_across(Y, n, i=None):
-    """Record a composite "nowhere" for a pair of level-n morphisms whose
-    images under every face of level n are not composable: each face
-    still keeps every composite, while their composites down to level 0
-    do not.  ``i`` is ignored; it matches the corruptions of
-    ``test_gpd_index``."""
+    """Y with a composite "nowhere" recorded for a pair of level-n
+    morphisms whose images under every face of level n are not
+    composable: each face still keeps every composite, while their
+    composites down to level 0 do not.  ``i`` is ignored; it matches
+    the corruptions of ``test_gpd_index``."""
     A = Y.levels[n]
     faces = [Y.face[(n, k)] for k in range(n + 1)]
     g, f = next((g, f) for g in A.morphisms for f in A.morphisms
                 if all(F.on_objects[A.src[g]] != F.on_objects[A.tgt[f]]
                        for F in faces))
-    A.compose[(g, f)] = "nowhere"
+    return rebuilt(Y, levels={n: {"compose": {**A.compose,
+                                              (g, f): "nowhere"}}})
 
 
 def test_kept_soundness_is_the_walk_on_every_act():
@@ -685,7 +661,7 @@ def test_kept_soundness_is_the_walk_on_every_act():
                           (_stray_across, 2, None), (_stray_across, 3, None)):
         Y = s_construction(3, 3)
         if corrupt is not None:
-            corrupt(Y, n, i)
+            Y = corrupt(Y, n, i)
         for alpha in (a for m, k in product(range(4), repeat=2)
                       for a in all_monotone_maps(m, k)):
             try:

@@ -1,25 +1,27 @@
-"""A simplicial groupoid's shape is checked when it is built.
+"""A simplicial groupoid's shape and tables are checked when built.
 
 ``TruncatedSGpd`` takes the set tier's shape rule: a natural
 truncation, one ``FinGroupoid`` per level, and stores keyed by in-range
 (n, i) pairs whose maps are functors between those level objects.  The
 same ``InputError`` comes from the constructor and from
 ``dataclasses.replace``; fields cannot be reassigned and stores cannot
-be written to, so no check meets a shape it cannot read.  The tables
-inside the levels stay mutable, and a bad src, tgt or identity entry
-there ends in ``InputError`` when a check reads it.
+be written to, so no check meets a shape it cannot read.  The levels
+and functors refuse bad tables when they are built, and their tables
+are read-only, so nothing a check has read can change afterwards.
 """
 
 import dataclasses
+from types import MappingProxyType
 
 import pytest
 
-from edgewise.cat import FinCategory, _missing
+from edgewise.cat import FinCategory, _missing, bar, cyclic_monoid
 from edgewise.errors import InputError
-from edgewise.groupoid import (TruncatedSGpd, s_construction,
-                               sgpd_segal_check, sgpd_two_segal_check,
-                               validate_sgpd)
+from edgewise.groupoid import (FinGroupoid, Functor, TruncatedSGpd,
+                               discrete_sgpd, s_construction, validate_sgpd)
 from edgewise.sset import TruncatedSSet
+from test_corruption import GROUPOID_ENTRIES
+from test_gpd_index import rebuilt
 
 
 def _fields(Y):
@@ -82,10 +84,6 @@ CASES = {
         lambda Y: {"truncation": "2"}, "bad truncation '2'", None),
     "FinCategory level": (
         _category_level, "expected a FinGroupoid, got a FinCategory", None),
-    "assignment not a mapping": (
-        lambda Y: {"face": {**Y.face, (1, 0): dataclasses.replace(
-            Y.face[1, 0], on_objects=None)}},
-        r"S\(\(1,\)\) needs mappings on_objects and on_morphisms", None),
 }
 
 
@@ -132,30 +130,99 @@ def test_a_lookup_no_table_lacks_has_a_text_of_its_own():
         "a table lacks an entry; input tables are not valid"
 
 
-# one entry of a level's tables changed after the build ends in the
-# InputError that names it
+# one entry of a level's src or tgt off its objects is refused when the
+# level is built
 
 
-@pytest.mark.parametrize("check", [sgpd_segal_check, validate_sgpd])
-def test_a_level_src_entry_deleted_is_an_input_error(check):
+@pytest.mark.parametrize("n, part, key, value", [
+    (0, "src", "m0", None), (2, "tgt", "m0", "nope"), (1, "src", "m1", None)])
+def test_a_level_entry_off_the_objects_is_refused_when_built(n, part, key,
+                                                             value):
     Y = s_construction(2, 3)
-    del Y.levels[0].src["m0"]
-    with pytest.raises(InputError, match="^src of S0 has no entry 'm0'; "
-                       "input tables are not valid$"):
-        check(Y)
+    table = dict(getattr(Y.levels[n], part))
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    with pytest.raises(InputError,
+                       match=f"^morphism '{key}' lacks valid endpoints$"):
+        rebuilt(Y, levels={n: {part: table}})
 
 
-@pytest.mark.parametrize("check", [sgpd_segal_check, validate_sgpd])
-def test_a_level_tgt_entry_sent_off_the_objects_is_an_input_error(check):
-    Y = s_construction(2, 3)
-    Y.levels[2].tgt["m0"] = "nope"
-    with pytest.raises(InputError, match="^objects of S2 has no entry "
-                       "'nope'; input tables are not valid$"):
-        check(Y)
+# every table of a category, a groupoid and a functor is refused when
+# dict() cannot take it or, where it is copied, when a value is not
+# hashable; a read-only table is kept as given
 
 
-def test_a_level_src_entry_deleted_under_the_two_segal_sweep():
-    Y = s_construction(2, 3)
-    del Y.levels[1].src["m1"]
-    with pytest.raises(InputError, match="^src of S1 has no entry 'm1'"):
-        sgpd_two_segal_check(Y)
+POINT = {"src": {"i": "*"}, "tgt": {"i": "*"}, "identity": {"*": "i"},
+         "compose": {("i", "i"): "i"}, "inverse": {"i": "i"},
+         "on_objects": {"*": "*"}, "on_morphisms": {"i": "i"}}
+CATEGORY_TABLES = ("src", "tgt", "identity", "compose")
+TABLES = [(FinCategory, part) for part in CATEGORY_TABLES] + \
+    [(FinGroupoid, part) for part in (*CATEGORY_TABLES, "inverse")] + \
+    [(Functor, part) for part in ("on_objects", "on_morphisms")]
+
+
+def _point(owner, part, table):
+    """The one-morphism category or groupoid "pt", or the identity
+    functor "F" on it, with ``part`` replaced by ``table``."""
+    tables = {**POINT, part: table}
+    category = {k: tables[k] for k in CATEGORY_TABLES}
+    if owner is FinCategory:
+        return FinCategory(("*",), ("i",), name="pt", **category)
+    G = FinGroupoid(("*",), ("i",), name="pt", inverse=tables["inverse"],
+                    **category)
+    return G if owner is FinGroupoid else Functor(
+        G, G, tables["on_objects"], tables["on_morphisms"], name="F")
+
+
+@pytest.mark.parametrize("bad", ["None", "list", "unhashable value"])
+@pytest.mark.parametrize("owner, part", TABLES,
+                         ids=[f"{o.__name__}-{p}" for o, p in TABLES])
+def test_a_table_that_is_no_table_of_hashable_values_is_refused(owner, part,
+                                                                bad):
+    table = {"None": None, "list": [1], "unhashable value": {
+        k: [v] for k, v in POINT[part].items()}}[bad]
+    name = "F" if owner is Functor else "pt"
+    if bad == "unhashable value":
+        message = f"{part} of {name} has a value that is not hashable"
+    elif owner is Functor:
+        message = "F needs mappings on_objects and on_morphisms"
+    else:
+        message = f"{part} of pt is not a table"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        _point(owner, part, table)
+    given = MappingProxyType(dict(POINT[part]))
+    assert getattr(_point(owner, part, given), part) is given
+    kept = getattr(_point(owner, part, POINT[part]), part)
+    assert kept == POINT[part] and isinstance(kept, MappingProxyType)
+
+
+# nothing a check has read can be changed after it ran
+
+
+@pytest.mark.parametrize("entry", range(len(GROUPOID_ENTRIES)))
+@pytest.mark.parametrize("make", [
+    lambda: s_construction(2, 3),
+    lambda: discrete_sgpd(bar(cyclic_monoid(2), 3))], ids=["S", "disc"])
+def test_no_table_or_field_can_be_changed_after_an_entry_point(make, entry):
+    Y = make()
+    GROUPOID_ENTRIES[entry](Y)
+    functors = [F for kind in ("face", "degeneracy")
+                for F in Y._store(kind).values()]
+    tables = [getattr(G, part) for G in Y.levels for part in
+              ("src", "tgt", "identity", "compose", "inverse")]
+    tables += [getattr(F, part) for F in functors
+               for part in ("on_objects", "on_morphisms")]
+    for table in tables:
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    for obj in (Y, *Y.levels, *functors):
+        for name in list(vars(obj)):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
