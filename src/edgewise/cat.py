@@ -83,12 +83,12 @@ def _check_names(names, forbidden, what):
 
 
 def _frozen(table, what):
-    """``table`` read-only: a read-only ``Mapping`` is kept as given, and
-    anything else is copied into a dict behind a ``MappingProxyType``.
-    ``InputError`` naming ``what`` where ``dict`` cannot take the table
-    or a value of the copy is not hashable.  A ``MappingProxyType`` is
-    recognised first, since the builders hand their tables over in one
-    and the ``Mapping`` checks cost about a microsecond each."""
+    """``table`` read-only: a read-only ``Mapping`` is kept as given and
+    trusted, values unchecked, and anything else is copied into a dict
+    behind a ``MappingProxyType``.  ``InputError`` naming ``what`` where
+    ``dict`` cannot take the table or a value of the copy is not
+    hashable.  A ``MappingProxyType`` is recognised first: the builders
+    hand theirs over so, and the ``Mapping`` checks cost a microsecond."""
     if type(table) is MappingProxyType or (
             isinstance(table, Mapping) and
             not isinstance(table, MutableMapping)):
@@ -111,14 +111,16 @@ class FinCategory:
     ``compose`` is keyed by (g, f) pairs of morphism ids and must be
     defined exactly on composable pairs; ``validate_category`` reports
     where that or any law fails.  Every table is read-only
-    (``_frozen``): a read-only ``Mapping`` is kept as given, so that a
-    builder's tables are not copied and composites can be computed on
-    lookup, and any other table is copied.  The constructor refuses
-    with ``InputError`` names that are not distinct nonempty strings, a
-    table that is no table or holds an unhashable value, a morphism
-    whose src or tgt is no object, and an object whose identity is no
-    morphism.  No attribute can be rebound, so what is read off the
-    tables, such as ``hom``'s index, is built on first use and kept.
+    (``_frozen``): a read-only ``Mapping`` is kept as given, its values
+    unchecked and trusted not to change behind it, so that a builder's
+    tables are not copied and composites can be computed on lookup;
+    any other table is copied.
+    The constructor refuses with ``InputError`` names that are not
+    distinct nonempty strings, a table that is no table or holds an
+    unhashable value, a morphism whose src or tgt is no object, and an
+    object whose identity is no morphism.  No attribute can be rebound,
+    so what is read off the tables, such as ``hom``'s index, is built
+    on first use and kept.
     """
 
     objects: tuple

@@ -133,14 +133,13 @@ def validate_groupoid(G: FinGroupoid) -> list[LawViolation]:
 class Functor:
     """Object and morphism assignments between finite categories.
 
-    Both assignments must be mappings, and each is read-only
-    (``_frozen``), so no field can be rebound and no entry changed;
-    anything else is an ``InputError`` when the functor is built.
-    Whether ``functor_violations`` finds nothing is decided on first
-    need and kept (``_sound``).  ``compose_functors`` records in
-    ``_bases`` the functors a composite chains, in the order they
-    apply, leaving out identities and intermediate composites; it is
-    () for an identity and None for a functor given by its tables.
+    Each assignment is a table by ``FinCategory``'s rule (``_frozen``),
+    and no field can be rebound.  Whether ``functor_violations`` finds
+    nothing is decided on first need and kept (``_sound``).
+    ``compose_functors`` records in ``_bases`` the functors a composite
+    chains, in the order they apply, leaving out identities and
+    intermediate composites; it is () for an identity and None for a
+    functor given by its tables, and ``dataclasses.replace`` resets it.
     """
 
     source: FinCategory
@@ -148,16 +147,11 @@ class Functor:
     on_objects: Mapping
     on_morphisms: Mapping
     name: str = ""
-    _bases: tuple | None = field(default=None, repr=False, compare=False)
+    _bases: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         name = self.name or "a functor"
-        # a proxy first: the builders' tables are, and it is checked fast
-        mapping = (MappingProxyType, Mapping)
-        if not (isinstance(self.on_objects, mapping) and
-                isinstance(self.on_morphisms, mapping)):
-            raise InputError(f"{name} needs mappings on_objects and "
-                             "on_morphisms")
         for part in ("on_objects", "on_morphisms"):
             object.__setattr__(self, part, _frozen(getattr(self, part),
                                                    f"{part} of {name}"))
@@ -221,11 +215,13 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
         if F.on_morphisms[F.source.identity[a]] != \
                 F.target.identity[F.on_objects[a]]:
             out.append(LawViolation("identity-preservation", (a,), ""))
+    if composites is None:
+        composites = F.source.compose.items()
+    elif not composites:
+        return out + stray
     # .get: an invalid source may compose or name non-morphisms; a
     # dict's is faster than a read-only proxy's, and F is read-only
     image, composite = dict(F.on_morphisms).get, F.target.compose.get
-    if composites is None:
-        composites = F.source.compose.items()
     for (g, f), h in composites:
         expected = composite((image(g), image(f)))
         if expected != image(h):
@@ -235,9 +231,11 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
 
 
 def identity_functor(A: FinCategory) -> Functor:
-    return Functor(A, A, MappingProxyType({a: a for a in A.objects}),
-                   MappingProxyType({f: f for f in A.morphisms}),
-                   name=f"id[{A.name}]", _bases=())
+    out = Functor(A, A, MappingProxyType({a: a for a in A.objects}),
+                  MappingProxyType({f: f for f in A.morphisms}),
+                  name=f"id[{A.name}]")
+    object.__setattr__(out, "_bases", ())
+    return out
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -246,10 +244,12 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     bases of both (``Functor._bases``)."""
     if F.target is not G.source and F.target != G.source:
         raise InputError("functors do not chain")
-    return Functor(F.source, G.target, _after(G, F, "on_objects"),
-                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}",
-                   _bases=tuple(base for H in (F, G) for base in (
-                       (H,) if H._bases is None else H._bases)))
+    out = Functor(F.source, G.target, _after(G, F, "on_objects"),
+                  _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
+    object.__setattr__(out, "_bases", tuple(
+        base for H in (F, G)
+        for base in ((H,) if H._bases is None else H._bases)))
+    return out
 
 
 def _after(G: Functor, F: Functor, part: str) -> Mapping:

@@ -540,16 +540,22 @@ def test_equivalence_of_a_functor_that_is_not_total_raises_input_error():
 
 def test_functor_tables_that_are_not_mappings_raise_input_error():
     A = s_construction(2, 2).levels[1]
-    for tables in ((None, None), ({}, None), ([], {}), (A.identity, ())):
+    for tables, part in (((None, None), "on_objects"),
+                         (({}, None), "on_morphisms"),
+                         (([1], {}), "on_objects"),
+                         ((A.identity, 0), "on_morphisms")):
         with pytest.raises(InputError) as exc:
             functor_violations(Functor(A, A, *tables, name="bad"))
-        assert str(exc.value) == \
-            "bad needs mappings on_objects and on_morphisms"
-    with pytest.raises(InputError, match="^a functor needs mappings"):
+        assert str(exc.value) == f"{part} of bad is not a table"
+    with pytest.raises(InputError,
+                       match="^on_objects of a functor is not a table$"):
         functor_violations(Functor(A, A, None, None))
+    # what dict() takes is a table, as for FinCategory
+    pairs = Functor(A, A, list(A.identity.items()), (), name="pairs")
+    assert pairs.on_objects == A.identity and pairs.on_morphisms == {}
 
 
-@pytest.mark.parametrize("bad", [None, [], 0])
+@pytest.mark.parametrize("bad", [None, [1], 0])
 @pytest.mark.parametrize("part", ["on_objects", "on_morphisms"])
 @pytest.mark.parametrize("kind, n, i", [("face", 1, 0),
                                         ("degeneracy", 0, 0)])
@@ -559,7 +565,33 @@ def test_structure_functor_tables_that_are_not_mappings_raise_input_error(
     with pytest.raises(InputError) as exc:
         rebuilt(Y, functors={(kind, n, i): {part: bad}})
     assert str(exc.value) == \
-        f"{Y._map(kind, n, i).name} needs mappings on_objects and on_morphisms"
+        f"{part} of {Y._map(kind, n, i).name} is not a table"
+
+
+def test_a_rebuilt_composite_is_walked_like_one_built_from_its_tables():
+    # replace drops the bases a composite was built from, so a changed
+    # table is walked, not vouched for by the bases it no longer chains
+    Y = s_construction(3, 3)
+    Z = esd_gpd(Y)
+    assert Z._map("face", 1, 0)._bases
+    F = Z._map("face", 1, 0)
+    f = next(iter(F.source.morphisms))
+    other = next(g for g in F.target.morphisms if g != F.on_morphisms[f])
+    changed = dataclasses.replace(
+        F, on_morphisms={**F.on_morphisms, f: other})
+    fresh = Functor(F.source, F.target, dict(F.on_objects),
+                    {**F.on_morphisms, f: other}, name=F.name)
+    assert changed._bases is None
+    assert changed._sound is fresh._sound is False
+
+    def outcome(G):
+        try:
+            return io.save_report(sgpd_segal_check(dataclasses.replace(
+                Z, face={**Z.face, (1, 0): G})))
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(changed) == outcome(fresh) != outcome(F)
 
 
 def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():

@@ -184,12 +184,9 @@ def test_a_table_that_is_no_table_of_hashable_values_is_refused(owner, part,
     table = {"None": None, "list": [1], "unhashable value": {
         k: [v] for k, v in POINT[part].items()}}[bad]
     name = "F" if owner is Functor else "pt"
-    if bad == "unhashable value":
-        message = f"{part} of {name} has a value that is not hashable"
-    elif owner is Functor:
-        message = "F needs mappings on_objects and on_morphisms"
-    else:
-        message = f"{part} of pt is not a table"
+    message = f"{part} of {name} " + (
+        "has a value that is not hashable" if bad == "unhashable value"
+        else "is not a table")
     with pytest.raises(InputError, match=f"^{message}$"):
         _point(owner, part, table)
     given = MappingProxyType(dict(POINT[part]))
