@@ -26,8 +26,8 @@ from .checks import Semantics, _graph_row
 from .delta import SimplexMap, _ints, epi_mono_factorize
 from .errors import InputError
 from .sset import (_SHIFT, SimplicialTables, TruncatedSSet, Violation,
-                   _comap, _expect, _gather, _shape, _tables, along,
-                   identities, structure_maps, subdivide)
+                   _comap, _expect, _gather, _not_a_map, _shape, _tables,
+                   along, identities, structure_maps, subdivide)
 
 __all__ = [
     "FinGroupoid",
@@ -134,12 +134,14 @@ class Functor:
     """Object and morphism assignments between finite categories.
 
     Each assignment is a table by ``FinCategory``'s rule (``_frozen``),
-    and no field can be rebound.  Whether ``functor_violations`` finds
-    nothing is decided on first need and kept (``_sound``).
-    ``compose_functors`` records in ``_bases`` the functors a composite
-    chains, in the order they apply, leaving out identities and
-    intermediate composites; it is () for an identity and None for a
-    functor given by its tables, and ``dataclasses.replace`` resets it.
+    and no field can be rebound.  Two facts are decided on first need
+    and kept: whether the tables are a map from the source into the
+    target (``_is_map``), and whether ``functor_violations`` finds
+    nothing (``_sound``).  ``compose_functors`` records in ``_bases``
+    the functors a composite chains, in the order they apply, leaving
+    out identities and intermediate composites; it is () for an
+    identity and None for a functor given by its tables, and
+    ``dataclasses.replace`` resets it and drops both facts.
     """
 
     source: FinCategory
@@ -158,6 +160,24 @@ class Functor:
 
     def __repr__(self):
         return f"<functor {self.name or '?'}>"
+
+    @cached_property
+    def _is_map(self) -> bool:
+        """Whether each table's keys are exactly the source's objects or
+        morphisms and its values lie among the target's.
+
+        An identity or a composite is a map when its bases are, its
+        tables unread: ``compose_functors`` chains maps only.
+        """
+        if self._bases is not None:
+            return all(F._is_map for F in self._bases)
+        return all(table.keys() == set(keys) and
+                   set(there).issuperset(table.values())
+                   for table, keys, there in (
+                       (self.on_objects, self.source.objects,
+                        self.target.objects),
+                       (self.on_morphisms, self.source.morphisms,
+                        self.target.morphisms)))
 
     @cached_property
     def _sound(self) -> bool:
@@ -184,28 +204,32 @@ def functor_violations(F: Functor, composites=None) -> list[LawViolation]:
 
     Composition is checked on ``composites``, source composites
     ((g, f), h) in the order their violations are listed; by default
-    every item of ``F.source.compose``; ``()`` checks none.
+    every item of ``F.source.compose``; ``()`` checks none.  The
+    totality and stray-key loops run only where F is not a map
+    (``Functor._is_map``), since on a map they find nothing.
     """
-    out = []
-    objset, morset = set(F.target.objects), set(F.target.morphisms)
-    for a in F.source.objects:
-        b = F.on_objects.get(a)
-        if b is None or b not in objset:
-            out.append(LawViolation("object-totality", (a,), f"image {b!r}"))
-    for f in F.source.morphisms:
-        g = F.on_morphisms.get(f)
-        if g is None or g not in morset:
-            out.append(LawViolation("morphism-totality", (f,),
-                                    f"image {g!r}"))
-    objects, morphisms = set(F.source.objects), set(F.source.morphisms)
-    stray = [LawViolation("stray-entry", (a,), "object key is not a source "
-                          "object")
-             for a in F.on_objects if a not in objects]
-    stray += [LawViolation("stray-entry", (f,), "morphism key is not a "
-                           "source morphism")
-              for f in F.on_morphisms if f not in morphisms]
-    if out:
-        return out + stray
+    out, stray = [], []
+    if not F._is_map:
+        objset, morset = set(F.target.objects), set(F.target.morphisms)
+        for a in F.source.objects:
+            b = F.on_objects.get(a)
+            if b is None or b not in objset:
+                out.append(LawViolation("object-totality", (a,),
+                                        f"image {b!r}"))
+        for f in F.source.morphisms:
+            g = F.on_morphisms.get(f)
+            if g is None or g not in morset:
+                out.append(LawViolation("morphism-totality", (f,),
+                                        f"image {g!r}"))
+        objects, morphisms = set(F.source.objects), set(F.source.morphisms)
+        stray = [LawViolation("stray-entry", (a,), "object key is not a "
+                              "source object")
+                 for a in F.on_objects if a not in objects]
+        stray += [LawViolation("stray-entry", (f,), "morphism key is not "
+                               "a source morphism")
+                  for f in F.on_morphisms if f not in morphisms]
+        if out:
+            return out + stray
     for f in F.source.morphisms:
         g = F.on_morphisms[f]
         if F.target.src[g] != F.on_objects[F.source.src[f]] or \
@@ -238,12 +262,23 @@ def identity_functor(A: FinCategory) -> Functor:
     return out
 
 
+def _maps(*functors):
+    """``InputError`` naming the first of these functors that is not a
+    map from its source into its target (``Functor._is_map``)."""
+    for F in functors:
+        if not F._is_map:
+            raise InputError(f"{F.name or 'a functor'} is not a map from "
+                             "its source into its target; input tables are "
+                             "not valid")
+
+
 def compose_functors(G: Functor, F: Functor) -> Functor:
-    """G after F; sources and targets must chain, and G's tables must
-    have an entry for every image of F.  The composite records the
-    bases of both (``Functor._bases``)."""
-    if F.target is not G.source and F.target != G.source:
+    """G after F; sources and targets must chain, and both must be maps
+    (``_maps``), so the composite is one.  It records the bases of both
+    (``Functor._bases``)."""
+    if F.target is not G.source:
         raise InputError("functors do not chain")
+    _maps(F, G)
     out = Functor(F.source, G.target, _after(G, F, "on_objects"),
                   _after(G, F, "on_morphisms"), name=f"{G.name}.{F.name}")
     object.__setattr__(out, "_bases", tuple(
@@ -255,12 +290,7 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
 def _after(G: Functor, F: Functor, part: str) -> Mapping:
     """G's ``part`` table after F's, read-only."""
     table = getattr(G, part)
-    try:
-        return MappingProxyType(
-            {a: table[b] for a, b in getattr(F, part).items()})
-    except KeyError as e:
-        raise _missing((f"{part} of {G.name or 'a functor'}", table,
-                        e.args[0])) from None
+    return MappingProxyType({a: table[b] for a, b in getattr(F, part).items()})
 
 
 def iso_classes(G: FinGroupoid) -> dict:
@@ -286,39 +316,26 @@ def groupoid_equivalence(F: Functor) -> list[LawViolation]:
     Faithfulness witnesses are parallel pairs with equal image;
     fullness witnesses name the unreached target morphism; essential
     surjectivity witnesses name an unreached component representative.
-    ``InputError`` if F lacks an entry for a source object or morphism,
-    or sends an object outside its target.
+    ``InputError`` if F is not a map (``_maps``).
     """
+    _maps(F)
     out = []
-    name = F.name or "a functor"
-    try:
-        at = {a: F.on_objects[a] for a in F.source.objects}
-    except KeyError as e:
-        raise _missing((f"on_objects of {name}", F.on_objects,
-                        e.args[0])) from None
-    try:
-        for a in F.source.objects:
-            for b in F.source.objects:
-                image = {}
-                for f in F.source.hom(a, b):
-                    g = F.on_morphisms[f]
-                    if g in image:
-                        out.append(LawViolation(
-                            "faithful", (image[g], f), f"both map to {g!r}"))
-                    image.setdefault(g, f)
-                for g in F.target.hom(at[a], at[b]):
-                    if g not in image:
-                        out.append(LawViolation(
-                            "full", (a, b, g), "no preimage in this hom-set"))
-    except KeyError as e:
-        raise _missing((f"on_morphisms of {name}", F.on_morphisms,
-                        e.args[0])) from None
+    at = dict(F.on_objects)
+    for a in F.source.objects:
+        for b in F.source.objects:
+            image = {}
+            for f in F.source.hom(a, b):
+                g = F.on_morphisms[f]
+                if g in image:
+                    out.append(LawViolation(
+                        "faithful", (image[g], f), f"both map to {g!r}"))
+                image.setdefault(g, f)
+            for g in F.target.hom(at[a], at[b]):
+                if g not in image:
+                    out.append(LawViolation(
+                        "full", (a, b, g), "no preimage in this hom-set"))
     classes = iso_classes(F.target)
-    try:
-        reached = {classes[at[a]] for a in F.source.objects}
-    except KeyError as e:
-        raise _missing((f"objects of {F.target.name or 'its target'}",
-                        classes, e.args[0])) from None
+    reached = {classes[at[a]] for a in F.source.objects}
     for rep in sorted(set(classes.values())):
         if rep not in reached:
             out.append(LawViolation("essentially-surjective", (rep,),
@@ -439,14 +456,17 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     The common codomain must be a groupoid; a morphism is then any pair
     of source morphisms, the companion iso at the target being solved
     uniquely by conjugation.  Objects, morphisms, identities and
-    inverses are listed; composites are computed on lookup.
+    inverses are listed; composites are computed on lookup.  F and G
+    must be maps (``_maps``); a level table that lacks an entry the
+    construction looks up raises ``InputError`` naming it.
     """
     C = F.target
-    if G.target is not C and G.target != C:
+    if G.target is not C:
         raise InputError("iso_comma needs a common codomain")
     if not all(isinstance(E, FinGroupoid)
                for E in (C, F.source, G.source)):
         raise InputError("iso_comma needs groupoids throughout")
+    _maps(F, G)
     nm = _reserved(F.source.objects, F.source.morphisms, G.source.objects,
                    G.source.morphisms, C.morphisms)
     if nm is not None:
@@ -456,13 +476,7 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
     obj_by_pair = {}
     for a in F.source.objects:
         for b in G.source.objects:
-            try:
-                isos = C.hom(F.on_objects[a], G.on_objects[b])
-            except KeyError:
-                raise _missing((f"on_objects of {F.name}", F.on_objects, a),
-                               (f"on_objects of {G.name}", G.on_objects,
-                                b)) from None
-            for gamma in isos:
+            for gamma in C.hom(F.on_objects[a], G.on_objects[b]):
                 oid = IsoComma.obj_id(a, b, gamma)
                 objects.append(oid)
                 obj_data[oid] = (a, b, gamma)
@@ -478,20 +492,14 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                     if (a, G.source.src[q]) in obj_by_pair]
                 for a in F.source.objects}
     for p in F.source.morphisms:
+        Fp = F.on_morphisms[p]
         try:
-            Fp_inv = C.inverse[F.on_morphisms[p]]
+            Fp_inv = C.inverse[Fp]
         except KeyError:
-            raise _missing(
-                (f"on_morphisms of {F.name}", F.on_morphisms, p),
-                (f"inverse of {C.name}", C.inverse,
-                 F.on_morphisms.get(p))) from None
+            raise _missing((f"inverse of {C.name}", C.inverse, Fp)) from None
         a = F.source.src[p]
         for q in partners[a]:
-            try:
-                Gq = G.on_morphisms[q]
-            except KeyError:
-                raise _missing((f"on_morphisms of {G.name}",
-                                G.on_morphisms, q)) from None
+            Gq = G.on_morphisms[q]
             for oid in obj_by_pair[(a, G.source.src[q])]:
                 gamma = obj_data[oid][2]
                 try:
@@ -560,7 +568,9 @@ class TruncatedSGpd(SimplicialTables):
     levels and functors were checked by their own constructors, and
     their tables are read-only too.  So nothing a check reads can
     change after it is built, and the facts the checks decide about
-    levels and functors are kept on them.
+    levels and functors are kept on them.  The first structure functor
+    that is not a map of levels is kept too (``_non_map``): ``act_gpd``,
+    ``esd_gpd`` and the checks refuse it on entry (``_of_maps``).
     """
 
     truncation: int
@@ -583,6 +593,25 @@ class TruncatedSGpd(SimplicialTables):
                         f"into level {n + _SHIFT[kind]}")
                 store[n, i] = F
             object.__setattr__(self, kind, MappingProxyType(store))
+
+    @cached_property
+    def _non_map(self):
+        """(kind, n, i) of the first structure functor, in
+        ``structure_maps`` order, that is not a map from its level into
+        its target level (``Functor._is_map``), or None; ``InputError``
+        where the store lacks a key before it."""
+        return next((key for key in structure_maps(self.truncation)
+                     if not self._map(*key)._is_map), None)
+
+
+def _of_maps(Y: TruncatedSGpd) -> TruncatedSGpd:
+    """Y, or ``InputError`` unless it is a ``TruncatedSGpd`` whose
+    structure functors are all maps of levels: the set tier's text
+    (``sset._not_a_map``) for the first that is not (``_non_map``)."""
+    _expect(Y, TruncatedSGpd)
+    if Y._non_map is not None:
+        raise _not_a_map(*Y._non_map)
+    return Y
 
 
 def validate_sgpd(Y: TruncatedSGpd) -> list[Violation]:
@@ -635,12 +664,14 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
 
     The face and degeneracy functors are composed along alpha's
     generator path (``generator_maps``), which is cached per map: one
-    store lookup and one functor composition per generator.  The path
-    is walked first, so a map beyond the truncation raises the
+    store lookup and one functor composition per generator.  A
+    structure functor of Y that is not a map of levels is refused on
+    entry, with the text ``act_positions`` gives such a table
+    (``_of_maps``), whether or not the path reads it.  The path is
+    walked next, so a map beyond the truncation raises the
     ``InputError`` that ``act_positions`` raises.
     """
-    _expect(Y, TruncatedSGpd)
-    functors = [F for F, _ in Y.generator_maps(alpha)]
+    functors = [F for F, _ in _of_maps(Y).generator_maps(alpha)]
     out = identity_functor(Y.levels[alpha.cod_dim])
     for F in functors:
         out = compose_functors(F, out)
@@ -648,9 +679,9 @@ def act_gpd(alpha: SimplexMap, Y: TruncatedSGpd) -> Functor:
 
 
 def esd_gpd(Y: TruncatedSGpd) -> TruncatedSGpd:
-    """Subdivision one tier up: level n is Y's level 2n+1."""
-    _expect(Y, TruncatedSGpd)
-    return subdivide(Y, act_gpd)
+    """Subdivision one tier up: level n is Y's level 2n+1.  A structure
+    functor that is not a map of levels is refused (``_of_maps``)."""
+    return subdivide(_of_maps(Y), act_gpd)
 
 
 def _discrete_groupoid(cells, name):
@@ -665,17 +696,20 @@ def _discrete_groupoid(cells, name):
 
 
 def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
-    """View a simplicial set as a levelwise-discrete simplicial groupoid."""
+    """View a simplicial set as a levelwise-discrete simplicial groupoid.
+
+    Each table c -> v is lifted to the identities i(c) -> i(v), named
+    as ``_discrete_groupoid`` names them, so a table that is not a map
+    of levels lifts to a functor that is not one either.
+    """
     _expect(X, TruncatedSSet)
     levels = tuple(_discrete_groupoid(X.level(n), f"{X.name}[{n}]")
                    for n in range(X.truncation + 1))
 
     def lift(kind, n, i):
-        source, target = levels[n], levels[n + _SHIFT[kind]]
         table = X._names(kind, n, i)
-        return Functor(source, target, table,
-                       {source.identity[c]: target.identity[v]
-                        for c, v in table.items()})
+        return Functor(levels[n], levels[n + _SHIFT[kind]], table,
+                       {f"i({c})": f"i({v})" for c, v in table.items()})
 
     return TruncatedSGpd(X.truncation, levels, *_tables(X.truncation, lift),
                          name=f"disc({X.name})" if X.name else "disc")
@@ -729,8 +763,9 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     """Groupoid semantics: the functor into the iso-comma of the legs.
 
     The functor at ``shared`` must equal both composites of a factor
-    with its leg strictly, so every chosen iso is an identity.  A graph
-    row (``checks._graph_row``) passes without its iso-comma where
+    with its leg strictly, so every chosen iso is an identity.  The
+    acts are maps of levels (``act_gpd``), so each lookup of their
+    tables finds its entry.  A graph row (``checks._graph_row``) passes without its iso-comma where
     ``_factors_sound`` holds and the legs' target is ``_valid``.  Any
     other row builds its iso-comma, and checks the comparison H into it
     on no composites where ``_factors_sound`` holds and H keeps
@@ -748,33 +783,15 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     IC = None if graph else iso_comma(leg_first, leg_second)
     objects = {}
     for x in A.objects:
-        a, b = first.on_objects[x], second.on_objects[x]
-        try:
-            if leg_first.on_objects[a] != shared.on_objects[x] or \
-                    leg_second.on_objects[b] != shared.on_objects[x]:
-                raise InputError(
-                    f"legs disagree at object {x!r}; input is not strictly "
-                    "simplicial")
-            gamma = C.identity[shared.on_objects[x]]
-        except KeyError:
-            raise _missing(
-                (f"on_objects of {leg_first.name}", leg_first.on_objects, a),
-                (f"on_objects of {leg_second.name}", leg_second.on_objects,
-                 b),
-                (f"identity of {C.name}", C.identity,
-                 shared.on_objects[x])) from None
-        objects[x] = (a, b, gamma)
-    morphisms = {}
-    try:
-        for f in A.morphisms:
-            p, q = first.on_morphisms[f], second.on_morphisms[f]
-            gamma = C.identity[shared.on_objects[A.src[f]]]
-            morphisms[f] = (p, q, gamma)
-    except KeyError:
-        raise _missing(
-            (f"on_morphisms of {first.name}", first.on_morphisms, f),
-            (f"on_morphisms of {second.name}", second.on_morphisms,
-             f)) from None
+        a, b, s = first.on_objects[x], second.on_objects[x], \
+            shared.on_objects[x]
+        if leg_first.on_objects[a] != s or leg_second.on_objects[b] != s:
+            raise InputError(f"legs disagree at object {x!r}; input is not "
+                             "strictly simplicial")
+        objects[x] = (a, b, C.identity[s])
+    morphisms = {f: (first.on_morphisms[f], second.on_morphisms[f],
+                     C.identity[shared.on_objects[A.src[f]]])
+                 for f in A.morphisms}
     parts, legs = (objects, morphisms), (leg_first, leg_second)
     if graph:
         # the iso-comma has an object per x and γ leaving F x (entering
@@ -863,48 +880,16 @@ def sgpd_two_segal_map(Y: TruncatedSGpd, n: int, i: int,
 
 def sgpd_segal_check(Y: TruncatedSGpd):
     """Equivalence verdicts for every level-splitting comparison functor;
-    ``InputError`` if a structure functor leaves its target level
-    (``_images_in_levels``)."""
-    report = GROUPOID.segal_check(Y, sgpd_segal_map)
-    _images_in_levels(Y)
-    return report
+    ``InputError`` on entry if a structure functor is not a map of
+    levels (``_of_maps``)."""
+    return GROUPOID.segal_check(_of_maps(Y), sgpd_segal_map)
 
 
 def sgpd_two_segal_check(Y: TruncatedSGpd, mode: str = "full"):
     """Equivalence verdicts for the polygon comparisons, both sweep
-    modes; ``InputError`` if a structure functor leaves its target
-    level (``_images_in_levels``)."""
-    report = GROUPOID.two_segal_check(Y, mode, sgpd_two_segal_map)
-    _images_in_levels(Y)
-    return report
-
-
-def _images_in_levels(Y: TruncatedSGpd):
-    """``InputError`` unless every structure functor of Y sends each
-    object and morphism into its target level, naming the first image
-    that is not there, in ``structure_maps`` order, objects before
-    morphisms.
-
-    A check reads only the entries its rows reach, and an image outside
-    the target that no lookup meets would leave a verdict on input that
-    is no simplicial groupoid.  The checks call this once, after their
-    rows, so an error a row meets is raised as it was; it reads each
-    functor once, with C-level set lookups.  A check with no rows has
-    read nothing yet, so the other tier's object is refused here.
-    """
-    _expect(Y, TruncatedSGpd)
-    ids = [(set(G.objects), set(G.morphisms)) for G in Y.levels]
-    for kind, n, i in structure_maps(Y.truncation):
-        F = Y._map(kind, n, i)
-        for part, there in zip(("on_objects", "on_morphisms"),
-                               ids[n + _SHIFT[kind]]):
-            table = getattr(F, part)
-            if not there.issuperset(table.values()):
-                key = next(k for k, v in table.items() if v not in there)
-                raise InputError(
-                    f"{part} of {kind}({n},{i}) sends {key!r} to "
-                    f"{table[key]!r}, which is not in level {n + _SHIFT[kind]}"
-                    "; input tables are not valid")
+    modes; ``InputError`` on entry if a structure functor is not a map
+    of levels (``_of_maps``)."""
+    return GROUPOID.two_segal_check(_of_maps(Y), mode, sgpd_two_segal_map)
 
 
 @dataclass(frozen=True)
@@ -923,10 +908,10 @@ class SgpdBetaGamma:
 def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
                              j: int) -> SgpdBetaGamma:
     """The subdivision comparison equals the polygon one, factors
-    swapped; ``InputError`` if a structure functor leaves its target
-    level (``_images_in_levels``)."""
-    pair = GROUPOID.beta_gamma(Y, m, j, esd_gpd)
-    _images_in_levels(Y)
+    swapped; ``InputError`` on entry if a structure functor is not a
+    map of levels (``_of_maps``), also where the index is beyond the
+    truncation."""
+    pair = GROUPOID.beta_gamma(_of_maps(Y), m, j, esd_gpd)
     if pair is None:
         return SgpdBetaGamma(m, j, "out_of_truncation")
     beta, gamma = pair

@@ -11,7 +11,7 @@ from edgewise import groupoid, io
 from edgewise.cat import chain_poset, nerve
 from edgewise.checks import segal_check, two_segal_check
 from edgewise.corpus import coskeletal_from_graph, standard_corpus
-from edgewise.delta import all_monotone_maps
+from edgewise.delta import all_monotone_maps, identity
 from edgewise.errors import InputError
 from edgewise.groupoid import (
     FinGroupoid,
@@ -35,7 +35,8 @@ from edgewise.groupoid import (
     validate_groupoid,
     validate_sgpd,
 )
-from edgewise.sset import edgewise
+from edgewise.sset import (TruncatedSSet, Violation, _not_a_map, edgewise,
+                           validate)
 from test_gpd_index import (_retarget_one_image, _stray_composite,
                             _swap_one_image, _twist_one_face, rebuilt)
 
@@ -475,9 +476,9 @@ def test_one_broken_functor_entry_ends_in_input_error():
     for broken in _broken_functor_entries(doc):
         outcomes.update(_checks(io.load_sgpd(json.dumps(broken))))
     assert "returned" in outcomes
-    assert "on_morphisms of face(2,0) has no entry 'm0'; input tables " \
-        "are not valid" in outcomes
-    assert "inverse of level1 has no entry 'nope'; input tables are not " \
+    assert "face table (2, 0) is not a map from level 2 into level 1; " \
+        "input tables are not simplicial" in outcomes
+    assert "inverse of level1 has no entry 'm1'; input tables are not " \
         "valid" in outcomes
     assert "inverse of level0 has no entry 'm0'; input tables are not " \
         "valid" in outcomes
@@ -487,7 +488,7 @@ def test_one_broken_functor_entry_ends_in_input_error():
 
 def test_every_image_outside_the_target_level_ends_in_input_error():
     # every entry of every structure functor sent to "nope": each check
-    # raises, also where no row reads that entry
+    # refuses that functor, also where no row reads that entry
     doc = json.loads(io.save_sgpd(s_construction(2, 3)))
     checks = (sgpd_segal_check, sgpd_two_segal_check,
               lambda Y: sgpd_two_segal_check(Y, "reduced"),
@@ -496,6 +497,8 @@ def test_every_image_outside_the_target_level_ends_in_input_error():
     redirects = 0
     for kind in ("face", "degeneracy"):
         for key, functor in doc[kind].items():
+            n, i = map(int, key.split(","))
+            m = n - 1 if kind == "face" else n + 1
             for part, table in functor.items():
                 for entry in table:
                     broken = json.loads(json.dumps(doc))
@@ -503,16 +506,13 @@ def test_every_image_outside_the_target_level_ends_in_input_error():
                     Y = io.load_sgpd(json.dumps(broken))
                     redirects += 1
                     for check in checks:
-                        with pytest.raises(InputError):
+                        with pytest.raises(InputError) as exc:
                             check(Y)
+                        assert str(exc.value) == \
+                            f"{kind} table ({n}, {i}) is not a map from " \
+                            f"level {n} into level {m}; input tables are " \
+                            "not simplicial"
     assert redirects == 86
-    doc["face"]["1,0"]["on_objects"]["x0"] = "nope"
-    Y = io.load_sgpd(json.dumps(doc))
-    for check in checks[1:]:
-        with pytest.raises(InputError) as exc:
-            check(Y)
-        assert str(exc.value) == "on_objects of face(1,0) sends 'x0' to " \
-            "'nope', which is not in level 0; input tables are not valid"
 
 
 def test_equivalence_of_a_functor_that_is_not_total_raises_input_error():
@@ -521,21 +521,98 @@ def test_equivalence_of_a_functor_that_is_not_total_raises_input_error():
     for check in (groupoid_equivalence, equivalence_verdict):
         with pytest.raises(InputError) as exc:
             check(bare)
-        assert str(exc.value) == "on_objects of a functor has no entry " \
-            "'x0'; input tables are not valid"
+        assert str(exc.value) == "a functor is not a map from its source " \
+            "into its target; input tables are not valid"
     named = Functor(F.source, F.target, dict(F.on_objects), {}, name="d")
     with pytest.raises(InputError) as exc:
         groupoid_equivalence(named)
-    assert str(exc.value) == "on_morphisms of d has no entry 'm0'; input " \
-        "tables are not valid"
+    assert str(exc.value) == "d is not a map from its source into its " \
+        "target; input tables are not valid"
     astray = Functor(F.source, F.target, {**F.on_objects, "x0": "nope"},
                      F.on_morphisms)
     with pytest.raises(InputError) as exc:
         equivalence_verdict(astray)
-    assert str(exc.value) == "objects of S0 has no entry 'nope'; input " \
-        "tables are not valid"
+    assert str(exc.value) == "a functor is not a map from its source " \
+        "into its target; input tables are not valid"
     assert equivalence_verdict(F) == equivalence_verdict(
         Functor(F.source, F.target, F.on_objects, F.on_morphisms))
+
+
+def _not_maps(Y):
+    """Y with one table of one structure functor made not a map of
+    levels: each entry dropped, and a stray key added to each table;
+    one (kind, n, i, the violation ``validate_sgpd`` lists, changed Y)
+    per change."""
+    for kind in ("face", "degeneracy"):
+        for (n, i), F in Y._store(kind).items():
+            for part, cell in (("on_objects", "object"),
+                               ("on_morphisms", "morphism")):
+                table = getattr(F, part)
+                changes = [(key, f"{cell}-totality",
+                            {k: v for k, v in table.items() if k != key})
+                           for key in table]
+                changes.append(("zz", "stray-entry",
+                                {**table, "zz": next(iter(table.values()))}))
+                for key, law, changed in changes:
+                    yield kind, n, i, Violation(
+                        "functor", n, (i,), str((key,)), f"{kind} {law}"), \
+                        rebuilt(Y, functors={(kind, n, i): {part: changed}})
+
+
+def test_a_structure_functor_that_is_not_a_map_is_refused_everywhere():
+    # the set tier's text, at every entry point, also where no row reads
+    # the changed table or no row is computed at all
+    Y = s_construction(2, 3)
+    entry_points = [
+        sgpd_segal_check, sgpd_two_segal_check,
+        lambda Z: sgpd_two_segal_check(Z, "reduced"), esd_gpd,
+        lambda Z: sgpd_beta_gamma_equality(Z, 1, 1),
+        lambda Z: sgpd_beta_gamma_equality(Z, 2, 1),
+        lambda Z: act_gpd(identity(0), Z),
+        *(lambda Z, m=m, j=j: sgpd_segal_map(Z, m, j)
+          for m in range(1, 4) for j in range(1, m + 1)),
+        *(lambda Z, i=i, j=j: sgpd_two_segal_map(Z, 3, i, j)
+          for i in range(4) for j in range(i + 1, 4))]
+    cases = 0
+    for kind, n, i, violation, Z in _not_maps(Y):
+        cases += 1
+        assert validate_sgpd(Z) == [violation]
+        for run in entry_points:
+            with pytest.raises(InputError) as exc:
+                run(Z)
+            assert str(exc.value) == str(_not_a_map(kind, n, i))
+    assert cases == 116
+
+
+@pytest.mark.parametrize("change", ["stray", "foreign", "unhashable"])
+def test_the_discrete_view_of_a_table_that_is_not_a_map(change):
+    # the lifted functor carries the table's defect: validate_sgpd
+    # reports it and the checks refuse it as the set tier does
+    X = nerve(chain_poset(2), 3)
+    face = X.face
+    table = face[2, 0]
+    cell = next(iter(table))
+    table[{"stray": "zz"}.get(change, cell)] = \
+        {"stray": table[cell], "foreign": "nope"}.get(change, ["x"])
+    Z = TruncatedSSet(X.truncation, X.levels, face, X.degeneracy)
+    assert validate(Z)
+    if change == "unhashable":
+        with pytest.raises(InputError,
+                           match="has a value that is not hashable$"):
+            discrete_sgpd(Z)
+        return
+    laws = {"stray": ["face stray-entry"] * 2,
+            "foreign": ["face object-totality", "face morphism-totality"]}
+    assert [v.detail for v in validate_sgpd(discrete_sgpd(Z))] == \
+        laws[change]
+    for set_check, gpd_check in ((segal_check, sgpd_segal_check),
+                                 (two_segal_check, sgpd_two_segal_check)):
+        with pytest.raises(InputError) as exc:
+            set_check(Z)
+        assert str(exc.value) == str(_not_a_map("face", 2, 0))
+        with pytest.raises(InputError) as exc:
+            gpd_check(discrete_sgpd(Z))
+        assert str(exc.value) == str(_not_a_map("face", 2, 0))
 
 
 def test_functor_tables_that_are_not_mappings_raise_input_error():
