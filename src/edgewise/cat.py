@@ -209,20 +209,6 @@ def tabulate_category(objects, data, name, src, tgt, identity, compose):
         identities, composites)))
 
 
-def _missing(*lookups) -> InputError:
-    """The ``InputError`` for a ``KeyError`` raised by one of
-    ``lookups``, each (table name, table, key) in the order they were
-    made: it names the first whose table has no entry for its key, the
-    one that raised, since those before it succeeded.  Where every
-    table has its key, the ``KeyError`` came from a lookup not listed,
-    and the text names no table."""
-    for name, table, key in lookups:
-        if key not in table:
-            return InputError(f"{name} has no entry {key!r}; input tables "
-                              "are not valid")
-    return InputError("a table lacks an entry; input tables are not valid")
-
-
 def validate_category(A: FinCategory):
     """Law violations of A: composability, endpoints, units, associativity,
     and composites recorded for pairs that are not morphisms."""

@@ -19,8 +19,8 @@ from itertools import (combinations_with_replacement, permutations,
 from operator import itemgetter
 from types import MappingProxyType
 
-from .cat import FinCategory, LawViolation, _frozen, _missing, \
-    tabulate_category, validate_category
+from .cat import FinCategory, LawViolation, _frozen, tabulate_category, \
+    validate_category
 from .checks import Semantics, _graph_row
 # epi_mono_factorize is bound here too, for tracers that wrap it
 from .delta import SimplexMap, _ints, epi_mono_factorize
@@ -75,10 +75,13 @@ class FinGroupoid(FinCategory):
     def _well_formed(self) -> bool:
         """Whether no name contains '&', every morphism's inverse is a
         morphism with the swapped endpoints, every identity is a
-        morphism from and to its object, and every compose entry
+        morphism from and to its object, every compose entry
         (g, f) -> h is of morphisms with src g = tgt f, src h = src f and
-        tgt h = tgt g; False where a table lacks an entry.  Every
-        morphism's endpoints are objects by construction."""
+        tgt h = tgt g, and every composable pair has an entry; False
+        where a table lacks an entry.  The entries being distinct
+        composable pairs, the last is one count: there are
+        sum_x out(x) * in(x) of them, over the morphisms' endpoints.
+        Every morphism's endpoints are objects by construction."""
         if _reserved(self.objects, self.morphisms) is not None:
             return False
         try:
@@ -93,9 +96,12 @@ class FinGroupoid(FinCategory):
                 f_src, f_tgt = ends[f]
                 if g_src != f_tgt or ends[h] != (f_src, g_tgt):
                     return False
-            return True
         except KeyError:
             return False
+        leaving = Counter(a for a, _ in ends.values())
+        entering = Counter(b for _, b in ends.values())
+        return len(self.compose) == sum(leaving[x] * entering[x]
+                                        for x in leaving)
 
     @cached_property
     def _valid(self) -> bool:
@@ -381,8 +387,8 @@ class _IsoCommaCompose(Mapping):
 
     (p2, q2, γ2) after (p1, q1, γ1) is (p2∘p1, q2∘q1, γ1), composed in
     the legs' sources.  A key that is not a composable pair of
-    morphisms is missing; a composable pair whose components have no
-    composite there raises ``InputError``.  Iterating lists each m1 in
+    morphisms is missing; every composable pair has its composite, by
+    the checks ``iso_comma`` makes on entry.  Iterating lists each m1 in
     morphism order, then each m2 leaving its target, and ``len`` counts
     those pairs without listing them; both read an index of the
     morphisms by source object, built on first use.
@@ -417,13 +423,8 @@ class _IsoCommaCompose(Mapping):
             return default
         if self._src[m2] != self._tgt[m1]:
             return default
-        try:
-            return self._by_signature[(self._first[(p2, p1)],
-                                       self._second[(q2, q1)],
-                                       self._src[m1])]
-        except KeyError:
-            raise InputError(f"iso-comma composite of {key!r} is undefined "
-                             "in the sources of its legs") from None
+        return self._by_signature[(self._first[(p2, p1)],
+                                   self._second[(q2, q1)], self._src[m1])]
 
     def __contains__(self, key):
         try:
@@ -453,12 +454,25 @@ def _reserved(*names):
 def iso_comma(F: Functor, G: Functor) -> IsoComma:
     """Homotopy pullback of F and G: match objects up to a chosen iso.
 
-    The common codomain must be a groupoid; a morphism is then any pair
-    of source morphisms, the companion iso at the target being solved
-    uniquely by conjugation.  Objects, morphisms, identities and
-    inverses are listed; composites are computed on lookup.  F and G
-    must be maps (``_maps``); a level table that lacks an entry the
-    construction looks up raises ``InputError`` naming it.
+    The common codomain C must be a groupoid; a morphism is then any
+    pair of source morphisms, the companion iso at the target being
+    solved uniquely by conjugation.  Objects, morphisms, identities and
+    inverses are listed; composites are computed on lookup.
+
+    The inputs are checked once, on entry: F and G must be maps
+    (``_maps``) and no name may contain '&'; then C and both sources
+    must be ``_well_formed`` and each leg must keep endpoints and
+    identities (``functor_violations`` on no composites), or one
+    ``InputError`` refuses them.  No lookup of the build can then miss:
+    - C's inverse is total;
+    - (Gq, γ) and (Gq∘γ, (Fp)^-1) are composable in C, because both
+      legs keep endpoints, and C composes every composable pair;
+    - the identity and inverse signatures exist, because the sources'
+      identities and inverses have the right endpoints, and
+      γ2 = Gq∘γ∘(Fp)^-1 lies in hom(F tgt p, G tgt q);
+    - composable iso-comma morphisms have components that compose in
+      the sources, because the ids carry no '&', so equal ids have
+      equal components, and the sources compose every composable pair.
     """
     C = F.target
     if G.target is not C:
@@ -471,6 +485,12 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                    G.source.morphisms, C.morphisms)
     if nm is not None:
         raise InputError(f"name {nm!r} contains the reserved '&'")
+    if not (C._well_formed and F.source._well_formed and
+            G.source._well_formed) or functor_violations(F, ()) or \
+            functor_violations(G, ()):
+        raise InputError("iso_comma needs well-formed groupoids and legs "
+                         "that keep endpoints and identities; input tables "
+                         "are not valid")
     objects = []
     obj_data = {}
     obj_by_pair = {}
@@ -492,23 +512,13 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                     if (a, G.source.src[q]) in obj_by_pair]
                 for a in F.source.objects}
     for p in F.source.morphisms:
-        Fp = F.on_morphisms[p]
-        try:
-            Fp_inv = C.inverse[Fp]
-        except KeyError:
-            raise _missing((f"inverse of {C.name}", C.inverse, Fp)) from None
+        Fp_inv = C.inverse[F.on_morphisms[p]]
         a = F.source.src[p]
         for q in partners[a]:
             Gq = G.on_morphisms[q]
             for oid in obj_by_pair[(a, G.source.src[q])]:
                 gamma = obj_data[oid][2]
-                try:
-                    gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
-                except KeyError:
-                    raise _missing(
-                        (f"compose of {C.name}", C.compose, (Gq, gamma)),
-                        (f"compose of {C.name}", C.compose,
-                         (C.compose.get((Gq, gamma)), Fp_inv))) from None
+                gamma2 = C.compose[(C.compose[(Gq, gamma)], Fp_inv)]
                 mid = IsoComma.mor_id(p, q, gamma)
                 morphisms.append(mid)
                 mor_data[mid] = (p, q, gamma)
@@ -516,33 +526,12 @@ def iso_comma(F: Functor, G: Functor) -> IsoComma:
                 tgt[mid] = IsoComma.obj_id(F.source.tgt[p],
                                            G.source.tgt[q], gamma2)
                 by_signature[(p, q, oid)] = mid
-    # a signature is missing where the legs do not preserve endpoints
-    signatures = f"morphisms of ({F.name})x^h({G.name}) by signature"
-    identity = {}
-    for oid, (a, b, gamma) in obj_data.items():
-        try:
-            identity[oid] = by_signature[(F.source.identity[a],
-                                          G.source.identity[b], oid)]
-        except KeyError:
-            raise _missing(
-                (f"identity of {F.source.name}", F.source.identity, a),
-                (f"identity of {G.source.name}", G.source.identity, b),
-                (signatures, by_signature, (F.source.identity.get(a),
-                                            G.source.identity.get(b),
-                                            oid))) from None
-    inverse = {}
-    for mid in morphisms:
-        p, q, _ = mor_data[mid]
-        try:
-            inverse[mid] = by_signature[(F.source.inverse[p],
-                                         G.source.inverse[q], tgt[mid])]
-        except KeyError:
-            raise _missing(
-                (f"inverse of {F.source.name}", F.source.inverse, p),
-                (f"inverse of {G.source.name}", G.source.inverse, q),
-                (signatures, by_signature, (F.source.inverse.get(p),
-                                            G.source.inverse.get(q),
-                                            tgt[mid]))) from None
+    identity = {oid: by_signature[(F.source.identity[a],
+                                   G.source.identity[b], oid)]
+                for oid, (a, b, _) in obj_data.items()}
+    inverse = {mid: by_signature[(F.source.inverse[p], G.source.inverse[q],
+                                  tgt[mid])]
+               for mid, (p, q, _) in mor_data.items()}
     morphisms = tuple(morphisms)
     compose = _IsoCommaCompose(morphisms, mor_data, src, tgt, by_signature,
                               F.source.compose, G.source.compose)
@@ -700,7 +689,8 @@ def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
 
     Each table c -> v is lifted to the identities i(c) -> i(v), named
     as ``_discrete_groupoid`` names them, so a table that is not a map
-    of levels lifts to a functor that is not one either.
+    of levels lifts to a functor that is not one either.  The lifted
+    functors are named "kind(n,i)", as ``io.load_sgpd`` names them.
     """
     _expect(X, TruncatedSSet)
     levels = tuple(_discrete_groupoid(X.level(n), f"{X.name}[{n}]")
@@ -709,7 +699,8 @@ def discrete_sgpd(X: TruncatedSSet) -> TruncatedSGpd:
     def lift(kind, n, i):
         table = X._names(kind, n, i)
         return Functor(levels[n], levels[n + _SHIFT[kind]], table,
-                       {f"i({c})": f"i({v})" for c, v in table.items()})
+                       {f"i({c})": f"i({v})" for c, v in table.items()},
+                       name=f"{kind}({n},{i})")
 
     return TruncatedSGpd(X.truncation, levels, *_tables(X.truncation, lift),
                          name=f"disc({X.name})" if X.name else "disc")
@@ -765,11 +756,13 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     The functor at ``shared`` must equal both composites of a factor
     with its leg strictly, so every chosen iso is an identity.  The
     acts are maps of levels (``act_gpd``), so each lookup of their
-    tables finds its entry.  A graph row (``checks._graph_row``) passes without its iso-comma where
-    ``_factors_sound`` holds and the legs' target is ``_valid``.  Any
-    other row builds its iso-comma, and checks the comparison H into it
-    on no composites where ``_factors_sound`` holds and H keeps
-    endpoints and identities, and on every composite otherwise.
+    tables finds its entry.  A graph row (``checks._graph_row``)
+    passes without its iso-comma where ``_factors_sound`` holds and the
+    legs' target is ``_valid``.  Any other row builds its iso-comma,
+    which refuses legs and levels it cannot build from on entry, and
+    checks the comparison H into it on no composites where
+    ``_factors_sound`` holds and H keeps endpoints and identities, and
+    on every composite otherwise.
     """
     flip = _graph_row(first, second, leg_first, leg_second)
     n = first.cod_dim
@@ -779,7 +772,7 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     A = Y.level(n)
     C = leg_first.target
     graph = flip is not None and C._valid and \
-        _factors_sound(A, first, second, leg_first, leg_second)
+        _factors_sound(A, first, second)
     IC = None if graph else iso_comma(leg_first, leg_second)
     objects = {}
     for x in A.objects:
@@ -801,7 +794,7 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
         return SgpdComparison(kind, tuple(indices), A, parts, legs, "pass",
                               None, size)
     H = _functor_into(IC, A, parts, f"{kind}{indices}")
-    if not (_factors_sound(A, first, second, leg_first, leg_second) and
+    if not (_factors_sound(A, first, second) and
             not functor_violations(H, ())):
         bad = functor_violations(H)
         if bad:
@@ -813,7 +806,7 @@ def _equivalence(kind, indices, Y, first, second, leg_first, leg_second,
     return comp
 
 
-def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
+def _factors_sound(A, first, second) -> bool:
     """Whether the facts hold under which ``_equivalence`` decides the
     comparison H of a row at level A without walking its composites.
 
@@ -821,9 +814,9 @@ def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
     - A is a groupoid in which no name contains '&', every morphism's
       endpoints are objects, its inverse is a morphism with the
       swapped endpoints, every identity is a morphism from and to its
-      object, and every compose key (g, f) -> h is of morphisms with
-      src g = tgt f, src h = src f and tgt h = tgt g
-      (``A._well_formed``);
+      object, every compose key (g, f) -> h is of morphisms with
+      src g = tgt f, src h = src f and tgt h = tgt g, and every
+      composable pair is a key (``A._well_formed``);
     - each factor maps into its leg's source, and
       ``functor_violations`` of it is empty (``_sound``).
     Tables the facts cannot read refuse them.  A is a ``FinGroupoid``,
@@ -846,10 +839,11 @@ def _factors_sound(A, first, second, leg_first, leg_second) -> bool:
     components swapped when the row is flipped; the argument below is
     for the unflipped row, and the flipped one is its mirror.  C is a
     groupoid whose names contain no '&' and ``validate_groupoid(C)`` is
-    clean (``C._valid``; C is level 0 or 1).  Then:
-    - ``iso_comma`` and the building of H read only total tables,
-      compose only composable pairs of C, and find every identity and
-      inverse they look up, so neither raises;
+    clean (``C._valid``; C is level 0 or 1), so it is ``_well_formed``
+    too.  Then:
+    - ``iso_comma`` takes the two legs on entry, F and the identity of
+      C keeping endpoints and identities, and so builds without a miss;
+      the building of H reads only total tables;
     - H is a functor: its images are objects and morphisms of the
       iso-comma, it keeps endpoints and identities because F does and
       C's unit and inverse laws hold, and it keeps composites as above;
@@ -915,25 +909,13 @@ def sgpd_beta_gamma_equality(Y: TruncatedSGpd, m: int,
     if pair is None:
         return SgpdBetaGamma(m, j, "out_of_truncation")
     beta, gamma = pair
-    (b_objects, b_morphisms), (g_objects, g_morphisms) = \
-        beta.parts, gamma.parts
-    objects_equal = True
-    morphisms_equal = True
-    mismatch = None
-    for x in beta.source.objects:
-        bi, bo, bg = b_objects[x]
-        go, gi, gg = g_objects[x]
-        if (bi, bo, bg) != (gi, go, gg):
-            objects_equal = False
-            mismatch = str(x)
-            break
-    for f in beta.source.morphisms:
-        bp, bq, bg = b_morphisms[f]
-        gp, gq, gg = g_morphisms[f]
-        if (bp, bq, bg) != (gq, gp, gg):
-            morphisms_equal = False
-            mismatch = mismatch or str(f)
-            break
+    # the first object and the first morphism whose β triple is not γ's
+    # with the factors swapped, or None
+    cells = (beta.source.objects, beta.source.morphisms)
+    first = [next((c for c in part if b[c] != (g[c][1], g[c][0], g[c][2])),
+                  None) for part, b, g in zip(cells, beta.parts, gamma.parts)]
+    objects_equal, morphisms_equal = (c is None for c in first)
+    mismatch = next((str(c) for c in first if c is not None), None)
     verdicts_equal = beta.verdict == gamma.verdict
     ok = objects_equal and morphisms_equal and verdicts_equal
     return SgpdBetaGamma(m, j, "pass" if ok else "fail", objects_equal,

@@ -13,11 +13,12 @@ import json
 
 import pytest
 
-from edgewise import io
+from edgewise import groupoid, io
 from edgewise.cat import bar, cyclic_monoid
 from edgewise.checks import beta_gamma_equality, _same_pairs
 from edgewise.errors import InputError
-from edgewise.groupoid import (discrete_sgpd, sgpd_beta_gamma_equality,
+from edgewise.groupoid import (SgpdBetaGamma, discrete_sgpd,
+                               s_construction, sgpd_beta_gamma_equality,
                                sgpd_two_segal_check, validate_sgpd)
 from edgewise.sset import (Pullback, SimplicialMap, Violation,
                            simplicial_map_violations, standard_simplex)
@@ -58,6 +59,35 @@ def test_groupoid_tier_beta_gamma_mismatch():
     assert (result.objects_equal, result.morphisms_equal,
             result.verdicts_equal) == (False, False, True)
     assert result.mismatch == "e|g|e|e|e"
+
+
+@pytest.mark.parametrize("changed, equal, mismatch", [
+    (("objects",), (False, True), "x1"),
+    (("morphisms",), (True, False), "m1"),
+    (("objects", "morphisms"), (False, False), "x1")])
+def test_groupoid_tier_beta_gamma_mismatch_at_one_triple(
+        monkeypatch, changed, equal, mismatch):
+    # γ's triple at the second object or morphism changed: the match
+    # names the first differing cell, objects before morphisms
+    real = groupoid.GROUPOID
+
+    class Changed:
+        def beta_gamma(self, *args):
+            beta, gamma = real.beta_gamma(*args)
+            parts = []
+            for part, table in zip(("objects", "morphisms"), gamma.parts):
+                table = dict(table)
+                if part in changed:
+                    cell = list(table)[1]
+                    table[cell] = (*table[cell][:2], "zz")
+                parts.append(table)
+            return beta, dataclasses.replace(gamma, parts=tuple(parts))
+
+    Y = s_construction(2, 3)
+    assert sgpd_beta_gamma_equality(Y, 1, 1).verdict == "pass"
+    monkeypatch.setattr(groupoid, "GROUPOID", Changed())
+    result = sgpd_beta_gamma_equality(Y, 1, 1)
+    assert result == SgpdBetaGamma(1, 1, "fail", *equal, True, mismatch)
 
 
 def test_groupoid_legs_that_disagree():

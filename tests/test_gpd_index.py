@@ -35,6 +35,10 @@ from edgewise.groupoid import _level_groupoid
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True)
 
+# the one text with which ``iso_comma`` refuses its legs and levels
+ISO_COMMA_ENTRY = "iso_comma needs well-formed groupoids and legs that " \
+    "keep endpoints and identities; input tables are not valid"
+
 
 @pytest.fixture(scope="module")
 def S3():
@@ -244,16 +248,15 @@ def _v_after_u(source, target):
 
 
 def test_iso_comma_composite_missing_from_a_leg_source_is_an_input_error():
+    # the source is refused on entry, before any composite is looked up
     pair = _pair_groupoid()
     H, key = _v_after_u(pair, pair)
     assert H.compose[key] == H.identity[H.src[key[1]]]
     compose = dict(pair.compose)
     del compose[("v", "u")]
-    H, key = _v_after_u(dataclasses.replace(pair, compose=compose), pair)
-    assert key in H.compose
-    with pytest.raises(InputError, match="undefined in the sources of its "
-                                         "legs"):
-        H.compose.get(key)
+    with pytest.raises(InputError) as exc:
+        _v_after_u(dataclasses.replace(pair, compose=compose), pair)
+    assert str(exc.value) == ISO_COMMA_ENTRY
 
 
 def pcompose(g, f):
@@ -435,15 +438,22 @@ def test_comparison_composites_match_the_materialised_iso_comma(
     first be checked on no composites and then walked; only the last
     check of each iso-comma is recorded.  Graph rows whose guard holds
     build no iso-comma and check no comparison; a check is recorded as
-    a comparison's when its target is the last iso-comma built."""
+    a comparison's when its target is the last iso-comma built.  A
+    level with a stray composite is not well formed, so each iso-comma
+    with it as a leg's source or target is refused on entry, and only
+    those."""
     Y = corrupt(s_construction(3, truncation), n, i)
-    legs, commas, last = [], [], {}
+    legs, commas, last, refused = [], [], {}, set()
     real_iso_comma, real_violations = groupoid.iso_comma, \
         groupoid.functor_violations
 
     def iso_comma_spy(F, G):
         legs.append((F, G))
-        commas.append(real_iso_comma(F, G))
+        try:
+            commas.append(real_iso_comma(F, G))
+        except InputError:
+            refused.add(len(legs))
+            raise
         return commas[-1]
 
     def violations_spy(H, composites=None):
@@ -469,10 +479,16 @@ def test_comparison_composites_match_the_materialised_iso_comma(
             (sgpd_segal_map if len(index) == 2 else sgpd_two_segal_map)(
                 Y, *index)
         except InputError as exc:
-            assert str(exc) == \
-                f"comparison is not a functor: {last[len(legs)][1][0]}"
+            assert str(exc) == (
+                ISO_COMMA_ENTRY if len(legs) in refused else
+                f"comparison is not a functor: {last[len(legs)][1][0]}")
+    assert bool(refused) == (corrupt is _stray_composite)
+    assert refused == {k for k, pair in enumerate(legs, 1)
+                       if corrupt is _stray_composite and
+                       any(Y.levels[n] in (leg.source, leg.target)
+                           for leg in pair)}
     seen = list(last.values())
-    assert 0 < len(seen) == len(legs) <= len(indices)
+    assert 0 < len(seen) == len(legs) - len(refused) <= len(indices)
     for got, want in seen:
         assert got == want
     laws = [v.law for got, _ in seen for v in got]

@@ -37,8 +37,9 @@ from edgewise.groupoid import (
 )
 from edgewise.sset import (TruncatedSSet, Violation, _not_a_map, edgewise,
                            validate)
-from test_gpd_index import (_retarget_one_image, _stray_composite,
-                            _swap_one_image, _twist_one_face, rebuilt)
+from test_gpd_index import (ISO_COMMA_ENTRY, _retarget_one_image,
+                            _stray_composite, _swap_one_image,
+                            _twist_one_face, _with_face_morphisms, rebuilt)
 
 
 def point_groupoid():
@@ -471,19 +472,21 @@ def _broken_level_entries(doc):
 
 
 def test_one_broken_functor_entry_ends_in_input_error():
+    # iso_comma refuses on entry a level without an inverse, at level 0
+    # and at level 1, and a leg that moves endpoints
     doc = json.loads(io.save_sgpd(s_construction(2, 3)))
-    outcomes = set()
+    outcomes, refused = set(), set()
     for broken in _broken_functor_entries(doc):
-        outcomes.update(_checks(io.load_sgpd(json.dumps(broken))))
+        got = _checks(io.load_sgpd(json.dumps(broken)))
+        outcomes.update(got)
+        if ISO_COMMA_ENTRY in got:
+            refused.add(next((f"inverse of level{n}"
+                              for n, level in enumerate(broken["levels"])
+                              if level != doc["levels"][n]), "functor"))
     assert "returned" in outcomes
     assert "face table (2, 0) is not a map from level 2 into level 1; " \
         "input tables are not simplicial" in outcomes
-    assert "inverse of level1 has no entry 'm1'; input tables are not " \
-        "valid" in outcomes
-    assert "inverse of level0 has no entry 'm0'; input tables are not " \
-        "valid" in outcomes
-    assert any(o.startswith("compose of level1 has no entry")
-               for o in outcomes)
+    assert {"inverse of level0", "inverse of level1", "functor"} <= refused
 
 
 def test_every_image_outside_the_target_level_ends_in_input_error():
@@ -597,9 +600,10 @@ def test_the_discrete_view_of_a_table_that_is_not_a_map(change):
     Z = TruncatedSSet(X.truncation, X.levels, face, X.degeneracy)
     assert validate(Z)
     if change == "unhashable":
-        with pytest.raises(InputError,
-                           match="has a value that is not hashable$"):
+        with pytest.raises(InputError) as exc:
             discrete_sgpd(Z)
+        assert str(exc.value) == \
+            "on_objects of face(2,0) has a value that is not hashable"
         return
     laws = {"stray": ["face stray-entry"] * 2,
             "foreign": ["face object-totality", "face morphism-totality"]}
@@ -677,18 +681,69 @@ def test_iso_comma_of_a_leg_that_moves_endpoints_raises_input_error():
     G = pair_groupoid()
     bent = Functor(G, G, {"x": "x", "y": "y"},
                    {**{f: f for f in G.morphisms}, "u": "ix"}, name="bent")
-    with pytest.raises(InputError, match="by signature has no entry"):
+    with pytest.raises(InputError) as exc:
         iso_comma(bent, identity_functor(G))
+    assert str(exc.value) == ISO_COMMA_ENTRY
+
+
+def _without(Y, n, part, key):
+    """Y with the ``part`` entry at ``key`` of level n dropped."""
+    table = dict(getattr(Y.levels[n], part))
+    del table[key]
+    return rebuilt(Y, levels={n: {part: table}})
+
+
+@pytest.mark.parametrize("defect, row, violations", [
+    # the common target (level 0) lacks an inverse
+    (lambda Y: _without(Y, 0, "inverse", "m0"), (1, 1),
+     [("groupoid", 0, (), "('m0',)", "inverse-totality")]),
+    # the common target lacks the composite of a composable pair
+    (lambda Y: _without(Y, 0, "compose", ("m0", "m0")), (1, 1),
+     [("groupoid", 0, (), "('m0', 'm0')", "composability"),
+      ("groupoid", 0, (), "('m0',)", "unit"),
+      ("groupoid", 0, (), "('m0',)", "unit"),
+      ("groupoid", 0, (), "('m0', 'm0')", "inverse-law"),
+      *(("functor", 1, (i,), f"('{f}', '{f}')",
+         "face composition-preservation")
+        for i in (0, 1) for f in ("m0", "m1"))]),
+    # a leg moves an endpoint (and an identity)
+    (lambda Y: _with_face_morphisms(Y, 2, 0, {"m0": "m1"}), (3, 1, 2),
+     [("functor", 2, (0,), "('m0', 'm1')", "face endpoint-preservation"),
+      ("functor", 2, (0,), "('x0',)", "face identity-preservation")]),
+    # a leg's source (level 2) lacks an inverse
+    (lambda Y: _without(Y, 2, "inverse", "m2"), (2, 2),
+     [("groupoid", 2, (), "('m2',)", "inverse-totality")]),
+    # a leg's source (level 1) lacks the composite of a composable pair
+    (lambda Y: _without(Y, 1, "compose", ("m1", "m1")), (2, 1),
+     [("groupoid", 1, (), "('m1', 'm1')", "composability"),
+      ("groupoid", 1, (), "('m1',)", "unit"),
+      ("groupoid", 1, (), "('m1',)", "unit"),
+      ("groupoid", 1, (), "('m1', 'm1')", "inverse-law"),
+      *(("functor", 2, (i,), f"('{f}', '{f}')",
+         "face composition-preservation")
+        for i, f in ((0, "m1"), (1, "m1"), (1, "m2"), (2, "m2")))])])
+def test_a_defect_an_iso_comma_reads_is_refused_on_entry(defect, row,
+                                                         violations):
+    """One defect per lookup of ``iso_comma`` that its entry check
+    keeps from missing: the row that builds the iso-comma ends in the
+    entry text, and ``validate_sgpd`` lists the defect."""
+    Y = defect(s_construction(2, 3))
+    assert [(v.identity, v.level, v.indices, v.cell, v.detail)
+            for v in validate_sgpd(Y)] == violations
+    with pytest.raises(InputError) as exc:
+        (sgpd_segal_map if len(row) == 2 else sgpd_two_segal_map)(Y, *row)
+    assert str(exc.value) == ISO_COMMA_ENTRY
 
 
 def _refused(monkeypatch):
-    """Refuse the row facts (``_factors_sound``) and the facts kept on
-    functors and levels: every row builds its iso-comma and walks every
-    composite of its comparison."""
+    """Refuse the row facts (``_factors_sound``), the soundness kept on
+    functors and the validity kept on levels: every row builds its
+    iso-comma and walks every composite of its comparison.
+    ``_well_formed`` is left as it is: ``iso_comma`` reads it on entry,
+    as it reads ``_is_map``."""
     monkeypatch.setattr(groupoid, "_factors_sound", lambda *row: False)
     monkeypatch.setattr(Functor, "_sound", property(lambda F: False))
-    for fact in ("_well_formed", "_valid"):
-        monkeypatch.setattr(FinGroupoid, fact, property(lambda G: False))
+    monkeypatch.setattr(FinGroupoid, "_valid", property(lambda G: False))
 
 
 def _differ_from_refused(monkeypatch, instances):

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import pytest
 
-from edgewise.cat import FinCategory, _missing, bar, cyclic_monoid
+from edgewise.cat import FinCategory, bar, cyclic_monoid
 from edgewise.errors import InputError
 from edgewise.groupoid import (FinGroupoid, Functor, TruncatedSGpd,
                                discrete_sgpd, s_construction, validate_sgpd)
@@ -123,11 +123,6 @@ def test_stores_are_read_only_copies():
     assert set(Z.face) == set(Y.face)
     with pytest.raises(TypeError):
         del Z.face[1, 0]
-
-
-def test_a_lookup_no_table_lacks_has_a_text_of_its_own():
-    assert str(_missing(("table", {"a": 1}, "a"))) == \
-        "a table lacks an entry; input tables are not valid"
 
 
 # one entry of a level's src or tgt off its objects is refused when the
